@@ -11,19 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    ConstructionError,
-    GarageError,
-    PlanError,
-    SchemaError,
-    SpecParseError,
-    SpecValidationError,
-)
+from .errors import GarageError, SchemaError, SpecParseError
 from .grid import load_garage_spec, validate
 from .classify import classify_all
 from .scene import (
@@ -39,7 +33,8 @@ from .scene import (
 from .scenario import (
     BLACKOUT_THRESHOLD,
     DEFAULT_WEIGHTS,
-    ScenarioLabel,
+    _check_score_options,
+    _scene_from_nodes,
     build_case1,
     build_case2,
     build_case3,
@@ -55,16 +50,22 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 
 
-def _parse_weights(text: str) -> tuple[float, float, float]:
-    parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
-    if len(parts) != 3:
-        raise SchemaError(f"expected three comma-separated weights, got {text!r}")
+def _parse_weights(text: str | None, blackout_threshold: float) -> tuple[float, float, float]:
+    """Weights from 'w_occ,w_blk,w_lit' (the defaults when text is empty),
+    checked together with the blackout threshold."""
+    w = DEFAULT_WEIGHTS
+    if text:
+        parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
+        if len(parts) != 3:
+            raise SchemaError(f"expected three comma-separated weights, got {text!r}")
+        try:
+            w = tuple(float(p) for p in parts)
+        except ValueError as exc:
+            raise SchemaError(f"non-numeric weight in {text!r}") from exc
     try:
-        w = tuple(float(p) for p in parts)
+        _check_score_options(w, blackout_threshold)
     except ValueError as exc:
-        raise SchemaError(f"non-numeric weight in {text!r}") from exc
-    if abs(sum(w) - 1.0) > 1e-9:
-        raise SchemaError(f"weights must sum to 1, got {text!r}")
+        raise SchemaError(str(exc)) from None
     return w  # type: ignore[return-value]
 
 
@@ -85,11 +86,14 @@ def _parse_corners(text: str) -> frozenset[tuple[int, int]]:
 
 
 def _camera_from_args(args) -> CameraConfig:
-    return CameraConfig(
-        mount_height=args.mount_height,
-        horizontal_fov_deg=args.fov,
-        aspect=args.aspect,
-    )
+    try:
+        return CameraConfig(
+            mount_height=args.mount_height,
+            horizontal_fov_deg=args.fov,
+            aspect=args.aspect,
+        )
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> None:
@@ -218,17 +222,14 @@ def _cmd_generate(args) -> int:
 
 
 def _merge_scene(base: SceneGraph, extra: SceneGraph) -> SceneGraph:
-    from .scenario import _scene_from_nodes
-
+    """Scenario scene plus extra environment; the caller relights it."""
     ids = {n.id for n in base.nodes}
     merged = list(base.nodes)
     for n in extra.nodes:
         if n.id in ids:
             raise SchemaError(f"--scene node id {n.id!r} collides with the scenario")
         merged.append(n)
-    rebuilt = _scene_from_nodes(merged)
-    return SceneGraph(nodes=rebuilt.nodes, bounds=rebuilt.bounds,
-                      light_level=base.light_level)
+    return _scene_from_nodes(merged)
 
 
 def _parse_layout(text: str) -> list[tuple[str, str]]:
@@ -248,6 +249,10 @@ def _cmd_scenario(args) -> int:
     if args.case not in ("1", "2", "3"):
         print(f"unknown case {args.case!r}; expected 1, 2 or 3", file=sys.stderr)
         return EXIT_USAGE
+    if not 0.0 < args.step < math.inf:
+        raise SchemaError(f"step must be positive and finite, got {args.step}")
+    cfg = _camera_from_args(args)
+    weights = _parse_weights(args.weights, args.blackout_threshold)
     if args.case == "1":
         scn = build_case1(args.column_setback, args.lane_width, args.target_distance)
     elif args.case == "2":
@@ -259,10 +264,9 @@ def _cmd_scenario(args) -> int:
         extra = import_scene(Path(args.scene).read_text(encoding="utf-8"))
         scn = replace(scn, scene=_merge_scene(scn.scene, extra))
     scn = relight(scn, LightLevel(args.light))
-    weights = _parse_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
     report = run_scenario(
         scn,
-        _camera_from_args(args),
+        cfg,
         step=args.step,
         weights=weights,
         blackout_threshold=args.blackout_threshold,
@@ -296,7 +300,7 @@ def _cmd_score(args) -> int:
         doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid report JSON: {exc.msg}") from exc
-    weights = _parse_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
+    weights = _parse_weights(args.weights, args.blackout_threshold)
     sc = rescore_report_document(doc, weights, args.blackout_threshold)
     if args.format == "json":
         print(json.dumps(sc.to_document(), indent=2, sort_keys=True))
@@ -331,16 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SpecValidationError, PlanError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (SpecParseError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SpecParseError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GarageError as exc:

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ConstructionError, SchemaError
 from .scene import (
     Box3,
@@ -29,6 +27,8 @@ from .scene import (
     SceneGraph,
     SceneNode,
     VEHICLE_SIZES,
+    _fold_bounds,
+    _footprint,
     apply_light_level,
     vehicle_box,
 )
@@ -36,12 +36,8 @@ from .visibility import (
     CameraConfig,
     EgoPose,
     OcclusionSweep,
-    SceneIndex,
-    VisibilitySample,
-    _face_points,
-    _sample_from_points,
     _as_poses,
-    make_camera,
+    _sample_pairs,
     path_length,
     pose_at,
     sample_arclengths,
@@ -69,7 +65,6 @@ class ScenarioLabel(str, Enum):
     CASE1_CORNER_COLUMN = "case1-corner-column"
     CASE2_PARKED_EGO = "case2-parked-ego"
     CASE3_PARKED_ROWS = "case3-parked-rows"
-    LIGHT_ONLY = "light-only"
 
 
 @dataclass(frozen=True)
@@ -133,32 +128,16 @@ def _slab(node_id: str, kind: NodeKind, x0, y0, x1, y1, z0, z1, tags=None) -> Sc
 
 
 def _scene_from_nodes(nodes: list[SceneNode]) -> SceneGraph:
-    lo = [math.inf] * 3
-    hi = [-math.inf] * 3
-    for n in nodes:
-        a = n.box.aabb
-        lo = [min(lo[k], a[k]) for k in range(3)]
-        hi = [max(hi[k], a[k + 3]) for k in range(3)]
-    bounds = Box3(
-        center=tuple((lo[k] + hi[k]) / 2.0 for k in range(3)),
-        half_extents=tuple(max((hi[k] - lo[k]) / 2.0, 1e-9) for k in range(3)),
+    return SceneGraph(
+        nodes=tuple(nodes),
+        bounds=_fold_bounds(n.box for n in nodes),
+        light_level=LightLevel.BRIGHT,
     )
-    return SceneGraph(nodes=tuple(nodes), bounds=bounds, light_level=LightLevel.BRIGHT)
 
 
 def _boxes_overlap(a: Box3, b: Box3) -> bool:
     aa, bb = a.aabb, b.aabb
     return all(aa[k] < bb[k + 3] and bb[k] < aa[k + 3] for k in range(3))
-
-
-def _footprint_corners(box: Box3) -> list[tuple[float, float]]:
-    hx, hy, _ = box.half_extents
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    cx, cy, _ = box.center
-    return [
-        (cx + dx * c - dy * s, cy + dx * s + dy * c)
-        for dx, dy in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy))
-    ]
 
 
 # --- case builders ----------------------------------------------------------------
@@ -192,7 +171,7 @@ def build_case1(
     # aim the column at the middle of the target's angular band from the start pose
     apex = (0.0, ego_y)
     bearings = [
-        math.atan2(cy - apex[1], cx - apex[0]) for cx, cy in _footprint_corners(target.box)
+        math.atan2(cy - apex[1], cx - apex[0]) for cx, cy in _footprint(target.box)
     ]
     mid = (min(bearings) + max(bearings)) / 2.0
     col_y = apex[1] + column_setback * math.tan(mid)
@@ -368,35 +347,21 @@ def target_sweep(
 ) -> OcclusionSweep:
     """Sweep with swapped roles: the camera stays parked while the target
     advances along its own path (half-meter spacing as usual)."""
-    target = scene.node(target_id)
-    others = [n for n in scene.nodes if n.id != target_id]
-    frustum = make_camera(ego, cfg)
-    apex = np.asarray(frustum.apex)
-    samples: list[VisibilitySample] = []
-    for s in sample_arclengths(path_length(target_path), step):
-        pose = pose_at(target_path, s)
-        size = target.tags.get("vehicle_size", "small")
+
+    def pairs(target: SceneNode):
         # driving orientation: box yaw puts the length along the heading
-        length, width, height = VEHICLE_SIZES[size]
-        moved = SceneNode(
-            target.id,
-            target.kind,
-            Box3(
+        length, width, height = VEHICLE_SIZES[target.tags.get("vehicle_size", "small")]
+        for s in sample_arclengths(path_length(target_path), step):
+            pose = pose_at(target_path, s)
+            box = Box3(
                 center=(pose.position[0], pose.position[1], FLOOR_THICKNESS + height / 2.0),
                 half_extents=(width / 2.0, length / 2.0, height / 2.0),
                 yaw=pose.heading + math.pi / 2.0,
-            ),
-            dict(target.tags),
-        )
-        frame = _scene_from_nodes(others + [moved])
-        index = SceneIndex(frame)
-        points = _face_points(moved, apex, samples_per_edge)
-        samples.append(
-            _sample_from_points(frame, index, frustum, apex, points, ego, moved, ignore_ids)
-        )
-    return OcclusionSweep(
-        samples=tuple(samples), step=step, path=target_path, swept="target"
-    )
+            )
+            yield ego, SceneNode(target.id, target.kind, box, target.tags)
+
+    samples = _sample_pairs(scene, target_id, pairs, cfg, samples_per_edge, ignore_ids)
+    return OcclusionSweep(samples=samples, step=step, path=target_path, swept="target")
 
 
 def _longest_blackout(fractions: list[float], threshold: float) -> int:
@@ -405,6 +370,39 @@ def _longest_blackout(fractions: list[float], threshold: float) -> int:
         run = run + 1 if f < threshold else 0
         longest = max(longest, run)
     return longest
+
+
+def _check_score_options(weights, blackout_threshold: float) -> None:
+    """The one check of the score options: three finite, non-negative
+    weights summing to 1, and a finite threshold in [0, 1]."""
+    if (
+        len(weights) != 3
+        or not all(0.0 <= w < math.inf for w in weights)
+        or abs(sum(weights) - 1.0) > 1e-9
+    ):
+        raise ValueError(
+            f"weights must be three finite non-negative numbers summing to 1, got {weights}"
+        )
+    if not 0.0 <= blackout_threshold <= 1.0:
+        raise ValueError(f"blackout threshold must be in [0, 1], got {blackout_threshold}")
+
+
+def _score_fractions(
+    fractions: list[list[float]],
+    level: LightLevel,
+    weights: tuple[float, float, float],
+    blackout_threshold: float,
+) -> DifficultyScore:
+    """The score formula over per-sweep visible-fraction lists, pooled in
+    the order given."""
+    _check_score_options(weights, blackout_threshold)
+    w_occ, w_blk, w_lit = weights
+    all_fracs = [f for fr in fractions for f in fr]
+    occlusion = sum(1.0 - f for f in all_fracs) / len(all_fracs)
+    blackout = max(_longest_blackout(fr, blackout_threshold) / len(fr) for fr in fractions)
+    light = LIGHT_PENALTY[level]
+    total = 100.0 * (w_occ * occlusion + w_blk * blackout + w_lit * light)
+    return DifficultyScore(total, occlusion, blackout, light, tuple(weights))
 
 
 def score(
@@ -419,25 +417,13 @@ def score(
     blackout term: worst sweep's longest run below the threshold, as a
     fraction of that sweep's length; light term: fixed penalty per level.
     total = 100 * (w_occ*occ + w_blk*blackout + w_lit*light), weights
-    summing to 1.
+    finite, non-negative and summing to 1, threshold in [0, 1].
     """
     sweep_list = list(sweeps.values()) if isinstance(sweeps, dict) else list(sweeps)
     if not sweep_list or any(not sw.samples for sw in sweep_list):
         raise ValueError("score needs at least one non-empty sweep")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {weights}")
-    w_occ, w_blk, w_lit = weights
-
-    all_fracs = [s.visible_fraction for sw in sweep_list for s in sw.samples]
-    occlusion = sum(1.0 - f for f in all_fracs) / len(all_fracs)
-    blackout = max(
-        _longest_blackout([s.visible_fraction for s in sw.samples], blackout_threshold)
-        / len(sw.samples)
-        for sw in sweep_list
-    )
-    light = LIGHT_PENALTY[level]
-    total = 100.0 * (w_occ * occlusion + w_blk * blackout + w_lit * light)
-    return DifficultyScore(total, occlusion, blackout, light, tuple(weights))
+    fractions = [[s.visible_fraction for s in sw.samples] for sw in sweep_list]
+    return _score_fractions(fractions, level, weights, blackout_threshold)
 
 
 def _sweep_stats(sw: OcclusionSweep) -> dict:
@@ -547,7 +533,10 @@ def rescore_report_document(
     weights: tuple[float, float, float],
     blackout_threshold: float = BLACKOUT_THRESHOLD,
 ) -> DifficultyScore:
-    """Recompute the difficulty score of an emitted report/1 document."""
+    """Recompute the difficulty score of an emitted report/1 document.
+
+    Fractions pool in the report's key order, which may differ from the
+    run's target order in the last bit of the occlusion term."""
     if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
         raise SchemaError(f"expected schema {REPORT_SCHEMA!r}")
     try:
@@ -561,14 +550,4 @@ def rescore_report_document(
         raise SchemaError(f"malformed report: {exc}") from exc
     if not fractions or any(not f for f in fractions.values()):
         raise SchemaError("report has no sweep samples")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {weights}")
-    w_occ, w_blk, w_lit = weights
-    all_fracs = [f for fr in fractions.values() for f in fr]
-    occlusion = sum(1.0 - f for f in all_fracs) / len(all_fracs)
-    blackout = max(
-        _longest_blackout(fr, blackout_threshold) / len(fr) for fr in fractions.values()
-    )
-    light = LIGHT_PENALTY[level]
-    total = 100.0 * (w_occ * occlusion + w_blk * blackout + w_lit * light)
-    return DifficultyScore(total, occlusion, blackout, light, tuple(weights))
+    return _score_fractions(list(fractions.values()), level, weights, blackout_threshold)

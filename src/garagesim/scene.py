@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import PlanError, SchemaError
-from .classify import ClassifiedGrid, RenderVariant
+from .classify import ClassifiedGrid
 from .grid import CellKind, CellRef
 
 SCENE_SCHEMA = "scene/1"
@@ -405,9 +405,10 @@ def remove_node(scene: SceneGraph, node_id: str) -> SceneGraph:
     return replace(scene, nodes=kept)
 
 
-def _expand_bounds(bounds: Box3, boxes: list[Box3]) -> Box3:
-    lo = list(bounds.aabb[:3])
-    hi = list(bounds.aabb[3:])
+def _fold_bounds(boxes) -> Box3:
+    """Axis-aligned box around the world AABBs of the given boxes."""
+    lo = [math.inf] * 3
+    hi = [-math.inf] * 3
     for b in boxes:
         a = b.aabb
         lo = [min(lo[k], a[k]) for k in range(3)]
@@ -475,7 +476,7 @@ def populate_vehicles(
         vehicles.append(
             SceneNode(f"veh-{entry.cell.i}-{entry.cell.j}", NodeKind.VEHICLE, box, tags)
         )
-    bounds = _expand_bounds(scene.bounds, [v.box for v in vehicles])
+    bounds = _fold_bounds([scene.bounds, *(v.box for v in vehicles)])
     return SceneGraph(
         nodes=scene.nodes + tuple(vehicles), bounds=bounds, light_level=scene.light_level
     )
@@ -624,15 +625,20 @@ _BOX_FACES = (
 )
 
 
-def _box_corners(box: Box3) -> list[tuple[float, float, float]]:
-    hx, hy, hz = box.half_extents
+def _footprint(box: Box3) -> list[tuple[float, float]]:
+    """The box's 2D corners at local (-x, -y), (+x, -y), (+x, +y), (-x, +y)."""
+    hx, hy, _ = box.half_extents
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    cx, cy, cz = box.center
-    corners = []
-    for dz in (-hz, hz):
-        for dx, dy in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy)):
-            corners.append((cx + dx * c - dy * s, cy + dx * s + dy * c, cz + dz))
-    return corners
+    cx, cy, _ = box.center
+    return [
+        (cx + dx * c - dy * s, cy + dx * s + dy * c)
+        for dx, dy in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy))
+    ]
+
+
+def _box_corners(box: Box3) -> list[tuple[float, float, float]]:
+    cz, hz = box.center[2], box.half_extents[2]
+    return [(x, y, cz + dz) for dz in (-hz, hz) for x, y in _footprint(box)]
 
 
 def _export_obj(scene: SceneGraph) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,12 @@ class CameraConfig:
     def __post_init__(self):
         if not 0.0 < self.horizontal_fov_deg < 180.0:
             raise ValueError(f"horizontal fov must be in (0, 180), got {self.horizontal_fov_deg}")
-        if self.mount_height <= 0.0:
-            raise ValueError("mount height must be positive")
-        if self.aspect <= 0.0:
-            raise ValueError("aspect must be positive")
+        if not 0.0 < self.mount_height < math.inf:
+            raise ValueError(f"mount height must be positive and finite, got {self.mount_height}")
+        if not 0.0 < self.aspect < math.inf:
+            raise ValueError(f"aspect must be positive and finite, got {self.aspect}")
+        if not (all(map(math.isfinite, self.forward)) and math.hypot(*self.forward) > 0.0):
+            raise ValueError(f"forward must be a finite non-zero vector, got {self.forward}")
 
 
 @dataclass(frozen=True)
@@ -337,21 +340,42 @@ def visible_fraction(
     The target itself never occludes its own sample points; nodes in
     ignore_ids (e.g. the ego's own body) are excluded as occluders too.
     """
+    return _sample_pairs(
+        scene, target_id, lambda target: [(ego, target)], cfg,
+        samples_per_edge, ignore_ids, index,
+    )[0]
+
+
+def _sample_pairs(
+    scene: SceneGraph,
+    target_id: str,
+    pairs: Callable[[SceneNode], Iterable[tuple[EgoPose, SceneNode]]],
+    cfg: CameraConfig,
+    samples_per_edge: int,
+    ignore_ids: frozenset[str],
+    index: SceneIndex | None = None,
+) -> tuple[VisibilitySample, ...]:
+    """The one sample loop: visibility of a target vehicle over the
+    (ego pose, target node) pairs that pairs(target) yields.
+
+    The index is built once over the scene.  A moved target keeps its id,
+    so the index skips it as an occluder wherever the pair puts it.
+    """
     target = scene.node(target_id)
     if target.kind is not NodeKind.VEHICLE:
         raise ValueError(f"target {target_id!r} is {target.kind.value}, not a vehicle")
     if index is None:
         index = SceneIndex(scene)
-    frustum = make_camera(ego, cfg)
-    apex = np.asarray(frustum.apex)
-    points = _face_points(target, apex, samples_per_edge)
-    return _sample_from_points(
-        scene, index, frustum, apex, points, ego, target, ignore_ids
-    )
+    samples = []
+    for ego, node in pairs(target):
+        frustum = make_camera(ego, cfg)
+        apex = np.asarray(frustum.apex)
+        points = _face_points(node, apex, samples_per_edge)
+        samples.append(_sample_from_points(index, frustum, apex, points, ego, node, ignore_ids))
+    return tuple(samples)
 
 
 def _sample_from_points(
-    scene: SceneGraph,
     index: SceneIndex,
     frustum: Frustum,
     apex: np.ndarray,
@@ -480,20 +504,13 @@ def sweep(
 ) -> OcclusionSweep:
     """Visibility of one target from poses every `step` meters along a path."""
     poses = _as_poses(path)
-    index = SceneIndex(scene)
-    target = scene.node(target_id)
-    if target.kind is not NodeKind.VEHICLE:
-        raise ValueError(f"target {target_id!r} is {target.kind.value}, not a vehicle")
-    samples = []
-    for s in sample_arclengths(path_length(poses), step):
-        ego = pose_at(poses, s)
-        frustum = make_camera(ego, cfg)
-        apex = np.asarray(frustum.apex)
-        points = _face_points(target, apex, samples_per_edge)
-        samples.append(
-            _sample_from_points(scene, index, frustum, apex, points, ego, target, ignore_ids)
-        )
-    return OcclusionSweep(samples=tuple(samples), step=step, path=poses, swept="ego")
+    samples = _sample_pairs(
+        scene, target_id,
+        lambda target: ((pose_at(poses, s), target)
+                        for s in sample_arclengths(path_length(poses), step)),
+        cfg, samples_per_edge, ignore_ids,
+    )
+    return OcclusionSweep(samples=samples, step=step, path=poses, swept="ego")
 
 
 # --- export ---------------------------------------------------------------------

@@ -209,8 +209,35 @@ class TestScore:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total"] == pytest.approx(100.0 * doc["occlusion_term"])
 
-    def test_bad_weights_exit_2(self, report_file):
+    def test_bad_weights_exit_2(self, report_file, tmp_path, capsys):
         assert main(["score", str(report_file), "--weights", "0.5,0.5,0.5"]) == 2
+        scenario = ["scenario", "--case", "1", "--out", str(tmp_path / "bad.json")]
+        score = ["score", str(report_file)]
+        bad_score_options = [
+            ["--weights", "2,-1,0"],
+            ["--weights", "1.5,-0.5,0"],
+            ["--weights", "nan,0.5,0.5"],
+            ["--blackout-threshold", "nan"],
+            ["--blackout-threshold", "1.5"],
+        ]
+        bad_run_options = [
+            ["--step", "0"],
+            ["--step", "nan"],
+            ["--step", "inf"],
+            ["--fov", "200"],
+            ["--mount-height", "0"],
+            ["--mount-height", "nan"],
+            ["--aspect", "0"],
+            ["--aspect", "nan"],
+        ]
+        cases = [[*cmd, *opt] for cmd in (scenario, score) for opt in bad_score_options]
+        cases += [[*scenario, *opt] for opt in bad_run_options]
+        capsys.readouterr()
+        for argv in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        assert not (tmp_path / "bad.json").exists()
 
     def test_missing_report(self, tmp_path):
         assert main(["score", str(tmp_path / "none.json")]) == 2

@@ -1,0 +1,114 @@
+"""Golden bytes: SHA-256 digests of CLI outputs on a fixed input set.
+
+Pins every byte of the scenario reports and per-target CSVs, a generated
+scene/1 document with its OBJ mesh, and the CSV line of ``score``, so a
+refactor that claims equal output is checked against the output itself.
+The digests were taken on x86-64 Linux with CPython 3.11 and numpy 2.4; a
+different libm can move a float's last bit and so every digest.
+Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from garagesim.cli import main
+from garagesim.grid import GarageSpec, emit_garage_spec
+
+# laid over cases 2 and 3 so its wall, columns and vehicles cut sight lines
+PLAN = GarageSpec(((1, 1, 1), (0, 0, -1)), (3.0, 3.0), (3.0, 3.0, 3.0))
+OCCUPANCY = {
+    "schema": "occupancy-plan/1",
+    "entries": [{"cell": [1, 0], "size": "small"}, {"cell": [1, 1], "size": "large"}],
+}
+
+# case name -> scenario argv without --out; "{scene}" is the generated garage
+SCENARIOS = {
+    "case1": ["--case", "1"],
+    "case1-dim": ["--case", "1", "--light", "dim"],
+    "case1-step": ["--case", "1", "--step", "0.3", "--target-distance", "20"],
+    "case2": ["--case", "2"],
+    "case2-step": ["--case", "2", "--step", "0.3", "--column-offset", "3"],
+    "case2-scene": ["--case", "2", "--scene", "{scene}"],
+    "case3": ["--case", "3"],
+    "case3-three": ["--case", "3", "--layout", "close:large,medium:medium,far:small",
+                    "--light", "moderate"],
+    "case3-scene": ["--case", "3", "--scene", "{scene}", "--light", "dim"],
+}
+
+GOLDEN = {
+    "generate": "fc8fbaeea6d8296b25a85453fb0b4555add5308fa9b457e6346d24ae76375792",
+    "case1": "bd84eda45890dafc16ef7f1cbd51a0f8e0a42a9a003d9790ae9a00c48cddb86d",
+    "case1-dim": "213900b9a90716eb395eba70291759d129eed79104c313d03ab68c6dfd25cf4a",
+    "case1-step": "6298a67e8d607e1b4fd3724bded5874cc83b749a13788787b82485eea4f8609a",
+    "case2": "d4e8ba354e9f02e8404fab00fcbd48989c2f2b078a610facc0d75417021dc919",
+    "case2-step": "d7033de6c53bf30b265b260ba112c4267c0a0ce78c9b98091fa03a03a61e282f",
+    "case2-scene": "998ba09d093b191f5e961361fe52bf2778a9efc62ed0212a7cb544d3f2ded7d1",
+    "case3": "df4f0d9ab2a9fee07d5af8e14fe3c44fe1f403e01904949c935ccb174a6b934f",
+    "case3-three": "1812580efd9c8aa3e9ddfc5e499c3627a1eaafb1e3ff3ce673ad7ef98545b39e",
+    "case3-scene": "61a052db8c07e93159afa8d452a87d6d390bfe4c6f7eff25f1fc609b3147b5aa",
+    "score-csv": "4282db77e70930e24e83e81f5959adebf919aaed0a5d4b2985115c59ee3b1876",
+}
+
+
+def _digest(files: dict[str, bytes]) -> str:
+    h = hashlib.sha256()
+    for name in sorted(files):
+        h.update(name.encode() + b"\0" + files[name] + b"\0")
+    return h.hexdigest()
+
+
+def _generate(tmp: Path) -> Path:
+    plan = tmp / "plan.json"
+    plan.write_text(emit_garage_spec(PLAN), encoding="utf-8")
+    occ = tmp / "occupancy.json"
+    occ.write_text(json.dumps(OCCUPANCY), encoding="utf-8")
+    scene = tmp / "garage.json"
+    rc = main(["generate", str(plan), "--occupancy", str(occ), "--light", "moderate",
+               "--out", str(scene), "--obj", str(tmp / "garage.obj")])
+    assert rc == 0
+    return scene
+
+
+def compute_digests(tmp: Path, capture) -> dict[str, str]:
+    """Digest per case; capture() returns the stdout written since its last call."""
+    scene = _generate(tmp)
+    capture()
+    out = {"generate": _digest({p.name: p.read_bytes()
+                                for p in (scene, tmp / "garage.obj")})}
+    for name, argv in SCENARIOS.items():
+        case_dir = tmp / name
+        case_dir.mkdir()
+        args = [a.replace("{scene}", str(scene)) for a in argv]
+        assert main(["scenario", *args, "--out", str(case_dir / "report.json")]) == 0
+        out[name] = _digest({p.name: p.read_bytes() for p in case_dir.iterdir()})
+    capture()
+    report = tmp / "case3-three" / "report.json"
+    assert main(["--format", "csv", "score", str(report), "--weights", "0.5,0.3,0.2"]) == 0
+    out["score-csv"] = _digest({"stdout": capture().encode()})
+    return out
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, capsys):
+    digests = compute_digests(tmp_path, lambda: capsys.readouterr().out)
+    assert digests == GOLDEN
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    buf = io.StringIO()
+
+    def _take() -> str:
+        text = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        return text
+
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(buf):
+        result = compute_digests(Path(d), _take)
+    json.dump(result, sys.stdout, indent=4)
+    print()

@@ -31,7 +31,13 @@ from garagesim.scenario import (
     score,
     target_sweep,
 )
-from garagesim.visibility import CameraConfig, EgoPose, OcclusionSweep, VisibilitySample
+from garagesim.visibility import (
+    CameraConfig,
+    EgoPose,
+    OcclusionSweep,
+    VisibilitySample,
+    sweep,
+)
 
 from oracles import box_face_points, column_shadow_fraction
 
@@ -101,6 +107,31 @@ class TestCase2:
         assert sw.swept == "target"
         # the parked ego never moves
         assert len({s.ego.position for s in sw.samples}) == 1
+
+    def test_target_must_be_a_vehicle(self):
+        scn = build_case2()
+        with pytest.raises(ValueError, match="not a vehicle"):
+            target_sweep(scn.scene, scn.ego_path[0], scn.target_path, CFG, "col-side")
+
+    def test_one_index_per_sweep(self, monkeypatch):
+        from garagesim import visibility
+
+        built = []
+        init = visibility.SceneIndex.__init__
+
+        def counting_init(self, scene):
+            built.append(scene)
+            init(self, scene)
+
+        monkeypatch.setattr(visibility.SceneIndex, "__init__", counting_init)
+        scn = build_case2()
+        sw = target_sweep(scn.scene, scn.ego_path[0], scn.target_path, CFG, "veh-target",
+                          ignore_ids=scn.ignore_ids)
+        assert len(sw.samples) == 25
+        assert len(built) == 1
+        case1 = build_case1()
+        sweep(case1.scene, case1.ego_path, CFG, "veh-target")
+        assert len(built) == 2
 
     def test_engine_matches_independent_shadow_oracle(self):
         scn = build_case2()
@@ -258,6 +289,18 @@ class TestScore:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             score([self.constant_sweep(1.0)], LightLevel.BRIGHT, weights=(0.5, 0.5, 0.5))
+        for weights, threshold in (
+            ((2.0, -1.0, 0.0), 0.2),
+            ((1.5, -0.5, 0.0), 0.2),
+            ((math.nan, 0.5, 0.5), 0.2),
+            ((math.inf, 0.0, 0.0), 0.2),
+            ((0.5, 0.5), 0.2),
+            (DEFAULT_WEIGHTS, math.nan),
+            (DEFAULT_WEIGHTS, -0.1),
+            (DEFAULT_WEIGHTS, 1.5),
+        ):
+            with pytest.raises(ValueError):
+                score([self.constant_sweep(1.0)], LightLevel.BRIGHT, weights, threshold)
 
     def test_empty_sweeps_error(self):
         with pytest.raises(ValueError):
@@ -336,6 +379,10 @@ class TestRunAndReport:
         doc = json.loads(emit_report(report))
         with pytest.raises(ValueError):
             rescore_report_document(doc, (0.5, 0.5, 0.5))
+        with pytest.raises(ValueError):
+            rescore_report_document(doc, (2.0, -1.0, 0.0))
+        with pytest.raises(ValueError):
+            rescore_report_document(doc, DEFAULT_WEIGHTS, math.nan)
 
     def test_stats_recomputable_from_sweeps(self):
         report = run_scenario(build_case1())

@@ -85,6 +85,19 @@ class TestFrustum:
             CameraConfig(horizontal_fov_deg=180.0)
         with pytest.raises(ValueError):
             CameraConfig(mount_height=-1.0)
+        for bad in (
+            {"horizontal_fov_deg": math.nan},
+            {"mount_height": 0.0},
+            {"mount_height": math.nan},
+            {"mount_height": math.inf},
+            {"aspect": 0.0},
+            {"aspect": math.nan},
+            {"aspect": math.inf},
+            {"forward": (0.0, 0.0)},
+            {"forward": (math.nan, 1.0)},
+        ):
+            with pytest.raises(ValueError):
+                CameraConfig(**bad)
 
 
 class TestRayIntersect:
