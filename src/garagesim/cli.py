@@ -112,7 +112,15 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config file must hold a JSON object")
-    parser.set_defaults(**{str(k).replace("-", "_"): v for k, v in raw.items()})
+    defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
+    parser.set_defaults(**defaults)
+    # the running subcommand's parser writes its own flags' defaults over the
+    # top level's, so each of those flags takes its config default there
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                own = {a.dest for a in sub._actions}
+                sub.set_defaults(**{k: v for k, v in defaults.items() if k in own})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,13 +261,16 @@ def _cmd_scenario(args) -> int:
         raise SchemaError(f"step must be positive and finite, got {args.step}")
     cfg = _camera_from_args(args)
     weights = _parse_weights(args.weights, args.blackout_threshold)
-    if args.case == "1":
-        scn = build_case1(args.column_setback, args.lane_width, args.target_distance)
-    elif args.case == "2":
-        scn = build_case2(args.column_offset, args.lane_distance)
-    else:
-        layout = args.layout
-        scn = build_case3(_parse_layout(layout) if isinstance(layout, str) else layout)
+    try:
+        if args.case == "1":
+            scn = build_case1(args.column_setback, args.lane_width, args.target_distance)
+        elif args.case == "2":
+            scn = build_case2(args.column_offset, args.lane_distance)
+        else:
+            layout = args.layout
+            scn = build_case3(_parse_layout(layout) if isinstance(layout, str) else layout)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     if args.scene:
         extra = import_scene(Path(args.scene).read_text(encoding="utf-8"))
         scn = replace(scn, scene=_merge_scene(scn.scene, extra))

@@ -143,6 +143,15 @@ def _boxes_overlap(a: Box3, b: Box3) -> bool:
 # --- case builders ----------------------------------------------------------------
 
 
+def _check_dimensions(case: int, *dims: float) -> None:
+    """A non-finite dimension is a bad value (ValueError); a finite one that
+    is not positive is impossible geometry (ConstructionError)."""
+    if not all(map(math.isfinite, dims)):
+        raise ValueError(f"case {case} needs finite dimensions, got {', '.join(map(str, dims))}")
+    if min(dims) <= 0.0:
+        raise ConstructionError(f"case {case} needs positive dimensions")
+
+
 def build_case1(
     column_setback: float = 3.0,
     lane_width: float = 6.0,
@@ -156,8 +165,7 @@ def build_case1(
     fully hidden at the first sample; the path ends while the target is
     still inside the field of view.
     """
-    if min(column_setback, lane_width, target_distance) <= 0.0:
-        raise ConstructionError("case 1 needs positive dimensions")
+    _check_dimensions(1, column_setback, lane_width, target_distance)
 
     ego_y = -lane_width / 6.0
     target_y = lane_width / 3.0
@@ -220,8 +228,7 @@ def build_case2(column_offset: float = 2.5, lane_distance: float = 8.0) -> Scena
     """Parked-ego scenario: the ego sits in a space looking out; a column at
     the space's corner shadows part of the lane ahead, and the target
     drives across.  The sweep moves the target, not the ego."""
-    if min(column_offset, lane_distance) <= 0.0:
-        raise ConstructionError("case 2 needs positive dimensions")
+    _check_dimensions(2, column_offset, lane_distance)
     if lane_distance <= column_offset:
         raise ConstructionError("the lane must lie beyond the column")
 

@@ -92,6 +92,8 @@ class Box3:
     yaw: float = 0.0
 
     def __post_init__(self):
+        if len(self.center) != 3:
+            raise ValueError(f"center needs three coordinates, got {self.center}")
         hx, hy, hz = self.half_extents
         if hx <= 0.0 or hy <= 0.0 or hz <= 0.0:
             raise ValueError(f"half extents must be positive, got {self.half_extents}")
@@ -99,12 +101,19 @@ class Box3:
     @property
     def aabb(self) -> tuple[float, float, float, float, float, float]:
         """World-space bounds (min x, min y, min z, max x, max y, max z)."""
-        hx, hy, hz = self.half_extents
-        c, s = abs(math.cos(self.yaw)), abs(math.sin(self.yaw))
-        ex = hx * c + hy * s
-        ey = hx * s + hy * c
-        cx, cy, cz = self.center
-        return (cx - ex, cy - ey, cz - hz, cx + ex, cy + ey, cz + hz)
+        return _aabb(self.center, self.half_extents, math.cos(self.yaw), math.sin(self.yaw))
+
+
+def _aabb(center, half, cos_yaw, sin_yaw):
+    """Bounds of an oriented box as in Box3.aabb.  Floats or numpy columns
+    alike, with the same operations either way, so an array of boxes gets
+    bit-identical bounds."""
+    hx, hy, hz = half
+    c, s = abs(cos_yaw), abs(sin_yaw)
+    ex = hx * c + hy * s
+    ey = hx * s + hy * c
+    cx, cy, cz = center
+    return (cx - ex, cy - ey, cz - hz, cx + ex, cy + ey, cz + hz)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ everything is deterministic: no randomness anywhere.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Callable, Iterable
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, SceneGraph, SceneNode
+from .scene import FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, SceneGraph, SceneNode, _aabb
 
 SWEEP_SCHEMA = "sweep/1"
 
@@ -145,39 +146,103 @@ class OcclusionSweep:
 # --- scene index -----------------------------------------------------------------
 
 
+def _cell_side(x0, y0, x1, y1, finite: np.ndarray) -> float:
+    """Bucket-grid cell side for the finite boxes' xy bounds: twice
+    sqrt(area / count), raised so neither axis has more than sqrt(count) + 1
+    cells; 0 (no grid) where float rounding could move a box by half a cell."""
+    count = int(finite.sum())
+    if not count:
+        return 0.0
+    low = [float(v.min(where=finite, initial=math.inf)) for v in (x0, y0)]
+    high = [float(v.max(where=finite, initial=-math.inf)) for v in (x1, y1)]
+    width, depth = high[0] - low[0], high[1] - low[1]
+    cell = max(2.0 * math.sqrt(width * depth / count), max(width, depth) / math.sqrt(count))
+    reach = max(map(abs, low + high))
+    return cell if 0.0 < cell < math.inf and reach <= cell * 2.0**40 else 0.0
+
+
 class SceneIndex:
-    """Precomputed arrays over the opaque nodes of a scene for fast ray tests."""
+    """Precomputed arrays over the opaque nodes of a scene for fast ray tests.
+
+    A uniform 2D bucket grid over the boxes' xy centres answers the AABB
+    broadphase: each box sits in the one cell holding its centre, stored
+    CSR-style (box ids sorted by cell key plus each cell's start offset).
+    The cell side is twice sqrt(xy area / box count), raised where needed
+    so neither axis has more than sqrt(box count) + 1 cells.  Boxes wider
+    than a cell, and non-finite ones, go to a short list that every query
+    tests.  A box no wider than a cell that meets a query range has its
+    centre within half a cell of it, so visiting the cells under the range
+    grown by one cell finds it; the grid only narrows which boxes the
+    exact AABB test runs on, never its answer.
+    """
 
     def __init__(self, scene: SceneGraph):
         opaque = [n for n in scene.nodes if n.kind in OPAQUE_KINDS]
+        boxes = [n.box for n in opaque]
+        k = len(boxes)
+        chain = itertools.chain.from_iterable
+        self.centers = np.fromiter(chain(b.center for b in boxes), float, 3 * k).reshape(k, 3)
+        self.halves = np.fromiter(chain(b.half_extents for b in boxes), float, 3 * k).reshape(k, 3)
+        self.cos_yaw = np.fromiter((math.cos(b.yaw) for b in boxes), float, k)
+        self.sin_yaw = np.fromiter((math.sin(b.yaw) for b in boxes), float, k)
+        with np.errstate(invalid="ignore"):  # inf * 0 on infinite boxes, quiet as in Box3.aabb
+            self.aabbs = np.stack(
+                _aabb(self.centers.T, self.halves.T, self.cos_yaw, self.sin_yaw), axis=1)
+        self._build_grid()
+        # built last, so the peak memory of the array and grid work stays
+        # below what the index keeps
         self.ids: list[str] = [n.id for n in opaque]
         self.index_of: dict[str, int] = {n.id: k for k, n in enumerate(opaque)}
-        k = len(opaque)
-        self.centers = np.zeros((k, 3))
-        self.halves = np.zeros((k, 3))
-        self.cos_yaw = np.zeros(k)
-        self.sin_yaw = np.zeros(k)
-        self.aabbs = np.zeros((k, 6))
-        for idx, n in enumerate(opaque):
-            self.centers[idx] = n.box.center
-            self.halves[idx] = n.box.half_extents
-            self.cos_yaw[idx] = math.cos(n.box.yaw)
-            self.sin_yaw[idx] = math.sin(n.box.yaw)
-            self.aabbs[idx] = n.box.aabb
+
+    def _build_grid(self) -> None:
+        x0, y0, _, x1, y1, _ = self.aabbs.T
+        finite = np.isfinite(self.aabbs).all(axis=1)
+        cell = _cell_side(x0, y0, x1, y1, finite)
+        with np.errstate(invalid="ignore"):
+            narrow = finite & (cell > 0.0) & (x1 - x0 <= cell) & (y1 - y0 <= cell)
+        members = np.flatnonzero(narrow)
+        self._wide = np.flatnonzero(~narrow)
+        cx, cy = self.centers[members, 0], self.centers[members, 1]
+        if len(members):
+            self._cell = cell
+            self._origin = np.array([cx.min(), cy.min()])
+            self._dims = np.floor((np.array([cx.max(), cy.max()]) - self._origin) / cell) + 1.0
+        else:  # a unit cell keeps queries on an empty grid in finite arithmetic
+            self._cell, self._origin, self._dims = 1.0, np.zeros(2), np.zeros(2)
+        # binned in place, cell key y * nx + x into cy: the build's peak
+        # memory is part of every sweep's
+        for col, origin, dim in zip((cx, cy), self._origin, self._dims):
+            col -= origin
+            col /= self._cell
+            np.clip(np.floor(col, out=col), 0.0, dim - 1.0, out=col)
+        keys = cy
+        keys *= self._dims[0]
+        keys += cx
+        del cx
+        order = np.argsort(keys, kind="stable")
+        self._members = members[order]
+        self._start = np.searchsorted(keys[order], np.arange(self._dims.prod() + 1.0))
 
     def candidates(self, lo: np.ndarray, hi: np.ndarray, skip: set[int]) -> list[int]:
-        """Opaque nodes whose AABB intersects [lo, hi], minus skipped ones.
+        """Opaque nodes whose AABB intersects [lo, hi], minus skipped ones,
+        in ascending index order.
 
         The bounds are shrunk a hair so boxes that merely touch the ray
         bundle (e.g. the floor plane vehicles rest on) are not dragged in:
         a tangential contact can never interrupt a segment strictly early.
         """
-        if not self.ids:
-            return []
-        hit = np.all(self.aabbs[:, :3] < hi - 1e-9, axis=1) & np.all(
-            self.aabbs[:, 3:] > lo + 1e-9, axis=1
-        )
-        return [k for k in np.nonzero(hit)[0].tolist() if k not in skip]
+        parts = [self._wide]
+        cell = self._cell
+        i0, j0 = np.maximum(np.floor((lo[:2] - cell - self._origin) / cell), 0.0)
+        i1, j1 = np.minimum(np.floor((hi[:2] + cell - self._origin) / cell), self._dims - 1.0)
+        if i0 <= i1 and j0 <= j1:  # false for an empty grid or a NaN range
+            nx, i0, i1 = int(self._dims[0]), int(i0), int(i1)
+            for row in range(int(j0) * nx, int(j1) * nx + 1, nx):
+                parts.append(self._members[self._start[row + i0]:self._start[row + i1 + 1]])
+        near = np.concatenate(parts)
+        box = self.aabbs[near]
+        hit = np.all(box[:, :3] < hi - 1e-9, axis=1) & np.all(box[:, 3:] > lo + 1e-9, axis=1)
+        return [k for k in np.sort(near[hit]).tolist() if k not in skip]
 
     def cull_outside_wedge(
         self, subset: list[int], apex_xy: tuple[float, float],
@@ -213,50 +278,35 @@ class SceneIndex:
         """Entry distance of each unit ray into each subset box, inf on miss.
 
         Returns an array (len(subset), nrays); rays starting inside a box
-        get distance 0 for it.
+        get distance 0 for it.  One slab test over every (box, ray) pair.
         """
-        nrays = dirs.shape[0]
-        out = np.full((len(subset), nrays), np.inf)
-        for row, k in enumerate(subset):
-            c, s = self.cos_yaw[k], self.sin_yaw[k]
-            rel = origin - self.centers[k]
-            # local frame: u = (c, s), v = (-s, c), w = z
-            o_local = (
-                rel[0] * c + rel[1] * s,
-                -rel[0] * s + rel[1] * c,
-                rel[2],
-            )
-            d_local = np.stack(
-                [
-                    dirs[:, 0] * c + dirs[:, 1] * s,
-                    -dirs[:, 0] * s + dirs[:, 1] * c,
-                    dirs[:, 2],
-                ],
-                axis=1,
-            )
-            t_lo = np.full(nrays, -np.inf)
-            t_hi = np.full(nrays, np.inf)
-            ok = np.ones(nrays, dtype=bool)
-            for axis in range(3):
-                o, h = o_local[axis], self.halves[k][axis]
-                d = d_local[:, axis]
-                zero = np.abs(d) < 1e-15
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t1 = (-h - o) / d
-                    t2 = (h - o) / d
-                lo_a = np.minimum(t1, t2)
-                hi_a = np.maximum(t1, t2)
-                if zero.any():
-                    inside = abs(o) <= h
-                    lo_a = np.where(zero, -np.inf if inside else np.inf, lo_a)
-                    hi_a = np.where(zero, np.inf if inside else -np.inf, hi_a)
-                t_lo = np.maximum(t_lo, lo_a)
-                t_hi = np.minimum(t_hi, hi_a)
-                ok &= hi_a >= lo_a
-            entry = np.maximum(t_lo, 0.0)
-            hit = ok & (t_hi >= entry)
-            out[row, hit] = entry[hit]
-        return out
+        k = np.asarray(subset, dtype=np.intp)
+        c, s = self.cos_yaw[k][:, None], self.sin_yaw[k][:, None]
+        rel = origin - self.centers[k]
+        rx, ry = rel[:, :1], rel[:, 1:2]
+        dx, dy = dirs[:, 0], dirs[:, 1]
+        # local frame: u = (c, s), v = (-s, c), w = z
+        o_local = (rx * c + ry * s, -rx * s + ry * c, rel[:, 2:])
+        d_local = (dx * c + dy * s, -dx * s + dy * c, dirs[:, 2])
+        t_lo = np.full((len(k), dirs.shape[0]), -np.inf)
+        t_hi = np.full_like(t_lo, np.inf)
+        for axis in range(3):
+            o, h, d = o_local[axis], self.halves[k, axis:axis + 1], d_local[axis]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (-h - o) / d
+                t2 = (h - o) / d
+            lo_a, hi_a = np.minimum(t1, t2), np.maximum(t1, t2)
+            zero = np.abs(d) < 1e-15
+            if zero.any():  # a ray parallel to a slab is inside it everywhere or nowhere
+                inside = np.abs(o) <= h
+                lo_a = np.where(zero, np.where(inside, -np.inf, np.inf), lo_a)
+                hi_a = np.where(zero, np.where(inside, np.inf, -np.inf), hi_a)
+            np.maximum(t_lo, lo_a, out=t_lo)
+            np.minimum(t_hi, hi_a, out=t_hi)
+        # an empty or NaN slab interval leaves t_hi < entry or a NaN, so the
+        # one comparison below also rejects it
+        entry = np.maximum(t_lo, 0.0)
+        return np.where(t_hi >= entry, entry, np.inf)
 
 
 def ray_intersect(
@@ -411,16 +461,11 @@ def _sample_from_points(
         nearest = t.min(axis=0)
         blocked = nearest < dist * (1.0 - _EPS_REL)
         visible = int((~blocked).sum())
-        contrib: dict[str, int] = {}
-        if blocked.any():
-            who = np.asarray(subset)[np.argmin(t, axis=0)]
-            for k in who[blocked]:
-                node_id = index.ids[int(k)]
-                contrib[node_id] = contrib.get(node_id, 0) + 1
-        occluders = tuple(
-            (nid, cnt / total)
-            for nid, cnt in sorted(contrib.items(), key=lambda kv: (-kv[1], kv[0]))
-        )
+        who = np.asarray(subset)[np.argmin(t, axis=0)[blocked]]
+        hits, counts = np.unique(who, return_counts=True)
+        contrib = sorted(((index.ids[k], cnt) for k, cnt in zip(hits.tolist(), counts.tolist())),
+                         key=lambda kv: (-kv[1], kv[0]))
+        occluders = tuple((nid, cnt / total) for nid, cnt in contrib)
     else:
         visible = total
         occluders = ()

@@ -2,13 +2,17 @@
 
 Everything here is written from scratch against the rules, not by calling
 back into the package internals: lookup tables for the subtype rules, an
-interval-arithmetic shadow model for single-occluder visibility, and a
-2D segment/rectangle blocker for full-height columns.
+interval-arithmetic shadow model for single-occluder visibility, a 2D
+segment/rectangle blocker for full-height columns, and plain one-box-at-a-
+time versions of the scene index's AABB broadphase and slab test, which
+read only the index's box arrays.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from garagesim.grid import Direction
 
@@ -199,3 +203,61 @@ def box_face_points(
                         tuple(fc[k] + u * a1[k] + v * a2[k] for k in range(3))
                     )
     return pts
+
+
+# --- scene index: full-scan broadphase and per-box slab test ----------------------
+
+
+def full_scan_candidates(aabbs: np.ndarray, lo, hi, skip) -> list[int]:
+    """Every box whose AABB meets [lo, hi] shrunk by 1e-9, found by testing
+    all of them, in ascending index order."""
+    hit = np.all(aabbs[:, :3] < hi - 1e-9, axis=1) & np.all(aabbs[:, 3:] > lo + 1e-9, axis=1)
+    return [k for k in np.nonzero(hit)[0].tolist() if k not in skip]
+
+
+def per_box_entry_distances(index, origin: np.ndarray, dirs: np.ndarray, subset) -> np.ndarray:
+    """Entry distance of each unit ray into each subset box (inf on a miss),
+    one box at a time: the ray goes into the box frame and meets its three
+    slabs in turn."""
+    nrays = dirs.shape[0]
+    out = np.full((len(subset), nrays), np.inf)
+    for row, k in enumerate(subset):
+        c, s = index.cos_yaw[k], index.sin_yaw[k]
+        rel = origin - index.centers[k]
+        # local frame: u = (c, s), v = (-s, c), w = z
+        o_local = (
+            rel[0] * c + rel[1] * s,
+            -rel[0] * s + rel[1] * c,
+            rel[2],
+        )
+        d_local = np.stack(
+            [
+                dirs[:, 0] * c + dirs[:, 1] * s,
+                -dirs[:, 0] * s + dirs[:, 1] * c,
+                dirs[:, 2],
+            ],
+            axis=1,
+        )
+        t_lo = np.full(nrays, -np.inf)
+        t_hi = np.full(nrays, np.inf)
+        ok = np.ones(nrays, dtype=bool)
+        for axis in range(3):
+            o, h = o_local[axis], index.halves[k][axis]
+            d = d_local[:, axis]
+            zero = np.abs(d) < 1e-15
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (-h - o) / d
+                t2 = (h - o) / d
+            lo_a = np.minimum(t1, t2)
+            hi_a = np.maximum(t1, t2)
+            if zero.any():
+                inside = abs(o) <= h
+                lo_a = np.where(zero, -np.inf if inside else np.inf, lo_a)
+                hi_a = np.where(zero, np.inf if inside else -np.inf, hi_a)
+            t_lo = np.maximum(t_lo, lo_a)
+            t_hi = np.minimum(t_hi, hi_a)
+            ok &= hi_a >= lo_a
+        entry = np.maximum(t_lo, 0.0)
+        hit = ok & (t_hi >= entry)
+        out[row, hit] = entry[hit]
+    return out

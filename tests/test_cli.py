@@ -230,8 +230,16 @@ class TestScore:
             ["--aspect", "0"],
             ["--aspect", "nan"],
         ]
+        bad_case_geometry = [
+            ["--case", "1", "--column-setback", "nan"],
+            ["--case", "1", "--target-distance", "nan"],
+            ["--case", "1", "--lane-width", "inf"],
+            ["--case", "2", "--lane-distance", "nan"],
+            ["--case", "2", "--column-offset", "nan"],
+            ["--case", "2", "--column-offset=-inf"],
+        ]
         cases = [[*cmd, *opt] for cmd in (scenario, score) for opt in bad_score_options]
-        cases += [[*scenario, *opt] for opt in bad_run_options]
+        cases += [[*scenario, *opt] for opt in bad_run_options + bad_case_geometry]
         capsys.readouterr()
         for argv in cases:
             assert main(argv) == 2, argv
@@ -268,6 +276,19 @@ class TestGlobalFlags:
         assert main(["--config", str(cfg), "--format", "human",
                      "validate", str(spec_file)]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+    def test_config_sets_subcommand_flags(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"step": 5.0, "light": "dim"}), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["--config", str(cfg), "scenario", "--case", "1", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert (doc["light_level"], doc["sweeps"]["veh-target"]["step_m"]) == ("dim", 5.0)
+        # flags still win over the config, on the subcommand and at the top level
+        assert main(["--config", str(cfg), "scenario", "--case", "1", "--step", "0.5",
+                     "--light", "bright", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert (doc["light_level"], doc["sweeps"]["veh-target"]["step_m"]) == ("bright", 0.5)
 
     def test_bad_config(self, spec_file, tmp_path):
         cfg = tmp_path / "config.json"

@@ -1,8 +1,11 @@
 """Golden bytes: SHA-256 digests of CLI outputs on a fixed input set.
 
 Pins every byte of the scenario reports and per-target CSVs, a generated
-scene/1 document with its OBJ mesh, and the CSV line of ``score``, so a
-refactor that claims equal output is checked against the output itself.
+scene/1 document with its OBJ mesh, the CSV line of ``score``, and the
+sweep/1 documents of four sweeps through a garage of a few thousand opaque
+boxes, so a refactor that claims equal output is checked against the
+output itself.  The sweep/1 documents name each sample's occluders, and
+the large garage is where a broadphase has cells to get wrong.
 The digests were taken on x86-64 Linux with CPython 3.11 and numpy 2.4; a
 different libm can move a float's last bit and so every digest.
 Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -13,8 +16,11 @@ import json
 import sys
 from pathlib import Path
 
+from garagesim.classify import classify_all
 from garagesim.cli import main
-from garagesim.grid import GarageSpec, emit_garage_spec
+from garagesim.grid import CellRef, GarageSpec, emit_garage_spec
+from garagesim.scene import OccupancyPlan, PlanEntry, populate_vehicles, synthesize
+from garagesim.visibility import CameraConfig, emit_sweep, sweep
 
 # laid over cases 2 and 3 so its wall, columns and vehicles cut sight lines
 PLAN = GarageSpec(((1, 1, 1), (0, 0, -1)), (3.0, 3.0), (3.0, 3.0, 3.0))
@@ -50,6 +56,48 @@ GOLDEN = {
     "case3-scene": "61a052db8c07e93159afa8d452a87d6d390bfe4c6f7eff25f1fc609b3147b5aa",
     "score-csv": "4282db77e70930e24e83e81f5959adebf919aaed0a5d4b2985115c59ee3b1876",
 }
+
+
+BIG_GARAGE_SWEEPS = "cb253fae7b9cadf61125018d34e6aa360fe4e60128fa91f81ca9f6e91ce8bfc6"
+
+# 40 x 40 cells of 5 m rows by 6 m columns: lanes on every third row and
+# column, a sprinkle of obstacles, and a vehicle in every other parking cell
+BIG_SIDE = 40
+ROW_DEPTH, COLUMN_WIDTH = 5.0, 6.0
+SIZES = ("small", "medium", "large")
+
+
+def big_garage():
+    rows = [
+        [1 if i % 3 == 0 or j % 3 == 0 else (-1 if (7 * i + 3 * j) % 11 == 0 else 0)
+         for j in range(BIG_SIDE)]
+        for i in range(BIG_SIDE)
+    ]
+    rows[0][0], rows[-1][-1] = 2, 3
+    spec = GarageSpec(tuple(map(tuple, rows)), (ROW_DEPTH,) * BIG_SIDE,
+                      (COLUMN_WIDTH,) * BIG_SIDE)
+    cells = classify_all(spec)
+    parked = [(i, j) for i in range(BIG_SIDE) for j in range(BIG_SIDE)
+              if rows[i][j] == 0 and (i + j) % 2 == 0]
+    plan = OccupancyPlan(tuple(PlanEntry(CellRef(i, j), SIZES[(i + j) % 3])
+                               for i, j in parked))
+    return populate_vehicles(synthesize(cells), cells, plan), set(parked)
+
+
+def big_garage_sweeps() -> str:
+    """emit_sweep text of four 20 m lane sweeps, each aimed at a vehicle
+    parked in the next row, 8-30 m past the end of the path."""
+    scene, parked = big_garage()
+    out = []
+    for lane, x0 in ((3, 4.0), (12, 40.0), (24, 100.0), (33, 55.0)):
+        x1 = x0 + 20.0
+        row = lane + 1
+        j = next(j for j in range(BIG_SIDE) if (row, j) in parked
+                 and x1 + 8.0 <= (j + 0.5) * COLUMN_WIDTH <= x1 + 30.0)
+        y = (lane + 0.5) * ROW_DEPTH
+        sw = sweep(scene, [(x0, y), (x1, y)], CameraConfig(), f"veh-{row}-{j}", 0.5)
+        out.append(emit_sweep(sw))
+    return "".join(out)
 
 
 def _digest(files: dict[str, bytes]) -> str:
@@ -95,6 +143,11 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys):
     assert digests == GOLDEN
 
 
+def test_big_garage_sweeps_match_golden_digest():
+    digest = hashlib.sha256(big_garage_sweeps().encode()).hexdigest()
+    assert digest == BIG_GARAGE_SWEEPS
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -110,5 +163,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(buf):
         result = compute_digests(Path(d), _take)
+    result["big-garage-sweeps"] = hashlib.sha256(big_garage_sweeps().encode()).hexdigest()
     json.dump(result, sys.stdout, indent=4)
     print()

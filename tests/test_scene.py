@@ -295,6 +295,17 @@ class TestSceneDocuments:
         with pytest.raises(SchemaError, match="pillar!"):
             import_scene(doc)
 
+    @pytest.mark.parametrize("center", [[0, 0, 1, 7], [0, 0]])
+    def test_center_needs_three_coordinates(self, center):
+        doc = json.dumps({
+            "schema": "scene/1", "light_level": "bright",
+            "bounds": {"center": [0, 0, 0], "half_extents": [1, 1, 1], "yaw": 0.0},
+            "nodes": [{"id": "a", "kind": "column", "center": center,
+                       "half_extents": [1, 1, 1], "yaw": 0.0, "tags": {}}],
+        })
+        with pytest.raises(SchemaError, match="three coordinates"):
+            import_scene(doc)
+
     def test_wrong_schema(self):
         with pytest.raises(SchemaError):
             import_scene(json.dumps({"schema": "scene/2"}))

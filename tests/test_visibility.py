@@ -29,6 +29,7 @@ from garagesim.visibility import (
     visible_fraction,
 )
 from fixtures_visibility import CFG, EGO, build_fixtures
+from oracles import full_scan_candidates, per_box_entry_distances
 
 FIXTURES = build_fixtures()
 
@@ -245,13 +246,15 @@ class TestVisibleFractionProperties:
         assert got.visible_fraction == 0.0 and got.in_frustum
 
     def test_candidate_culling_matches_brute_force(self):
-        # the broadphase must never change the answer, only the cost
+        # the broadphase must never change the answer, only the cost: the
+        # candidate list equals a full scan, and the fraction and the named
+        # occluders equal a per-box slab test over every opaque box
         from garagesim.visibility import SceneIndex, _face_points
 
         rng = random.Random(41)
-        for trial in range(25):
+        for trial in range(40):
             extras = []
-            for k in range(rng.randrange(1, 6)):
+            for k in range(rng.randrange(1, 40)):
                 x = rng.uniform(-2.0, 18.0)
                 y = rng.uniform(-5.0, 5.0)
                 h = rng.uniform(0.2, 3.0)
@@ -264,6 +267,16 @@ class TestVisibleFractionProperties:
                         {},
                     )
                 )
+            if rng.random() < 0.5:  # wider than any grid cell: a wall run
+                y = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 6.0)
+                extras.append(_slab("wall", NodeKind.COLUMN, -2, y - 0.1, 30, y + 0.1, 0.0,
+                                    rng.uniform(0.5, 3.0)))
+            if rng.random() < 0.5:  # a ceiling panel spanning the scene
+                extras.append(_slab("ceiling", NodeKind.CEILING_PANEL, -2, -8, 30, 8,
+                                    rng.uniform(1.2, 2.8), 3.0))
+            if rng.random() < 0.3:
+                extras.append(SceneNode("nan", NodeKind.COLUMN,
+                                        Box3((math.nan, 0.0, 1.0), (1.0, 1.0, 1.0)), {}))
             scene = simple_scene(extras)
             ego = EgoPose((rng.uniform(-1, 3), rng.uniform(-2, 2)),
                           rng.uniform(-0.4, 0.4))
@@ -272,7 +285,13 @@ class TestVisibleFractionProperties:
             index = SceneIndex(scene)
             frustum = make_camera(ego, CFG)
             apex = np.asarray(frustum.apex)
-            points = _face_points(scene.node("veh-t"), apex, 24)
+            target = scene.node("veh-t")
+            skip = {index.index_of["veh-t"]}
+            lo = np.minimum(np.asarray(target.box.aabb[:3]), apex)
+            hi = np.maximum(np.asarray(target.box.aabb[3:]), apex)
+            assert index.candidates(lo, hi, skip) == full_scan_candidates(
+                index.aabbs, lo, hi, skip), trial
+            points = _face_points(target, apex, 24)
             eligible = frustum.contains(points)
             if not eligible.any():
                 assert engine.visible_fraction == 0.0
@@ -282,10 +301,16 @@ class TestVisibleFractionProperties:
             dist = np.linalg.norm(rel, axis=1)
             dirs = rel / dist[:, None]
             subset = [k for k, nid in enumerate(index.ids) if nid != "veh-t"]
-            t = index.entry_distances(apex, dirs, subset)
+            t = per_box_entry_distances(index, apex, dirs, subset)
             blocked = t.min(axis=0) < dist * (1.0 - 1e-9)
             brute = float((~blocked).sum() / eligible.sum())
             assert engine.visible_fraction == pytest.approx(brute, abs=1e-12), trial
+            counts = {}
+            for k in np.asarray(subset)[np.argmin(t, axis=0)][blocked].tolist():
+                counts[index.ids[k]] = counts.get(index.ids[k], 0) + 1
+            named = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+            assert engine.occluders == tuple(
+                (nid, cnt / int(eligible.sum())) for nid, cnt in named), trial
 
 
 class TestSweep:
