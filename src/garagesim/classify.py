@@ -9,6 +9,10 @@ canonical model (open edge facing north) toward its actual neighbors.
 Rotations are stored canonically: a configuration whose neighbor pattern is
 invariant under k quarter-turns keeps its rotation in [0, 4/k).  This makes
 classification commute exactly with quarter-turn rotation of the whole plan.
+
+All of this is one rule, :func:`_classify_square`, keyed by the square's
+code and its set of drivable-neighbor directions; :func:`classify_all` and
+the per-cell functions only gather those two inputs and call it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from typing import NamedTuple
 
 from .errors import SpecValidationError
 from .grid import (
@@ -23,6 +29,7 @@ from .grid import (
     CellRef,
     Direction,
     GarageSpec,
+    is_drivable,
     validate,
 )
 
@@ -62,12 +69,6 @@ class Rotation:
         if self.quarter_turns not in (0, 1, 2, 3):
             raise ValueError(f"quarter_turns must be in 0..3, got {self.quarter_turns}")
 
-    @property
-    def yaw_radians(self) -> float:
-        import math
-
-        return self.quarter_turns * math.pi / 2.0
-
 
 @dataclass(frozen=True)
 class ClassifiedCell:
@@ -92,17 +93,28 @@ class ClassifiedGrid:
 # --- neighbor analysis ---------------------------------------------------------
 
 
+def _drivable_neighbors(
+    structure: tuple[tuple[int, ...], ...], m: int, n: int, i: int, j: int
+) -> frozenset[Direction]:
+    """Directions from square (i, j) whose neighbor is drivable; sides
+    beyond the grid count as not drivable."""
+    dirs = []
+    if i > 0 and is_drivable(structure[i - 1][j]):
+        dirs.append(Direction.NORTH)
+    if j < n - 1 and is_drivable(structure[i][j + 1]):
+        dirs.append(Direction.EAST)
+    if i < m - 1 and is_drivable(structure[i + 1][j]):
+        dirs.append(Direction.SOUTH)
+    if j > 0 and is_drivable(structure[i][j - 1]):
+        dirs.append(Direction.WEST)
+    return frozenset(dirs)
+
+
 def lane_directions(spec: GarageSpec, cell: CellRef) -> frozenset[Direction]:
     """Directions whose neighbor is a drivable square (lane, entrance, exit)."""
     if not spec.in_bounds(cell):
         raise IndexError(f"cell ({cell.i},{cell.j}) outside {spec.m}x{spec.n} grid")
-    dirs = []
-    for d in Direction:
-        di, dj = d.delta
-        ni, nj = cell.i + di, cell.j + dj
-        if 0 <= ni < spec.m and 0 <= nj < spec.n and 1 <= spec.structure[ni][nj] <= 3:
-            dirs.append(d)
-    return frozenset(dirs)
+    return _drivable_neighbors(spec.structure, spec.m, spec.n, cell.i, cell.j)
 
 
 def count_lane_neighbors(spec: GarageSpec, cell: CellRef) -> int:
@@ -124,11 +136,75 @@ def symmetry_period(dirs: frozenset[Direction]) -> int:
     return 4
 
 
-def _is_opposite_pair(dirs: frozenset[Direction]) -> bool:
-    return len(dirs) == 2 and symmetry_period(dirs) == 2
+# --- the classification rule ------------------------------------------------------
+
+# Open edges of the canonical (rotation 0) model for each drivable-neighbor
+# count; two neighbors facing each other take the through-piece instead.
+_CANONICAL_OPEN = (
+    frozenset(),
+    frozenset({Direction.NORTH}),
+    frozenset({Direction.NORTH, Direction.EAST}),
+    frozenset(Direction) - {Direction.SOUTH},
+    frozenset(Direction),
+)
+_THROUGH = frozenset({Direction.NORTH, Direction.SOUTH})
 
 
-# --- subtype rules --------------------------------------------------------------
+def _model_edges(cnt: int, across: bool, quarter_turns: int) -> frozenset[Direction]:
+    """Open edges of the model for a square with cnt drivable neighbors
+    (facing each other when across), turned by quarter_turns."""
+    base = _THROUGH if across else _CANONICAL_OPEN[cnt]
+    return frozenset(d.rotated(quarter_turns) for d in base)
+
+
+class _Square(NamedTuple):
+    """A square's classification: the fields of ClassifiedCell after cell."""
+
+    kind: CellKind
+    lane_adjacency: int
+    lane_subtype: LaneSubtype | None
+    park_subtype: ParkSubtype | None
+    render_variant: RenderVariant | None
+    rotation: Rotation
+
+
+@cache
+def _classify_square(code: int, dirs: frozenset[Direction]) -> _Square:
+    """The one rule from a square's code and its drivable-neighbor
+    directions to subtypes, model variant and rotation.
+
+    Drivable squares are crossroads (4 neighbors), T-junctions (3) or
+    straight pieces, drawn as a through-piece, a corner or a dead end.
+    Parking is Type1 with 3+ neighbors or an opposite pair, Type2 with a
+    perpendicular pair, Type3 with one and Type4 with none.  The rotation
+    is the fewest quarter-turns that map the canonical model's open edges
+    onto the neighbors, so it lies below the set's symmetry period and
+    classification commutes with plan rotation; obstacles keep rotation 0.
+    """
+    kind = CellKind(code)
+    cnt = len(dirs)
+    across = symmetry_period(dirs) == 2
+    lane = park = variant = None
+    if kind.drivable:
+        if cnt == 4:
+            lane = LaneSubtype.CROSSROADS
+        elif cnt == 3:
+            lane = LaneSubtype.T_JUNCTION
+        else:
+            lane = LaneSubtype.STRAIGHT
+            if cnt < 2:
+                variant = RenderVariant.DEAD_END
+            else:
+                variant = RenderVariant.AXIS if across else RenderVariant.CORNER
+    elif kind is CellKind.PARKING:
+        if cnt >= 3 or across:
+            park = ParkSubtype.TYPE1
+        else:
+            park = (ParkSubtype.TYPE4, ParkSubtype.TYPE3, ParkSubtype.TYPE2)[cnt]
+    turns = 0
+    if kind is not CellKind.OBSTACLE:
+        turns = next(t for t in range(4) if _model_edges(cnt, across, t) == dirs)
+    return _Square(kind, cnt, lane, park, variant, Rotation(turns))
 
 
 def classify_lane(spec: GarageSpec, cell: CellRef) -> LaneSubtype:
@@ -136,12 +212,7 @@ def classify_lane(spec: GarageSpec, cell: CellRef) -> LaneSubtype:
     kind = CellKind(spec.code(cell))
     if not kind.drivable:
         raise ValueError(f"cell ({cell.i},{cell.j}) is {kind.name}, not drivable")
-    cnt = count_lane_neighbors(spec, cell)
-    if cnt == 4:
-        return LaneSubtype.CROSSROADS
-    if cnt == 3:
-        return LaneSubtype.T_JUNCTION
-    return LaneSubtype.STRAIGHT
+    return _classify_square(kind.value, lane_directions(spec, cell)).lane_subtype
 
 
 def classify_parking(spec: GarageSpec, cell: CellRef) -> ParkSubtype:
@@ -151,70 +222,20 @@ def classify_parking(spec: GarageSpec, cell: CellRef) -> ParkSubtype:
     kind = CellKind(spec.code(cell))
     if kind is not CellKind.PARKING:
         raise ValueError(f"cell ({cell.i},{cell.j}) is {kind.name}, not a parking square")
-    dirs = lane_directions(spec, cell)
-    cnt = len(dirs)
-    if cnt >= 3:
-        return ParkSubtype.TYPE1
-    if cnt == 2:
-        return ParkSubtype.TYPE1 if _is_opposite_pair(dirs) else ParkSubtype.TYPE2
-    if cnt == 1:
-        return ParkSubtype.TYPE3
-    return ParkSubtype.TYPE4
-
-
-def render_variant_for(
-    subtype: LaneSubtype | ParkSubtype, dirs: frozenset[Direction]
-) -> RenderVariant | None:
-    """Model variant for straight squares; other subtypes have one model."""
-    if subtype is not LaneSubtype.STRAIGHT:
-        return None
-    if len(dirs) == 2:
-        return RenderVariant.AXIS if _is_opposite_pair(dirs) else RenderVariant.CORNER
-    return RenderVariant.DEAD_END
-
-
-def _corner_turns(dirs: frozenset[Direction]) -> int:
-    # Perpendicular pair {d, d+1}: rotation is the index of the first edge,
-    # giving {N,E}->0, {E,S}->1, {S,W}->2, {W,N}->3.
-    for d in dirs:
-        if d.rotated(1) in dirs:
-            return int(d)
-    raise ValueError(f"not a perpendicular pair: {dirs}")
-
-
-def _rotation_turns(dirs: frozenset[Direction]) -> int:
-    """Canonical quarter-turns for a drivable-neighbor direction set.
-
-    Reduced modulo the set's symmetry period, so symmetric configurations
-    (crossroads, through-pieces, isolated squares) stay canonical and the
-    assignment commutes with plan rotation.
-    """
-    cnt = len(dirs)
-    if cnt in (0, 4):
-        return 0
-    if cnt == 3:
-        (missing,) = set(Direction) - dirs
-        return (int(missing) + 2) % 4
-    if cnt == 2:
-        if _is_opposite_pair(dirs):
-            return 0 if Direction.NORTH in dirs else 1
-        return _corner_turns(dirs)
-    (single,) = dirs
-    return int(single)
+    return _classify_square(kind.value, lane_directions(spec, cell)).park_subtype
 
 
 def assign_rotation(
     spec: GarageSpec, cell: CellRef, subtype: LaneSubtype | ParkSubtype
 ) -> Rotation:
     """Rotation orienting the square's canonical model toward its drivable
-    neighbors.  Deterministic; see :func:`_rotation_turns` for the rules."""
+    neighbors.  Deterministic; see :func:`_classify_square` for the rule."""
     kind = CellKind(spec.code(cell))
     if isinstance(subtype, LaneSubtype) and not kind.drivable:
         raise ValueError(f"lane subtype given for non-drivable cell ({cell.i},{cell.j})")
     if isinstance(subtype, ParkSubtype) and kind is not CellKind.PARKING:
         raise ValueError(f"parking subtype given for non-parking cell ({cell.i},{cell.j})")
-    dirs = lane_directions(spec, cell)
-    return Rotation(_rotation_turns(dirs) % symmetry_period(dirs))
+    return _classify_square(kind.value, lane_directions(spec, cell)).rotation
 
 
 def open_edges(cell: ClassifiedCell) -> frozenset[Direction]:
@@ -224,27 +245,12 @@ def open_edges(cell: ClassifiedCell) -> frozenset[Direction]:
     all but south, straight-axis north/south, corner north+east, dead end
     north only.  Parking models open toward their entry edges the same way.
     """
-    t = cell.rotation.quarter_turns
-    subtype = cell.lane_subtype or cell.park_subtype
-    if subtype in (LaneSubtype.CROSSROADS, ParkSubtype.TYPE1) and cell.lane_adjacency == 4:
-        base: frozenset[Direction] = frozenset(Direction)
-    elif subtype in (LaneSubtype.T_JUNCTION,) or (
-        subtype is ParkSubtype.TYPE1 and cell.lane_adjacency == 3
-    ):
-        base = frozenset(Direction) - {Direction.SOUTH}
-    elif cell.render_variant is RenderVariant.AXIS or (
-        subtype is ParkSubtype.TYPE1 and cell.lane_adjacency == 2
-    ):
-        base = frozenset({Direction.NORTH, Direction.SOUTH})
-    elif cell.render_variant is RenderVariant.CORNER or subtype is ParkSubtype.TYPE2:
-        base = frozenset({Direction.NORTH, Direction.EAST})
-    elif cell.render_variant is RenderVariant.DEAD_END and cell.lane_adjacency == 0:
-        base = frozenset()
-    elif subtype in (LaneSubtype.STRAIGHT, ParkSubtype.TYPE3):
-        base = frozenset({Direction.NORTH})
-    else:  # TYPE4, obstacles
-        base = frozenset()
-    return frozenset(d.rotated(t) for d in base)
+    if cell.kind is CellKind.OBSTACLE:
+        return frozenset()
+    across = cell.render_variant is RenderVariant.AXIS or (
+        cell.park_subtype is ParkSubtype.TYPE1 and cell.lane_adjacency == 2
+    )
+    return _model_edges(cell.lane_adjacency, across, cell.rotation.quarter_turns)
 
 
 # --- whole-grid classification ---------------------------------------------------
@@ -258,65 +264,17 @@ def classify_all(spec: GarageSpec) -> ClassifiedGrid:
 
     m, n = spec.m, spec.n
     structure = spec.structure
-    kind_of = {k.value: k for k in CellKind}
-    rows: list[tuple[ClassifiedCell, ...]] = []
-    for i in range(m):
-        row: list[ClassifiedCell] = []
-        for j in range(n):
-            code = structure[i][j]
-            dirs = []
-            if i > 0 and 1 <= structure[i - 1][j] <= 3:
-                dirs.append(Direction.NORTH)
-            if j < n - 1 and 1 <= structure[i][j + 1] <= 3:
-                dirs.append(Direction.EAST)
-            if i < m - 1 and 1 <= structure[i + 1][j] <= 3:
-                dirs.append(Direction.SOUTH)
-            if j > 0 and 1 <= structure[i][j - 1] <= 3:
-                dirs.append(Direction.WEST)
-            dirset = frozenset(dirs)
-            cnt = len(dirs)
-            kind = kind_of[code]
-
-            lane_subtype = None
-            park_subtype = None
-            variant = None
-            if code >= 1:
-                if cnt == 4:
-                    lane_subtype = LaneSubtype.CROSSROADS
-                elif cnt == 3:
-                    lane_subtype = LaneSubtype.T_JUNCTION
-                else:
-                    lane_subtype = LaneSubtype.STRAIGHT
-                variant = render_variant_for(lane_subtype, dirset)
-            elif kind is CellKind.PARKING:
-                if cnt >= 3:
-                    park_subtype = ParkSubtype.TYPE1
-                elif cnt == 2:
-                    park_subtype = (
-                        ParkSubtype.TYPE1 if _is_opposite_pair(dirset) else ParkSubtype.TYPE2
-                    )
-                elif cnt == 1:
-                    park_subtype = ParkSubtype.TYPE3
-                else:
-                    park_subtype = ParkSubtype.TYPE4
-
-            if kind is CellKind.OBSTACLE:
-                turns = 0
-            else:
-                turns = _rotation_turns(dirset) % symmetry_period(dirset)
-            row.append(
-                ClassifiedCell(
-                    cell=CellRef(i, j),
-                    kind=kind,
-                    lane_adjacency=cnt,
-                    lane_subtype=lane_subtype,
-                    park_subtype=park_subtype,
-                    render_variant=variant,
-                    rotation=Rotation(turns),
-                )
+    cells = tuple(
+        tuple(
+            ClassifiedCell(
+                CellRef(i, j),
+                *_classify_square(structure[i][j], _drivable_neighbors(structure, m, n, i, j)),
             )
-        rows.append(tuple(row))
-    return ClassifiedGrid(spec=spec, cells=tuple(rows))
+            for j in range(n)
+        )
+        for i in range(m)
+    )
+    return ClassifiedGrid(spec=spec, cells=cells)
 
 
 # --- export ----------------------------------------------------------------------

@@ -38,10 +38,12 @@ class CellKind(IntEnum):
 
     @property
     def drivable(self) -> bool:
-        return self._value_ >= 1
+        return is_drivable(self._value_)
 
 
-DRIVABLE_KINDS = frozenset({CellKind.LANE, CellKind.ENTRANCE, CellKind.EXIT})
+def is_drivable(code: int) -> bool:
+    """Lanes, entrances and exits carry traffic; parking and obstacles don't."""
+    return 1 <= code <= 3
 
 
 class Direction(IntEnum):
@@ -329,7 +331,7 @@ def validate(spec: GarageSpec) -> ValidationReport:
                         f"width {w!r} is not a positive finite number",
                     )
                 )
-    if not any(1 <= code <= 3 for row in spec.structure for code in row):
+    if not any(is_drivable(code) for row in spec.structure for code in row):
         violations.append(
             Violation(RULE_NO_LANES, "structure", "plan contains no drivable squares")
         )

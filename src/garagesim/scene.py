@@ -275,12 +275,13 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
                 half_extents=(half_w, half_h, mark_hz),
                 yaw=turns * half_pi,
             )
-            if c.kind.value >= 1:
+            if c.kind.drivable:
                 nodes.append(SceneNode(f"mark-lane-{i}-{j}", NodeKind.LANE_MARKING,
                                        mark_box, dict(tags)))
             else:
                 nodes.append(SceneNode(f"mark-park-{i}-{j}", NodeKind.PARKING_MARKING,
                                        mark_box, dict(tags)))
+    lamp_sites = _lamp_sites(nodes)
 
     # obstacle wall slabs, merged per row run
     for i in range(spec.m):
@@ -346,15 +347,8 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
                     )
                 )
 
-    # lamps last: drivable-cell centers, row-major (same order the floor
-    # tiles were emitted, which is how re-lighting recovers the site list)
-    sites = []
-    for i in range(spec.m):
-        cy = (ys[i] + ys[i + 1]) / 2.0
-        for j in range(spec.n):
-            if grid.cells[i][j].kind.value >= 1:
-                sites.append(((xs[j] + xs[j + 1]) / 2.0, cy, f"{i},{j}"))
-    nodes.extend(_make_lamps(sites, options.light, h))
+    # lamps last, over the drivable floor tiles found above
+    nodes.extend(_make_lamps(lamp_sites, options.light, h))
 
     bounds = Box3(
         center=(xs[-1] / 2.0, ys[-1] / 2.0, h / 2.0),
@@ -382,14 +376,17 @@ def _make_lamps(
     return lamps
 
 
-def _lamp_sites(scene: SceneGraph) -> list[tuple[float, float, str]]:
-    sites = []
-    for n in scene.nodes:
-        if n.kind is NodeKind.FLOOR_TILE and n.tags.get("cell_kind") in (
-            "lane", "entrance", "exit",
-        ):
-            sites.append((n.box.center[0], n.box.center[1], n.tags["cell"]))
-    return sites
+_DRIVABLE_NAMES = frozenset(k.name.lower() for k in CellKind if k.drivable)
+
+
+def _lamp_sites(nodes) -> list[tuple[float, float, str]]:
+    """(x, y, cell) of each drivable-cell floor tile, in node order: the one
+    source of lamp sites for synthesis and re-lighting alike."""
+    return [
+        (n.box.center[0], n.box.center[1], n.tags["cell"])
+        for n in nodes
+        if n.kind is NodeKind.FLOOR_TILE and n.tags.get("cell_kind") in _DRIVABLE_NAMES
+    ]
 
 
 def apply_light_level(scene: SceneGraph, level: LightLevel) -> SceneGraph:
@@ -399,7 +396,7 @@ def apply_light_level(scene: SceneGraph, level: LightLevel) -> SceneGraph:
     populated set under a lower coverage is a prefix of a higher one.
     Applying a level always overrides the previous one.
     """
-    sites = _lamp_sites(scene)
+    sites = _lamp_sites(scene.nodes)
     keep = tuple(n for n in scene.nodes if n.kind is not NodeKind.LAMP)
     h = scene.bounds.center[2] + scene.bounds.half_extents[2]
     lamps = _make_lamps(sites, level, h)
@@ -549,11 +546,13 @@ def _box_document(box: Box3) -> dict:
 
 def _box_from_document(doc: dict) -> Box3:
     try:
-        return Box3(
-            center=tuple(float(v) for v in doc["center"]),
-            half_extents=tuple(float(v) for v in doc["half_extents"]),
-            yaw=float(doc["yaw"]),
-        )
+        center = tuple(map(float, doc["center"]))
+        half = tuple(map(float, doc["half_extents"]))
+        yaw = float(doc["yaw"])
+        if not all(map(math.isfinite, (*center, *half, yaw))):
+            raise ValueError(f"non-finite value in center {center}, half_extents {half}"
+                             f" or yaw {yaw}")
+        return Box3(center, half, yaw)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad box: {exc}") from exc
 
@@ -589,6 +588,8 @@ def export_scene(scene: SceneGraph, format: str = "scene-json") -> str:
 
 
 def import_scene(text: str) -> SceneGraph:
+    """Parse a scene/1 document; a box with a non-finite number (JSON's
+    NaN and Infinity tokens, or an overflowing literal) is a SchemaError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -188,6 +188,8 @@ class TestConnectivityOracle:
                         assert open_edges(cell) == dirs
                     elif cell.park_subtype and cell.park_subtype is not ParkSubtype.TYPE4:
                         assert open_edges(cell) == dirs
+                    else:  # obstacles, Type4 and isolated squares open nowhere
+                        assert open_edges(cell) == frozenset()
 
     def test_open_edges_match_independent_tables(self, rng):
         for _ in range(40):
@@ -247,6 +249,24 @@ class TestClassifyAll:
                     assert (c.lane_subtype is not None) == c.kind.drivable
                     assert (c.park_subtype is not None) == (c.kind is CellKind.PARKING)
                     assert c.lane_adjacency == count_lane_neighbors(spec, c.cell)
+                    # the whole-grid pass and the per-cell API agree cell by cell
+                    if c.kind.drivable:
+                        assert c.lane_subtype is classify_lane(spec, c.cell)
+                    if c.kind is CellKind.PARKING:
+                        assert c.park_subtype is classify_parking(spec, c.cell)
+                    subtype = c.lane_subtype or c.park_subtype
+                    if subtype is not None:
+                        assert c.rotation == assign_rotation(spec, c.cell, subtype)
+                        dirs = set(lane_directions(spec, c.cell))
+                        variant = None
+                        if subtype is LaneSubtype.STRAIGHT and len(dirs) < 2:
+                            variant = RenderVariant.DEAD_END
+                        elif subtype is LaneSubtype.STRAIGHT:
+                            across = dirs in ({N, S}, {E, W})
+                            variant = RenderVariant.AXIS if across else RenderVariant.CORNER
+                        assert c.render_variant is variant
+                    else:
+                        assert c.render_variant is None and c.rotation == Rotation(0)
 
 
 class TestEquivariance:

@@ -177,6 +177,20 @@ class TestScenario:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["schema"] == "report/1"
 
+    @pytest.mark.parametrize("center, yaw", [("[5, 1e999, 1]", "NaN"), ("[5, 1e999, 1]", "0.0")])
+    def test_scene_with_non_finite_box_exit_2(self, tmp_path, capsys, center, yaw):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"schema": "scene/1", "light_level": "bright", "bounds": {"center": [0, 0, 0],'
+            ' "half_extents": [50, 50, 3], "yaw": 0.0}, "nodes": [{"id": "x", "kind":'
+            f' "column", "center": {center}, "half_extents": [1, 1, 1], "yaw": {yaw},'
+            ' "tags": {}}]}', encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["scenario", "--case", "1", "--scene", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+        assert not out.exists()
+
     def test_reports_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["scenario", "--case", "1", "--out", str(a)])

@@ -5,7 +5,13 @@ scene/1 document with its OBJ mesh, the CSV line of ``score``, and the
 sweep/1 documents of four sweeps through a garage of a few thousand opaque
 boxes, so a refactor that claims equal output is checked against the
 output itself.  The sweep/1 documents name each sample's occluders, and
-the large garage is where a broadphase has cells to get wrong.
+the large garage is where a broadphase has cells to get wrong.  Two more
+digests pin the classifier and the synthesizer on their own: the
+classified-grid/1 documents of seeded random plans that between them meet
+every (cell kind, drivable-neighbour set) pair, and the scene/1 document
+``generate --light moderate`` makes of a 12 x 12 plan with obstacles, an
+entrance, an exit and parked vehicles (lamp sites, markings and ramp
+markers).
 The digests were taken on x86-64 Linux with CPython 3.11 and numpy 2.4; a
 different libm can move a float's last bit and so every digest.
 Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -13,14 +19,16 @@ Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
-from garagesim.classify import classify_all
+from garagesim.classify import classify_all, emit_classified_grid, lane_directions
 from garagesim.cli import main
-from garagesim.grid import CellRef, GarageSpec, emit_garage_spec
+from garagesim.grid import CellRef, Direction, GarageSpec, emit_garage_spec
 from garagesim.scene import OccupancyPlan, PlanEntry, populate_vehicles, synthesize
 from garagesim.visibility import CameraConfig, emit_sweep, sweep
+from conftest import random_spec
 
 # laid over cases 2 and 3 so its wall, columns and vehicles cut sight lines
 PLAN = GarageSpec(((1, 1, 1), (0, 0, -1)), (3.0, 3.0), (3.0, 3.0, 3.0))
@@ -59,6 +67,8 @@ GOLDEN = {
 
 
 BIG_GARAGE_SWEEPS = "cb253fae7b9cadf61125018d34e6aa360fe4e60128fa91f81ca9f6e91ce8bfc6"
+CLASSIFIED_GRIDS = "281956c340797e6afca8f64a0a1954ec779671ca0a5ce0d1b2312a57ff7f0aab"
+MIXED_GENERATE = "971031bdab49cb49a972d8896b5f829d95028e2c9447a492b8e8c058d8bf7fa8"
 
 # 40 x 40 cells of 5 m rows by 6 m columns: lanes on every third row and
 # column, a sprinkle of obstacles, and a vehicle in every other parking cell
@@ -98,6 +108,58 @@ def big_garage_sweeps() -> str:
         sw = sweep(scene, [(x0, y), (x1, y)], CameraConfig(), f"veh-{row}-{j}", 0.5)
         out.append(emit_sweep(sw))
     return "".join(out)
+
+
+def classified_plans() -> list[GarageSpec]:
+    """Seeded random plans of 1-7 rows and columns over all five codes."""
+    rng = random.Random(4711)
+    return [random_spec(rng, max_side=7) for _ in range(160)]
+
+
+def classified_grids() -> str:
+    return "".join(emit_classified_grid(classify_all(spec)) for spec in classified_plans())
+
+
+def mixed_plan() -> GarageSpec:
+    """12 x 12 cells of uneven widths: lanes on rows 1, 6, 10 and columns 2,
+    7, obstacles scattered over the parking, an entrance on the north edge
+    and an exit on the east edge."""
+    side = 12
+    rows = [
+        [1 if i in (1, 6, 10) or j in (2, 7) else (-1 if (5 * i + 3 * j) % 13 == 0 else 0)
+         for j in range(side)]
+        for i in range(side)
+    ]
+    rows[0][2], rows[6][11] = 2, 3
+    return GarageSpec(tuple(map(tuple, rows)),
+                      tuple(5.0 + 0.25 * (i % 3) for i in range(side)),
+                      tuple(2.5 + 0.5 * (j % 4) for j in range(side)))
+
+
+def mixed_occupancy(spec: GarageSpec) -> dict:
+    """A vehicle in every third parking cell that touches a drivable one."""
+    def touches_lane(i, j):
+        return any(0 <= i + di < spec.m and 0 <= j + dj < spec.n
+                   and spec.structure[i + di][j + dj] >= 1
+                   for di, dj in ((-1, 0), (0, 1), (1, 0), (0, -1)))
+
+    cells = [(i, j) for i in range(spec.m) for j in range(spec.n)
+             if spec.structure[i][j] == 0 and touches_lane(i, j)]
+    return {"schema": "occupancy-plan/1",
+            "entries": [{"cell": [i, j], "size": SIZES[k % 3]}
+                        for k, (i, j) in enumerate(cells[::3])]}
+
+
+def mixed_generate(tmp: Path) -> str:
+    """Digest of the scene/1 bytes generate writes for mixed_plan()."""
+    spec = mixed_plan()
+    plan, occ, scene = tmp / "mixed.json", tmp / "mixed-occ.json", tmp / "mixed-scene.json"
+    plan.write_text(emit_garage_spec(spec), encoding="utf-8")
+    occ.write_text(json.dumps(mixed_occupancy(spec)), encoding="utf-8")
+    rc = main(["generate", str(plan), "--occupancy", str(occ), "--light", "moderate",
+               "--out", str(scene)])
+    assert rc == 0
+    return hashlib.sha256(scene.read_bytes()).hexdigest()
 
 
 def _digest(files: dict[str, bytes]) -> str:
@@ -148,6 +210,31 @@ def test_big_garage_sweeps_match_golden_digest():
     assert digest == BIG_GARAGE_SWEEPS
 
 
+def test_classified_plans_cover_every_rule_input():
+    """Every (code, drivable-neighbour set) pair, and every code on every
+    kind of edge and corner; only a lone non-drivable square, which no valid
+    plan has, is missing from the second set."""
+    rule_inputs, placements = set(), set()
+    for spec in classified_plans():
+        for i in range(spec.m):
+            for j in range(spec.n):
+                cell = CellRef(i, j)
+                on_grid = frozenset(d for d in Direction if spec.in_bounds(cell.step(d)))
+                rule_inputs.add((spec.code(cell), lane_directions(spec, cell)))
+                placements.add((spec.code(cell), on_grid))
+    assert len(rule_inputs) == 5 * 16
+    assert len(placements) == 5 * 16 - 2
+
+
+def test_classified_grids_match_golden_digest():
+    digest = hashlib.sha256(classified_grids().encode()).hexdigest()
+    assert digest == CLASSIFIED_GRIDS
+
+
+def test_mixed_generate_matches_golden_digest(tmp_path):
+    assert mixed_generate(tmp_path) == MIXED_GENERATE
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -163,6 +250,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(buf):
         result = compute_digests(Path(d), _take)
+        result["mixed-generate"] = mixed_generate(Path(d))
     result["big-garage-sweeps"] = hashlib.sha256(big_garage_sweeps().encode()).hexdigest()
+    result["classified-grids"] = hashlib.sha256(classified_grids().encode()).hexdigest()
     json.dump(result, sys.stdout, indent=4)
     print()

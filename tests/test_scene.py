@@ -169,12 +169,13 @@ class TestSynthesize:
 
 
 class TestApplyLightLevel:
-    def test_override_idempotent(self, all_lane_3x3):
-        grid = classify_all(all_lane_3x3)
-        dim = synthesize(grid, SynthOptions(light=LightLevel.DIM))
-        rebright = apply_light_level(dim, LightLevel.BRIGHT)
-        direct = synthesize(grid, SynthOptions(light=LightLevel.BRIGHT))
-        assert rebright == direct
+    def test_override_idempotent(self, all_lane_3x3, rng):
+        # random plans add parking, obstacle, entrance and exit cells
+        for spec in [all_lane_3x3] + [random_spec(rng) for _ in range(15)]:
+            grid = classify_all(spec)
+            for start, level in itertools.product(LightLevel, repeat=2):
+                relit = apply_light_level(synthesize(grid, SynthOptions(light=start)), level)
+                assert relit == synthesize(grid, SynthOptions(light=level))
 
     def test_non_lamp_geometry_untouched(self, all_lane_3x3):
         scene = synthesize(classify_all(all_lane_3x3))
@@ -305,6 +306,19 @@ class TestSceneDocuments:
         })
         with pytest.raises(SchemaError, match="three coordinates"):
             import_scene(doc)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+    @pytest.mark.parametrize("where", ["node", "bounds"])
+    @pytest.mark.parametrize("field", ["center", "half_extents", "yaw"])
+    def test_non_finite_box_values_rejected(self, value, where, field):
+        good = {"center": [0, 0, 1], "half_extents": [1, 1, 1], "yaw": 0.0}
+        bad = dict(good, **{field: "@" if field == "yaw" else [1, "@", 1]})
+        doc = {"schema": "scene/1", "light_level": "bright",
+               "bounds": bad if where == "bounds" else good,
+               "nodes": [dict(bad if where == "node" else good,
+                              id="a", kind="column", tags={})]}
+        with pytest.raises(SchemaError, match="non-finite"):
+            import_scene(json.dumps(doc).replace('"@"', value))
 
     def test_wrong_schema(self):
         with pytest.raises(SchemaError):
