@@ -536,14 +536,6 @@ def emit_occupancy_plan(plan: OccupancyPlan) -> str:
 # --- scene documents -----------------------------------------------------------
 
 
-def _box_document(box: Box3) -> dict:
-    return {
-        "center": list(box.center),
-        "half_extents": list(box.half_extents),
-        "yaw": box.yaw,
-    }
-
-
 def _box_from_document(doc: dict) -> Box3:
     try:
         center = tuple(map(float, doc["center"]))
@@ -557,34 +549,130 @@ def _box_from_document(doc: dict) -> Box3:
         raise SchemaError(f"bad box: {exc}") from exc
 
 
-def scene_document(scene: SceneGraph) -> dict:
-    return {
-        "schema": SCENE_SCHEMA,
-        "light_level": scene.light_level.value,
-        "bounds": _box_document(scene.bounds),
-        "origin": [0.0, 0.0, 0.0],
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind.value,
-                "center": list(n.box.center),
-                "half_extents": list(n.box.half_extents),
-                "yaw": n.box.yaw,
-                "tags": dict(sorted(n.tags.items())),
-            }
-            for n in scene.nodes
-        ],
-    }
+# scene/1 text is exactly what json.dumps(document, indent=2, sort_keys=True)
+# writes, laid out from fixed templates whose keys are already sorted; the
+# oracle test in tests/test_scene.py holds the two byte-equal.
+_SCENE_HEAD = """\
+{
+  "bounds": {
+    "center": [
+      %s,
+      %s,
+      %s
+    ],
+    "half_extents": [
+      %s,
+      %s,
+      %s
+    ],
+    "yaw": %s
+  },
+  "light_level": %s,
+  "nodes": ["""
+
+_NODE_RECORD = """\
+    {
+      "center": [
+        %s,
+        %s,
+        %s
+      ],
+      "half_extents": [
+        %s,
+        %s,
+        %s
+      ],
+      "id": %s,
+      "kind": %s,
+      "tags": %s,
+      "yaw": %s
+    },"""
+
+_SCENE_TAIL = """,
+  "origin": [
+    0.0,
+    0.0,
+    0.0
+  ],
+  "schema": %s
+}
+""" % json.dumps(SCENE_SCHEMA)
+
+_encode_str = json.encoder.encode_basestring_ascii
+_as_float = float.__float__
+
+
+class _FloatTexts(dict):
+    """float -> its JSON text (float.__repr__, or NaN, Infinity, -Infinity),
+    filled while one scene is written.  Zeros are never stored, because
+    0.0 == -0.0 would give both one entry."""
+
+    def __missing__(self, value: float) -> str:
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        text = float.__repr__(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def _scalar(value) -> str:
+    """A box value that is no float (an int, say), as json writes it."""
+    if isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"a box value must be a number, got {value!r}")
+    return json.dumps(value)
+
+
+def _box_texts(box: Box3, floats: _FloatTexts) -> tuple[str, ...]:
+    """Center, half extents and yaw of a box as JSON number texts."""
+    values = (*box.center, *box.half_extents, box.yaw)
+    try:
+        # float.__float__ turns float subclasses into plain floats and
+        # rejects ints, which must not meet an equal float's cached text
+        return tuple(map(floats.__getitem__, map(_as_float, values)))
+    except TypeError:
+        return tuple(map(_scalar, values))
+
+
+def _tags_text(tags: dict[str, str]) -> str:
+    if not tags:
+        return "{}"
+    items = ",\n        ".join([_encode_str(k) + ": " + _encode_str(v)
+                                for k, v in sorted(tags.items())])
+    return "{\n        " + items + "\n      }"
+
+
+def _write_scene(scene: SceneGraph) -> str:
+    floats = _FloatTexts()
+    head = _SCENE_HEAD % (*_box_texts(scene.bounds, floats),
+                          _encode_str(scene.light_level.value))
+    if not scene.nodes:
+        return head + "]" + _SCENE_TAIL
+    lines = [head]
+    for n in scene.nodes:
+        c0, c1, c2, h0, h1, h2, yaw = _box_texts(n.box, floats)
+        lines.append(_NODE_RECORD % (c0, c1, c2, h0, h1, h2, _encode_str(n.id),
+                                     _encode_str(n.kind.value), _tags_text(n.tags), yaw))
+    lines[-1] = lines[-1][:-1]  # no comma after the last node
+    lines.append("  ]" + _SCENE_TAIL)
+    return "\n".join(lines)
 
 
 def export_scene(scene: SceneGraph, format: str = "scene-json") -> str:
     """Serialize a scene.  scene-json round-trips losslessly through
-    import_scene; obj is a lossy 12-triangles-per-box mesh for viewers."""
+    import_scene; obj is a lossy 12-triangles-per-box mesh for viewers.
+    Node ids and tags must be strings (TypeError otherwise)."""
     if format == "scene-json":
-        return json.dumps(scene_document(scene), indent=2, sort_keys=True) + "\n"
+        return _write_scene(scene)
     if format == "obj":
         return _export_obj(scene)
     raise ValueError(f"unknown export format {format!r}")
+
+
+_NODE_KINDS = {k.value: k for k in NodeKind}
+_STR = frozenset({str})
 
 
 def import_scene(text: str) -> SceneGraph:
@@ -611,15 +699,20 @@ def import_scene(text: str) -> SceneGraph:
         seen.add(node_id)
         kind_raw = raw.get("kind")
         try:
-            kind = NodeKind(kind_raw)
-        except ValueError:
-            raise SchemaError(f"unknown node kind {kind_raw!r}") from None
-        tags_raw = raw.get("tags", {})
-        if not isinstance(tags_raw, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in tags_raw.items()
-        ):
+            kind = _NODE_KINDS.get(kind_raw)
+        except TypeError:  # unhashable, so no kind's value
+            kind = None
+        if kind is None:
+            raise SchemaError(f"unknown node kind {kind_raw!r}")
+        tags = raw.get("tags", {})
+        # JSON object keys are always strings, so only the values need a look
+        if type(tags) is not dict or not _STR.issuperset(map(type, tags.values())):
             raise SchemaError(f"node {node_id!r} tags must map strings to strings")
-        nodes.append(SceneNode(node_id, kind, _box_from_document(raw), dict(tags_raw)))
+        if (kind is NodeKind.FLOOR_TILE and tags.get("cell_kind") in _DRIVABLE_NAMES
+                and "cell" not in tags):
+            # lamp sites are read from these tiles' cell tags
+            raise SchemaError(f"floor tile {node_id!r} of a drivable cell has no cell tag")
+        nodes.append(SceneNode(node_id, kind, _box_from_document(raw), tags))
     bounds_raw = doc.get("bounds")
     if not isinstance(bounds_raw, dict):
         raise SchemaError("scene document is missing its bounds box")

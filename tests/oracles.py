@@ -5,11 +5,14 @@ back into the package internals: lookup tables for the subtype rules, an
 interval-arithmetic shadow model for single-occluder visibility, a 2D
 segment/rectangle blocker for full-height columns, and plain one-box-at-a-
 time versions of the scene index's AABB broadphase and slab test, which
-read only the index's box arrays.
+read only the index's box arrays, and the scene/1 document as a dict that
+``json.dumps(indent=2, sort_keys=True)`` writes, which the scene writer must
+match byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -261,3 +264,27 @@ def per_box_entry_distances(index, origin: np.ndarray, dirs: np.ndarray, subset)
         hit = ok & (t_hi >= entry)
         out[row, hit] = entry[hit]
     return out
+
+
+# --- scene/1 documents through json -------------------------------------------------
+
+
+def scene_document(scene) -> dict:
+    def box(b):
+        return {"center": list(b.center), "half_extents": list(b.half_extents), "yaw": b.yaw}
+
+    return {
+        "schema": "scene/1",
+        "light_level": scene.light_level.value,
+        "bounds": box(scene.bounds),
+        "origin": [0.0, 0.0, 0.0],
+        "nodes": [
+            {"id": n.id, "kind": n.kind.value, **box(n.box), "tags": dict(sorted(n.tags.items()))}
+            for n in scene.nodes
+        ],
+    }
+
+
+def scene_json(scene) -> str:
+    """scene/1 text as json's pure-Python indent encoder writes it."""
+    return json.dumps(scene_document(scene), indent=2, sort_keys=True) + "\n"

@@ -191,6 +191,20 @@ class TestScenario:
         assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell_kind", ["lane", "entrance", "exit"])
+    def test_scene_with_untagged_drivable_tile_exit_2(self, tmp_path, capsys, cell_kind):
+        bad = tmp_path / "notag.json"
+        bad.write_text(
+            '{"schema": "scene/1", "light_level": "bright", "bounds": {"center": [0, 0, 0],'
+            ' "half_extents": [50, 50, 3], "yaw": 0.0}, "nodes": [{"id": "f", "kind":'
+            ' "floor_tile", "center": [5, 5, 0.025], "half_extents": [3, 3, 0.025],'
+            f' "yaw": 0.0, "tags": {{"cell_kind": "{cell_kind}"}}}}]}}', encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["scenario", "--case", "1", "--scene", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "cell tag" in err[0]
+        assert not out.exists()
+
     def test_reports_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["scenario", "--case", "1", "--out", str(a)])

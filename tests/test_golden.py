@@ -11,7 +11,8 @@ classified-grid/1 documents of seeded random plans that between them meet
 every (cell kind, drivable-neighbour set) pair, and the scene/1 document
 ``generate --light moderate`` makes of a 12 x 12 plan with obstacles, an
 entrance, an exit and parked vehicles (lamp sites, markings and ramp
-markers).
+markers).  The scene/1 bytes of the acceptance test's 200 x 200 plan
+(``C10_SCENE``, 139,587 nodes) pin the exporter on a scene of full size.
 The digests were taken on x86-64 Linux with CPython 3.11 and numpy 2.4; a
 different libm can move a float's last bit and so every digest.
 Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -26,7 +27,9 @@ from pathlib import Path
 from garagesim.classify import classify_all, emit_classified_grid, lane_directions
 from garagesim.cli import main
 from garagesim.grid import CellRef, Direction, GarageSpec, emit_garage_spec
-from garagesim.scene import OccupancyPlan, PlanEntry, populate_vehicles, synthesize
+from garagesim.scene import (
+    OccupancyPlan, PlanEntry, export_scene, populate_vehicles, synthesize,
+)
 from garagesim.visibility import CameraConfig, emit_sweep, sweep
 from conftest import random_spec
 
@@ -69,6 +72,7 @@ GOLDEN = {
 BIG_GARAGE_SWEEPS = "cb253fae7b9cadf61125018d34e6aa360fe4e60128fa91f81ca9f6e91ce8bfc6"
 CLASSIFIED_GRIDS = "281956c340797e6afca8f64a0a1954ec779671ca0a5ce0d1b2312a57ff7f0aab"
 MIXED_GENERATE = "971031bdab49cb49a972d8896b5f829d95028e2c9447a492b8e8c058d8bf7fa8"
+C10_SCENE = "7a57f270ea476eaf302f2e0a9cee582b821d7d108612f514516737ac8b9017dc"
 
 # 40 x 40 cells of 5 m rows by 6 m columns: lanes on every third row and
 # column, a sprinkle of obstacles, and a vehicle in every other parking cell
@@ -162,6 +166,17 @@ def mixed_generate(tmp: Path) -> str:
     return hashlib.sha256(scene.read_bytes()).hexdigest()
 
 
+def c10_scene() -> str:
+    """Digest of the scene/1 bytes of test_c10_performance's 200 x 200 plan."""
+    n = 200
+    spec = GarageSpec(
+        tuple(tuple(1 if (i % 3 == 0 or j % 3 == 0) else (0 if (i + j) % 7 else -1)
+                    for j in range(n)) for i in range(n)),
+        (5.0,) * n, (6.0,) * n)
+    text = export_scene(synthesize(classify_all(spec)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _digest(files: dict[str, bytes]) -> str:
     h = hashlib.sha256()
     for name in sorted(files):
@@ -235,6 +250,10 @@ def test_mixed_generate_matches_golden_digest(tmp_path):
     assert mixed_generate(tmp_path) == MIXED_GENERATE
 
 
+def test_c10_scene_matches_golden_digest():
+    assert c10_scene() == C10_SCENE
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -253,5 +272,6 @@ if __name__ == "__main__":
         result["mixed-generate"] = mixed_generate(Path(d))
     result["big-garage-sweeps"] = hashlib.sha256(big_garage_sweeps().encode()).hexdigest()
     result["classified-grids"] = hashlib.sha256(classified_grids().encode()).hexdigest()
+    result["c10-scene"] = c10_scene()
     json.dump(result, sys.stdout, indent=4)
     print()

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from garagesim.classify import classify_all
 from garagesim.errors import PlanError, SchemaError
@@ -16,6 +17,8 @@ from garagesim.scene import (
     NodeKind,
     OccupancyPlan,
     PlanEntry,
+    SceneGraph,
+    SceneNode,
     SynthOptions,
     VEHICLE_SIZES,
     apply_light_level,
@@ -29,6 +32,7 @@ from garagesim.scene import (
     synthesize,
 )
 from conftest import random_spec
+from oracles import scene_json
 
 
 class TestLayout:
@@ -253,6 +257,61 @@ class TestVehicles:
         assert parse_occupancy_plan(emit_occupancy_plan(plan)) == plan
 
 
+class _OwnRepr(float):
+    """A float subclass whose own repr the scene writer must not use."""
+
+    def __repr__(self):
+        return "not-json"
+
+
+# Box values of every type and edge the writer has to spell as json does.
+# Small pools of values that compare equal across types (0.0 and -0.0, 1.0,
+# 1 and True) repeat within a scene, and boxes of floats only are common,
+# because the writer reuses the text of a float it has already written.
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, math.nan, math.inf,
+                     -math.inf]),
+    st.floats(), st.floats().map(_OwnRepr),
+)
+_NUMBERS = st.one_of(_FLOATS, st.sampled_from([0, 1, True, -7, 10**20]), st.integers())
+_POSITIVE_FLOATS = st.one_of(
+    st.sampled_from([1.0, 0.5, 5e-324, 1e16, 1e-7, math.nan, math.inf]),
+    st.floats(min_value=5e-324), st.floats(min_value=5e-324).map(_OwnRepr),
+)
+_POSITIVE = st.one_of(_POSITIVE_FLOATS, st.sampled_from([1, True, 10**20]),
+                      st.integers(min_value=1))
+
+
+def _boxes(numbers, positive):
+    return st.builds(Box3, st.tuples(numbers, numbers, numbers),
+                     st.tuples(positive, positive, positive), numbers)
+
+
+_BOXES = _boxes(_FLOATS, _POSITIVE_FLOATS) | _boxes(_NUMBERS, _POSITIVE)
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+_TEXTS = st.one_of(
+    st.sampled_from(['', '"', '\\', '\\"', '\x00', '\x1f', '\x7f', '\n\t\r', '\u00e9',
+                     '\u2603', '\U0001f697', '\ud800']),
+    st.text(st.characters(exclude_categories=()), max_size=12),
+)
+_TAGS = st.one_of(st.just({}), st.dictionaries(_TEXTS, _TEXTS, max_size=4),
+                  st.dictionaries(_TEXTS, _TEXTS, min_size=10, max_size=30))
+_NODES = st.builds(SceneNode, _TEXTS, st.sampled_from(NodeKind), _BOXES, _TAGS)
+_scenes = st.builds(SceneGraph, st.lists(_NODES, max_size=8).map(tuple), _BOXES,
+                    st.sampled_from(LightLevel))
+
+
+def _one_node_document(**fields) -> str:
+    """scene/1 text of one column node, with the given node fields replaced."""
+    node = {"id": "a", "kind": "column", "center": [0, 0, 1], "half_extents": [1, 1, 1],
+            "yaw": 0.0, "tags": {}}
+    return json.dumps({
+        "schema": "scene/1", "light_level": "bright",
+        "bounds": {"center": [0, 0, 0], "half_extents": [1, 1, 1], "yaw": 0.0},
+        "nodes": [dict(node, **fields)],
+    })
+
+
 class TestSceneDocuments:
     def test_round_trip_equality(self, rng):
         for _ in range(10):
@@ -261,10 +320,11 @@ class TestSceneDocuments:
             assert import_scene(export_scene(scene)) == scene
 
     def test_round_trip_bytes(self, rng):
-        spec = random_spec(rng)
-        scene = synthesize(classify_all(spec))
-        text = export_scene(scene)
-        assert export_scene(import_scene(text)) == text
+        for light in [*LightLevel] * 3:
+            spec = random_spec(rng)
+            scene = synthesize(classify_all(spec), SynthOptions(light=light))
+            text = export_scene(scene)
+            assert export_scene(import_scene(text)) == text
 
     def test_empty_scene_document(self):
         scene = import_scene(json.dumps({
@@ -319,6 +379,42 @@ class TestSceneDocuments:
                               id="a", kind="column", tags={})]}
         with pytest.raises(SchemaError, match="non-finite"):
             import_scene(json.dumps(doc).replace('"@"', value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(scene=_scenes)
+    @example(scene=SceneGraph((), Box3((0, -0.0, 1e16), (1, 5e-324, 1e-7)), LightLevel.DIM))
+    @example(scene=SceneGraph(
+        tuple(SceneNode(f"n{k}", NodeKind.COLUMN, Box3(c, (1.0, 0.5, 1.0), 0.0))
+              for k, c in enumerate([(0.0, 1.0, 0.5), (-0.0, 0.5, 1.0), (1, True, 0.5)])),
+        Box3((1.0, 1.0, 1.0), (0.5, 0.5, 0.5)), LightLevel.CLEAR))
+    @example(scene=SceneGraph(
+        (SceneNode("a", NodeKind.LAMP, Box3((math.nan, math.inf, -math.inf),
+                                            (math.inf, math.nan, 2.0), 3.0), {}),
+         SceneNode('"\\\x00\x1f\u00e9\U0001f697', NodeKind.VEHICLE,
+                   Box3((_OwnRepr(-0.0), True, 10**20), (_OwnRepr(0.5), 1, 1e-7), -0.0),
+                   {f"k{k}\\": '"\x7f\u2603' * k for k in range(12)})),
+        Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), LightLevel.BRIGHT))
+    def test_writer_matches_json_oracle(self, scene):
+        assert export_scene(scene) == scene_json(scene)
+
+    @pytest.mark.parametrize("kind", [["column"], {"column": 1}, None, 3, "Column"])
+    def test_unknown_or_unhashable_kind_rejected(self, kind):
+        with pytest.raises(SchemaError, match="unknown node kind"):
+            import_scene(_one_node_document(kind=kind))
+
+    @pytest.mark.parametrize("tags", [["a"], "a", {"a": 1}, {"a": "b", "c": None},
+                                      {"a": ["b"]}, {"a": {"b": "c"}}])
+    def test_non_string_tags_rejected(self, tags):
+        with pytest.raises(SchemaError, match="tags must map strings to strings"):
+            import_scene(_one_node_document(tags=tags))
+
+    @pytest.mark.parametrize("cell_kind", ["lane", "entrance", "exit"])
+    def test_drivable_floor_tile_needs_cell_tag(self, cell_kind):
+        with pytest.raises(SchemaError, match="no cell tag"):
+            import_scene(_one_node_document(kind="floor_tile", tags={"cell_kind": cell_kind}))
+        parking = import_scene(_one_node_document(kind="floor_tile",
+                                                  tags={"cell_kind": "parking"}))
+        assert apply_light_level(parking, LightLevel.BRIGHT).count(NodeKind.LAMP) == 0
 
     def test_wrong_schema(self):
         with pytest.raises(SchemaError):
