@@ -60,7 +60,6 @@ from .visibility import (
     OcclusionSweep,
     VisibilitySample,
     make_camera,
-    ray_intersect,
     sweep,
     sweep_csv,
     visible_fraction,

@@ -436,14 +436,15 @@ def score(
 def _sweep_stats(sw: OcclusionSweep) -> dict:
     fracs = [s.visible_fraction for s in sw.samples]
     first_full = None
-    clear_from = None
     for k, f in enumerate(fracs):
         if first_full is None and f >= 1.0 - 1e-9:
             first_full = k * sw.step
-    for k in range(len(fracs)):
-        if all(f >= 0.9 for f in fracs[k:]):
-            clear_from = k * sw.step
-            break
+    # the sweep clears from the sample after the last one below 0.9 (a NaN
+    # counts as below), and never if that is the last sample
+    start = len(fracs)
+    while start and fracs[start - 1] >= 0.9:
+        start -= 1
+    clear_from = start * sw.step if start < len(fracs) else None
     contributions: dict[str, float] = {}
     for s in sw.samples:
         for nid, frac in s.occluders:

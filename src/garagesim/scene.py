@@ -11,14 +11,22 @@ lamps.  Vehicles are appended afterwards by populate_vehicles.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import PlanError, SchemaError
 from .classify import ClassifiedGrid
 from .grid import CellKind, CellRef
+
+if TYPE_CHECKING:
+    from .visibility import SceneIndex
 
 SCENE_SCHEMA = "scene/1"
 PLAN_SCHEMA = "occupancy-plan/1"
@@ -116,6 +124,23 @@ def _aabb(center, half, cos_yaw, sin_yaw):
     return (cx - ex, cy - ey, cz - hz, cx + ex, cy + ey, cz + hz)
 
 
+def _box_columns(boxes: list[Box3]) -> tuple[np.ndarray, ...]:
+    """Centres and half extents (k, 3), cos and sin of yaw (k,) and world
+    AABBs (k, 6) of the boxes.  The cos and sin come from math, as in
+    Box3.aabb (numpy's may differ in the last bit), so every row's bounds
+    are the floats Box3.aabb gives."""
+    k = len(boxes)
+    chain = itertools.chain.from_iterable
+    centers = np.fromiter(chain(b.center for b in boxes), float, 3 * k).reshape(k, 3)
+    halves = np.fromiter(chain(b.half_extents for b in boxes), float, 3 * k).reshape(k, 3)
+    cos_yaw = np.fromiter((math.cos(b.yaw) for b in boxes), float, k)
+    sin_yaw = np.fromiter((math.sin(b.yaw) for b in boxes), float, k)
+    # inf * 0 on infinite boxes and overflow on huge ones, quiet as in Box3.aabb
+    with np.errstate(invalid="ignore", over="ignore"):
+        aabbs = np.stack(_aabb(centers.T, halves.T, cos_yaw, sin_yaw), axis=1)
+    return centers, halves, cos_yaw, sin_yaw, aabbs
+
+
 @dataclass(frozen=True)
 class SceneNode:
     id: str
@@ -126,15 +151,32 @@ class SceneNode:
 
 @dataclass(frozen=True)
 class SceneGraph:
+    """An ordered scene of boxes.  What is derived from it, the ray-test
+    index and the id lookup, is built on first use and kept with the scene;
+    a scene is never changed (every edit makes a new SceneGraph, with
+    nothing cached), so what is kept cannot go stale."""
+
     nodes: tuple[SceneNode, ...]
     bounds: Box3
     light_level: LightLevel
 
+    @functools.cached_property
+    def index(self) -> SceneIndex:
+        """The SceneIndex over this scene's opaque boxes."""
+        from .visibility import SceneIndex
+
+        return SceneIndex(self)
+
+    @functools.cached_property
+    def _node_by_id(self) -> dict[str, SceneNode]:
+        # filled back to front, so of two nodes sharing an id the first wins
+        return {n.id: n for n in reversed(self.nodes)}
+
     def node(self, node_id: str) -> SceneNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"no node {node_id!r} in scene")
+        try:
+            return self._node_by_id[node_id]
+        except (KeyError, TypeError):  # TypeError: an unhashable id names no node
+            raise KeyError(f"no node {node_id!r} in scene") from None
 
     def count(self, kind: NodeKind) -> int:
         return sum(1 for n in self.nodes if n.kind is kind)
@@ -412,13 +454,12 @@ def remove_node(scene: SceneGraph, node_id: str) -> SceneGraph:
 
 
 def _fold_bounds(boxes) -> Box3:
-    """Axis-aligned box around the world AABBs of the given boxes."""
-    lo = [math.inf] * 3
-    hi = [-math.inf] * 3
-    for b in boxes:
-        a = b.aabb
-        lo = [min(lo[k], a[k]) for k in range(3)]
-        hi = [max(hi[k], a[k + 3]) for k in range(3)]
+    """Axis-aligned box around the world AABBs of the given boxes, in
+    float64 (an int box field past 2**52 is rounded to a float first).  A
+    NaN bound is skipped, as a min/max fold over the boxes skips it."""
+    aabbs = _box_columns(list(boxes))[4]
+    lo = np.fmin.reduce(aabbs[:, :3], axis=0, initial=math.inf).tolist()
+    hi = np.fmax.reduce(aabbs[:, 3:], axis=0, initial=-math.inf).tolist()
     return Box3(
         center=tuple((lo[k] + hi[k]) / 2.0 for k in range(3)),
         half_extents=tuple(max((hi[k] - lo[k]) / 2.0, 1e-9) for k in range(3)),

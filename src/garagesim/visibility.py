@@ -12,7 +12,6 @@ everything is deterministic: no randomness anywhere.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Callable, Iterable
@@ -20,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, SceneGraph, SceneNode, _aabb
+from .scene import (
+    FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, Box3, SceneGraph, SceneNode, _box_columns,
+)
 
 SWEEP_SCHEMA = "sweep/1"
 
@@ -178,16 +179,8 @@ class SceneIndex:
 
     def __init__(self, scene: SceneGraph):
         opaque = [n for n in scene.nodes if n.kind in OPAQUE_KINDS]
-        boxes = [n.box for n in opaque]
-        k = len(boxes)
-        chain = itertools.chain.from_iterable
-        self.centers = np.fromiter(chain(b.center for b in boxes), float, 3 * k).reshape(k, 3)
-        self.halves = np.fromiter(chain(b.half_extents for b in boxes), float, 3 * k).reshape(k, 3)
-        self.cos_yaw = np.fromiter((math.cos(b.yaw) for b in boxes), float, k)
-        self.sin_yaw = np.fromiter((math.sin(b.yaw) for b in boxes), float, k)
-        with np.errstate(invalid="ignore"):  # inf * 0 on infinite boxes, quiet as in Box3.aabb
-            self.aabbs = np.stack(
-                _aabb(self.centers.T, self.halves.T, self.cos_yaw, self.sin_yaw), axis=1)
+        self.centers, self.halves, self.cos_yaw, self.sin_yaw, self.aabbs = _box_columns(
+            [n.box for n in opaque])
         self._build_grid()
         # built last, so the peak memory of the array and grid work stays
         # below what the index keeps
@@ -309,70 +302,39 @@ class SceneIndex:
         return np.where(t_hi >= entry, entry, np.inf)
 
 
-def ray_intersect(
-    scene: SceneGraph,
-    origin: tuple[float, float, float],
-    direction: tuple[float, float, float],
-    ignore: frozenset[str] | set[str] = frozenset(),
-) -> tuple[str, float] | None:
-    """Nearest opaque node hit by a unit ray, or None.
-
-    Lamps and markings never block; nodes listed in ignore are skipped.
-    """
-    index = SceneIndex(scene)
-    if not index.ids:
-        return None
-    subset = [k for k in range(len(index.ids)) if index.ids[k] not in ignore]
-    if not subset:
-        return None
-    dirs = np.asarray([direction], dtype=float)
-    norm = float(np.linalg.norm(dirs))
-    if not math.isclose(norm, 1.0, rel_tol=1e-6):
-        raise ValueError(f"direction must be a unit vector, |d|={norm}")
-    t = index.entry_distances(np.asarray(origin, dtype=float), dirs, subset)[:, 0]
-    best = int(np.argmin(t))
-    if not np.isfinite(t[best]):
-        return None
-    return index.ids[subset[best]], float(t[best])
-
-
 # --- target sampling ----------------------------------------------------------
 
 
-def _face_points(node: SceneNode, apex: np.ndarray, s: int) -> np.ndarray:
-    """Sample points on every camera-facing face of the node's box, (P, 3).
-
-    Each face carries an s x s grid at cell centers, so boundary samples
-    never sit exactly on edges.
-    """
-    box = node.box
+def _face_grids(box: Box3, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outward normals (6, 3), centres (6, 3) and sample points (6, s * s, 3)
+    of the box's six faces, in the order +u, -u, +v, -v, +w, -w (u and v
+    the yawed x and y axes, w up).  Each face carries an s x s grid at cell
+    centers, so boundary samples never sit exactly on edges."""
     c, sn = math.cos(box.yaw), math.sin(box.yaw)
-    u = np.array([c, sn, 0.0])
-    v = np.array([-sn, c, 0.0])
-    w = np.array([0.0, 0.0, 1.0])
-    axes = (u, v, w)
-    center = np.asarray(box.center)
-    half = box.half_extents
+    axes = np.array([[c, sn, 0.0], [-sn, c, 0.0], [0.0, 0.0, 1.0]])
+    half = np.asarray(box.half_extents, dtype=float)
     ticks = (np.arange(s) + 0.5) / s * 2.0 - 1.0  # cell centers in [-1, 1]
-    faces = []
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            normal = axes[axis] * sign
-            face_center = center + normal * half[axis]
-            if float(np.dot(normal, apex - face_center)) <= 0.0:
-                continue
-            a1, a2 = (axes[(axis + 1) % 3], axes[(axis + 2) % 3])
-            h1, h2 = half[(axis + 1) % 3], half[(axis + 2) % 3]
-            g1, g2 = np.meshgrid(ticks * h1, ticks * h2, indexing="ij")
-            pts = (
-                face_center[None, :]
-                + g1.reshape(-1, 1) * a1[None, :]
-                + g2.reshape(-1, 1) * a2[None, :]
-            )
-            faces.append(pts)
-    if not faces:
-        return np.zeros((0, 3))
-    return np.concatenate(faces, axis=0)
+    axis = np.repeat(np.arange(3), 2)
+    normals = axes[axis] * np.tile([1.0, -1.0], 3)[:, None]
+    centers = np.asarray(box.center) + normals * half[axis, None]
+    # the face spans its other two axes; grid point (i, j) is
+    # (centre + ticks[i] * h1 * a1) + ticks[j] * h2 * a2
+    a1, a2 = (axis + 1) % 3, (axis + 2) % 3
+    g1 = (ticks * half[a1, None])[:, :, None, None] * axes[a1][:, None, None, :]
+    g2 = (ticks * half[a2, None])[:, None, :, None] * axes[a2][:, None, None, :]
+    points = centers[:, None, None, :] + g1 + g2
+    return normals, centers, points.reshape(6, s * s, 3)
+
+
+def _facing_points(
+    grids: tuple[np.ndarray, np.ndarray, np.ndarray], apex: np.ndarray
+) -> np.ndarray:
+    """The sample points, (P, 3), of the faces in _face_grids' order that
+    face the apex: all but those whose outward normal has a dot product
+    <= 0 with the apex seen from the face centre (a NaN keeps its face)."""
+    normals, centers, points = grids
+    facing = [f for f in range(6) if not float(np.dot(normals[f], apex - centers[f])) <= 0.0]
+    return points[facing].reshape(-1, 3)
 
 
 def visible_fraction(
@@ -383,7 +345,6 @@ def visible_fraction(
     *,
     samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE,
     ignore_ids: frozenset[str] = frozenset(),
-    index: SceneIndex | None = None,
 ) -> VisibilitySample:
     """Visible fraction of a target vehicle from an ego pose.
 
@@ -392,7 +353,7 @@ def visible_fraction(
     """
     return _sample_pairs(
         scene, target_id, lambda target: [(ego, target)], cfg,
-        samples_per_edge, ignore_ids, index,
+        samples_per_edge, ignore_ids,
     )[0]
 
 
@@ -403,25 +364,29 @@ def _sample_pairs(
     cfg: CameraConfig,
     samples_per_edge: int,
     ignore_ids: frozenset[str],
-    index: SceneIndex | None = None,
 ) -> tuple[VisibilitySample, ...]:
     """The one sample loop: visibility of a target vehicle over the
     (ego pose, target node) pairs that pairs(target) yields.
 
-    The index is built once over the scene.  A moved target keeps its id,
-    so the index skips it as an occluder wherever the pair puts it.
+    The scene's index is built once per scene and kept with it.  A moved
+    target keeps its id, so the index skips it as an occluder wherever the
+    pair puts it.  A node's face grids are built when it first appears, so
+    a target that stays put (a sweep) has them built once.
     """
     target = scene.node(target_id)
     if target.kind is not NodeKind.VEHICLE:
         raise ValueError(f"target {target_id!r} is {target.kind.value}, not a vehicle")
-    if index is None:
-        index = SceneIndex(scene)
+    index = scene.index
+    skip = {index.index_of[i] for i in (set(ignore_ids) | {target_id}) if i in index.index_of}
     samples = []
+    node_seen = grids = None
     for ego, node in pairs(target):
+        if node is not node_seen:
+            node_seen, grids = node, _face_grids(node.box, samples_per_edge)
         frustum = make_camera(ego, cfg)
         apex = np.asarray(frustum.apex)
-        points = _face_points(node, apex, samples_per_edge)
-        samples.append(_sample_from_points(index, frustum, apex, points, ego, node, ignore_ids))
+        points = _facing_points(grids, apex)
+        samples.append(_sample_from_points(index, frustum, apex, points, ego, node, skip))
     return tuple(samples)
 
 
@@ -432,7 +397,7 @@ def _sample_from_points(
     points: np.ndarray,
     ego: EgoPose,
     target: SceneNode,
-    ignore_ids: frozenset[str],
+    skip: set[int],
 ) -> VisibilitySample:
     eligible = frustum.contains(points)
     total = int(eligible.sum())
@@ -444,7 +409,6 @@ def _sample_from_points(
     dist = np.linalg.norm(rel, axis=1)
     dirs = rel / dist[:, None]
 
-    skip = {index.index_of[i] for i in (set(ignore_ids) | {target.id}) if i in index.index_of}
     t_aabb = target.box.aabb
     lo = np.minimum(np.asarray(t_aabb[:3]), apex)
     hi = np.maximum(np.asarray(t_aabb[3:]), apex)

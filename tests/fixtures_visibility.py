@@ -140,9 +140,9 @@ def build_fixtures() -> list[Fixture]:
 def eligible_everywhere(fx: Fixture) -> bool:
     """Every sampled face point of the fixture target lies in the frustum."""
     import numpy as np
-    from garagesim.visibility import _face_points
+    from oracles import face_points
 
     frustum = make_camera(EGO, CFG)
     target = fx.scene.node("veh-t")
-    pts = _face_points(target, np.asarray(frustum.apex), 24)
+    pts = face_points(target, np.asarray(frustum.apex), 24)
     return bool(frustum.contains(pts).all())

@@ -1,13 +1,17 @@
 """Independent reference implementations used to check the engine.
 
-Everything here is written from scratch against the rules, not by calling
-back into the package internals: lookup tables for the subtype rules, an
-interval-arithmetic shadow model for single-occluder visibility, a 2D
-segment/rectangle blocker for full-height columns, and plain one-box-at-a-
-time versions of the scene index's AABB broadphase and slab test, which
-read only the index's box arrays, and the scene/1 document as a dict that
+Everything here is written from scratch against the rules, or is the
+engine's earlier plain-loop version of a step kept as its reference, and
+does not call back into the package internals: lookup tables for the
+subtype rules, an interval-arithmetic shadow model for single-occluder
+visibility, a 2D segment/rectangle blocker for full-height columns, the
+per-face sample grid of a target box, plain one-box-at-a-time versions of
+the scene index's AABB broadphase and slab test, which read only the
+index's box arrays, the Python fold of scene bounds, the quadratic
+``clears_from`` scan, and the scene/1 document as a dict that
 ``json.dumps(indent=2, sort_keys=True)`` writes, which the scene writer must
-match byte for byte.
+match byte for byte.  ``ray_intersect`` is the exception: it asks the
+engine's slab test for one ray, so analytic distances can check it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import numpy as np
 
 from garagesim.grid import Direction
+from garagesim.scene import Box3
 
 N, E, S, W = Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST
 
@@ -208,6 +213,41 @@ def box_face_points(
     return pts
 
 
+def face_points(node, apex: np.ndarray, s: int) -> np.ndarray:
+    """Sample points on every camera-facing face of the node's box, (P, 3),
+    face by face (+u, -u, +v, -v, +w, -w), each an s x s grid at cell
+    centers: the engine's per-sample face sampler before its face grids
+    were built once per box."""
+    box = node.box
+    c, sn = math.cos(box.yaw), math.sin(box.yaw)
+    u = np.array([c, sn, 0.0])
+    v = np.array([-sn, c, 0.0])
+    w = np.array([0.0, 0.0, 1.0])
+    axes = (u, v, w)
+    center = np.asarray(box.center)
+    half = box.half_extents
+    ticks = (np.arange(s) + 0.5) / s * 2.0 - 1.0  # cell centers in [-1, 1]
+    faces = []
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            normal = axes[axis] * sign
+            face_center = center + normal * half[axis]
+            if float(np.dot(normal, apex - face_center)) <= 0.0:
+                continue
+            a1, a2 = (axes[(axis + 1) % 3], axes[(axis + 2) % 3])
+            h1, h2 = half[(axis + 1) % 3], half[(axis + 2) % 3]
+            g1, g2 = np.meshgrid(ticks * h1, ticks * h2, indexing="ij")
+            pts = (
+                face_center[None, :]
+                + g1.reshape(-1, 1) * a1[None, :]
+                + g2.reshape(-1, 1) * a2[None, :]
+            )
+            faces.append(pts)
+    if not faces:
+        return np.zeros((0, 3))
+    return np.concatenate(faces, axis=0)
+
+
 # --- scene index: full-scan broadphase and per-box slab test ----------------------
 
 
@@ -264,6 +304,53 @@ def per_box_entry_distances(index, origin: np.ndarray, dirs: np.ndarray, subset)
         hit = ok & (t_hi >= entry)
         out[row, hit] = entry[hit]
     return out
+
+
+def ray_intersect(scene, origin, direction, ignore=frozenset()):
+    """Nearest opaque node hit by a unit ray, as (id, distance), or None,
+    from the scene index's slab test.  Lamps and markings never block;
+    nodes listed in ignore are skipped."""
+    index = scene.index
+    subset = [k for k in range(len(index.ids)) if index.ids[k] not in ignore]
+    if not subset:
+        return None
+    dirs = np.asarray([direction], dtype=float)
+    norm = float(np.linalg.norm(dirs))
+    if not math.isclose(norm, 1.0, rel_tol=1e-6):
+        raise ValueError(f"direction must be a unit vector, |d|={norm}")
+    t = index.entry_distances(np.asarray(origin, dtype=float), dirs, subset)[:, 0]
+    best = int(np.argmin(t))
+    if not np.isfinite(t[best]):
+        return None
+    return index.ids[subset[best]], float(t[best])
+
+
+# --- scene bounds and sweep stats as plain loops -----------------------------------
+
+
+def fold_bounds(boxes) -> Box3:
+    """Axis-aligned box around the world AABBs of the given boxes, folded
+    one box at a time with Python's min and max (which keep the running
+    bound over a NaN)."""
+    lo = [math.inf] * 3
+    hi = [-math.inf] * 3
+    for b in boxes:
+        a = b.aabb
+        lo = [min(lo[k], a[k]) for k in range(3)]
+        hi = [max(hi[k], a[k + 3]) for k in range(3)]
+    return Box3(
+        center=tuple((lo[k] + hi[k]) / 2.0 for k in range(3)),
+        half_extents=tuple(max((hi[k] - lo[k]) / 2.0, 1e-9) for k in range(3)),
+    )
+
+
+def clears_from(fracs: list[float], step: float) -> float | None:
+    """Arc length of the first sample from which every visible fraction is
+    at least 0.9, or None: each start index tested against all the rest."""
+    for k in range(len(fracs)):
+        if all(f >= 0.9 for f in fracs[k:]):
+            return k * step
+    return None
 
 
 # --- scene/1 documents through json -------------------------------------------------

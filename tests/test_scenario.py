@@ -19,6 +19,7 @@ from garagesim.scenario import (
     Scenario,
     ScenarioLabel,
     _scene_from_nodes,
+    _sweep_stats,
     build_case1,
     build_case2,
     build_case3,
@@ -39,7 +40,7 @@ from garagesim.visibility import (
     sweep,
 )
 
-from oracles import box_face_points, column_shadow_fraction
+from oracles import box_face_points, clears_from, column_shadow_fraction
 
 CFG = CameraConfig()
 
@@ -132,6 +133,32 @@ class TestCase2:
         case1 = build_case1()
         sweep(case1.scene, case1.ego_path, CFG, "veh-target")
         assert len(built) == 2
+
+    def test_index_built_once_per_scene(self, monkeypatch):
+        from dataclasses import replace
+
+        from garagesim import visibility
+        from garagesim.visibility import visible_fraction
+
+        built = []
+        init = visibility.SceneIndex.__init__
+
+        def counting_init(self, scene):
+            built.append(scene)
+            init(self, scene)
+
+        monkeypatch.setattr(visibility.SceneIndex, "__init__", counting_init)
+        case1 = build_case1()
+        first = sweep(case1.scene, case1.ego_path, CFG, "veh-target")
+        assert built == [case1.scene]
+        again = sweep(case1.scene, case1.ego_path, CFG, "veh-target")
+        visible_fraction(case1.scene, case1.ego_path[0], CFG, "veh-target")
+        assert built == [case1.scene] and again == first
+        trimmed = replace(case1.scene, nodes=case1.scene.nodes[1:])
+        sweep(trimmed, case1.ego_path, CFG, "veh-target")
+        dim = relight(case1, LightLevel.DIM).scene
+        sweep(dim, case1.ego_path, CFG, "veh-target")
+        assert [id(s) for s in built] == [id(case1.scene), id(trimmed), id(dim)]
 
     def test_engine_matches_independent_shadow_oracle(self):
         scn = build_case2()
@@ -383,6 +410,24 @@ class TestRunAndReport:
             rescore_report_document(doc, (2.0, -1.0, 0.0))
         with pytest.raises(ValueError):
             rescore_report_document(doc, DEFAULT_WEIGHTS, math.nan)
+
+    def test_clears_from_is_one_scan(self):
+        rng = random.Random(29)
+        cases = [[1.0] * 5, [0.0] * 5, [1.0] * 6 + [0.5], [0.95, 0.2, 0.9, 0.91],
+                 [0.9, math.nan, 0.95], [math.nan], [0.89999], [0.9]]
+        for _ in range(300):
+            n = rng.randrange(1, 30)
+            cases.append([rng.choice([0.0, 0.5, 0.89, 0.9, 0.95, 1.0, rng.random()])
+                          for _ in range(n)])
+        for fracs in cases:
+            step = rng.choice([0.5, 0.3, 0.7])
+            sw = OcclusionSweep(
+                samples=tuple(VisibilitySample(EgoPose((0.0, 0.0), 0.0), "t", f, True, ())
+                              for f in fracs),
+                step=step, path=(EgoPose((0.0, 0.0), 0.0),))
+            stats, want = _sweep_stats(sw), clears_from(fracs, step)
+            assert stats["clears_from_s"] == want, fracs
+            assert stats["clears_to_high_visibility"] is (want is not None)
 
     def test_stats_recomputable_from_sweeps(self):
         report = run_scenario(build_case1())

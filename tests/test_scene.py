@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from garagesim.scene import (
     FLOOR_THICKNESS,
     LightLevel,
     NodeKind,
+    OPAQUE_KINDS,
     OccupancyPlan,
     PlanEntry,
     SceneGraph,
@@ -30,9 +32,10 @@ from garagesim.scene import (
     populate_vehicles,
     remove_node,
     synthesize,
+    _fold_bounds,
 )
 from conftest import random_spec
-from oracles import scene_json
+from oracles import fold_bounds, scene_json
 
 
 class TestLayout:
@@ -434,6 +437,74 @@ class TestSceneDocuments:
         assert len(out.nodes) == len(scene.nodes) - 1
         with pytest.raises(KeyError):
             remove_node(scene, "no-such-node")
+
+
+class TestSceneGraph:
+    def test_node_is_a_lookup_with_first_match_and_scan_errors(self):
+        first = SceneNode("dup", NodeKind.COLUMN, Box3((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)))
+        second = SceneNode("dup", NodeKind.VEHICLE, Box3((5.0, 0.0, 1.0), (1.0, 1.0, 1.0)))
+        other = SceneNode("other", NodeKind.LAMP, Box3((9.0, 0.0, 1.0), (1.0, 1.0, 1.0)))
+        scene = SceneGraph((first, other, second), first.box, LightLevel.BRIGHT)
+        assert scene.node("dup") is first
+        assert scene.node("other") is other
+        for missing in ("nope", "", ["dup"]):
+            with pytest.raises(KeyError) as err:
+                scene.node(missing)
+            assert err.value.args == (f"no node {missing!r} in scene",)
+
+    def test_derived_data_is_per_scene(self, all_lane_3x3):
+        scene = synthesize(classify_all(all_lane_3x3))
+        assert scene.index is scene.index
+        for other in (replace(scene, nodes=scene.nodes[1:]),
+                      apply_light_level(scene, LightLevel.DIM), remove_node(scene, "col-1-1")):
+            assert other.index is not scene.index
+            assert other.index.ids == [n.id for n in other.nodes if n.kind in OPAQUE_KINDS]
+        assert replace(scene, nodes=scene.nodes[1:]).node("floor-0-1") is scene.nodes[2]
+        with pytest.raises(KeyError):
+            replace(scene, nodes=scene.nodes[1:]).node(scene.nodes[0].id)
+        # derived data is no field: it takes no part in equality or the repr
+        assert replace(scene) == scene and repr(replace(scene)) == repr(scene)
+
+
+def _box_repr(box: Box3) -> str:
+    """Exact text of a box's floats: equal for equal bits (NaN included,
+    the sign of zero told apart)."""
+    return repr((box.center, box.half_extents, box.yaw))
+
+
+def _outcome(fold, boxes) -> str:
+    try:
+        return _box_repr(fold(boxes))
+    except ValueError as exc:  # math.cos of an infinite yaw
+        return type(exc).__name__
+
+
+# ints up to 2**52 in magnitude, whose sums and differences float64 holds
+# exactly, so the Python fold's exact int arithmetic gives the same floats
+_FOLD_INTS = st.integers(-2**52, 2**52)
+_FOLD_BOXES = _boxes(_FLOATS, _POSITIVE_FLOATS) | _boxes(
+    st.one_of(_FLOATS, _FOLD_INTS), st.one_of(_POSITIVE_FLOATS, st.integers(1, 2**52)))
+
+
+class TestFoldBounds:
+    @given(st.lists(_FOLD_BOXES, max_size=12))
+    @example([Box3((-0.0, 0.0, -0.0), (1.0, 2.0, 0.5), yaw=0.3)])
+    @example([Box3((math.nan, 1.0, 2.0), (1.0, 1.0, 1.0)), Box3((3.0, 4.0, 5.0), (1.0, 1.0, 1.0))])
+    @example([Box3((1.0, 2.0, 3.0), (math.inf, 1.0, 1.0)), Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])
+    @example([Box3((-math.inf, 0.0, 0.0), (1.0, 1.0, 1.0)),
+              Box3((math.inf, 0.0, 0.0), (1.0, 1.0, 1.0))])
+    @example([Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), yaw=math.nan)])
+    @example([])
+    def test_numpy_fold_equals_the_python_fold(self, boxes):
+        assert _outcome(_fold_bounds, boxes) == _outcome(fold_bounds, boxes)
+        # callers pass generators too
+        assert _outcome(_fold_bounds, iter(boxes)) == _outcome(fold_bounds, boxes)
+
+    def test_rotated_boxes_on_a_garage(self, lane_cross_spec):
+        scene = synthesize(classify_all(lane_cross_spec))
+        boxes = [n.box for n in scene.nodes]
+        assert any(b.yaw for b in boxes)
+        assert _box_repr(_fold_bounds(boxes)) == _box_repr(fold_bounds(boxes))
 
 
 class TestBox3:

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from garagesim.scene import (
     Box3,
@@ -21,15 +22,16 @@ from garagesim.visibility import (
     emit_sweep,
     make_camera,
     pose_at,
-    ray_intersect,
     sample_arclengths,
     sweep,
     sweep_csv,
     sweep_document,
     visible_fraction,
+    _face_grids,
+    _facing_points,
 )
 from fixtures_visibility import CFG, EGO, build_fixtures
-from oracles import full_scan_candidates, per_box_entry_distances
+from oracles import face_points, full_scan_candidates, per_box_entry_distances, ray_intersect
 
 FIXTURES = build_fixtures()
 
@@ -152,6 +154,44 @@ class TestRayIntersect:
         assert hit[1] == pytest.approx(expected, abs=1e-9)
 
 
+_COORDS = st.floats(-50.0, 50.0)
+_YAWS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, -math.pi / 4, math.nan]),
+                  st.floats(-7.0, 7.0))
+_TARGET_BOXES = st.builds(Box3, st.tuples(_COORDS, _COORDS, _COORDS),
+                          st.tuples(*[st.floats(1e-3, 10.0)] * 3), _YAWS)
+
+
+@st.composite
+def _box_and_apex(draw):
+    """A box and an apex: anywhere, or on the plane of one face, reached
+    from that face's centre along the face (the facing test's dot product
+    is then 0 for an unrotated box, and within rounding of 0 otherwise)."""
+    box = draw(_TARGET_BOXES)
+    if draw(st.booleans()):
+        apex = draw(st.tuples(_COORDS, _COORDS, _COORDS).map(np.array))
+        return box, apex
+    normals, centers, _ = _face_grids(box, 1)
+    face = draw(st.integers(0, 5))
+    along = np.cross(normals[face], [0.0, 0.0, 1.0] if face < 4 else [1.0, 0.0, 0.0])
+    return box, centers[face] + along * draw(st.sampled_from([0.0, 1.0, 3.5, -20.0]))
+
+
+class TestFacePoints:
+    @given(_box_and_apex(), st.sampled_from([1, 2, 3, 24]))
+    @example((Box3((1.0, 2.0, 0.5), (2.0, 1.0, 0.5)), np.array([3.0, 7.0, 1.65])), 24)
+    @example((Box3((1.0, 2.0, 0.5), (2.0, 1.0, 0.5), math.nan), np.zeros(3)), 2)
+    @example((Box3((1.0, 2.0, 0.5), (2.0, 1.0, 0.5)), np.array([1.0, 2.0, 0.5])), 3)
+    @example((Box3((0.0, 0.0, 1.0), (2.0, 1.0, 1.0)), np.array([2.0, 5.0, 1.0])), 4)
+    def test_face_grids_built_once_select_the_per_sample_points(self, box_apex, s):
+        # grids built once per box, then filtered per apex, give the points
+        # that sampling only the facing faces per apex gave, bit for bit
+        box, apex = box_apex
+        got = _facing_points(_face_grids(box, s), apex)
+        want = face_points(SceneNode("t", NodeKind.VEHICLE, box), apex, s)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestVisibleFractionFixtures:
     @pytest.mark.parametrize("fx", FIXTURES, ids=[f.name for f in FIXTURES])
     def test_matches_analytic(self, fx):
@@ -249,7 +289,7 @@ class TestVisibleFractionProperties:
         # the broadphase must never change the answer, only the cost: the
         # candidate list equals a full scan, and the fraction and the named
         # occluders equal a per-box slab test over every opaque box
-        from garagesim.visibility import SceneIndex, _face_points
+        from garagesim.visibility import SceneIndex
 
         rng = random.Random(41)
         for trial in range(40):
@@ -291,7 +331,7 @@ class TestVisibleFractionProperties:
             hi = np.maximum(np.asarray(target.box.aabb[3:]), apex)
             assert index.candidates(lo, hi, skip) == full_scan_candidates(
                 index.aabbs, lo, hi, skip), trial
-            points = _face_points(target, apex, 24)
+            points = face_points(target, apex, 24)
             eligible = frustum.contains(points)
             if not eligible.any():
                 assert engine.visible_fraction == 0.0
