@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import GarageError, SchemaError, SpecParseError
+from .errors import GarageError, OptionError, SchemaError, SpecParseError
 from .grid import load_garage_spec, validate
 from .classify import classify_all
 from .scene import (
@@ -33,7 +32,6 @@ from .scene import (
 from .scenario import (
     BLACKOUT_THRESHOLD,
     DEFAULT_WEIGHTS,
-    _check_score_options,
     _scene_from_nodes,
     build_case1,
     build_case2,
@@ -50,23 +48,18 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 
 
-def _parse_weights(text: str | None, blackout_threshold: float) -> tuple[float, float, float]:
-    """Weights from 'w_occ,w_blk,w_lit' (the defaults when text is empty),
-    checked together with the blackout threshold."""
-    w = DEFAULT_WEIGHTS
-    if text:
-        parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
-        if len(parts) != 3:
-            raise SchemaError(f"expected three comma-separated weights, got {text!r}")
-        try:
-            w = tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise SchemaError(f"non-numeric weight in {text!r}") from exc
+def _parse_weights(text: str | None) -> tuple[float, float, float]:
+    """Weights from 'w_occ,w_blk,w_lit' (the defaults when text is empty);
+    the library checks their values."""
+    if not text:
+        return DEFAULT_WEIGHTS
+    parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
+    if len(parts) != 3:
+        raise OptionError(f"expected three comma-separated weights, got {text!r}")
     try:
-        _check_score_options(w, blackout_threshold)
+        return tuple(float(p) for p in parts)  # type: ignore[return-value]
     except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-    return w  # type: ignore[return-value]
+        raise OptionError(f"non-numeric weight in {text!r}") from exc
 
 
 def _parse_corners(text: str) -> frozenset[tuple[int, int]]:
@@ -83,17 +76,6 @@ def _parse_corners(text: str) -> frozenset[tuple[int, int]]:
         except ValueError as exc:
             raise SchemaError(f"bad corner {chunk!r}") from exc
     return frozenset(corners)
-
-
-def _camera_from_args(args) -> CameraConfig:
-    try:
-        return CameraConfig(
-            mount_height=args.mount_height,
-            horizontal_fov_deg=args.fov,
-            aspect=args.aspect,
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
 
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> None:
@@ -113,14 +95,40 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     if not isinstance(raw, dict):
         raise SchemaError("config file must hold a JSON object")
     defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
+    subs = [sub for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction) for sub in action.choices.values()]
+    for action in [a for p in (parser, *subs) for a in p._actions]:
+        if action.dest in defaults and isinstance(
+                action, (argparse._StoreAction, argparse._StoreConstAction)):
+            defaults[action.dest] = _config_value(action, defaults[action.dest])
     parser.set_defaults(**defaults)
     # the running subcommand's parser writes its own flags' defaults over the
     # top level's, so each of those flags takes its config default there
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                own = {a.dest for a in sub._actions}
-                sub.set_defaults(**{k: v for k, v in defaults.items() if k in own})
+    for sub in subs:
+        own = {a.dest for a in sub._actions}
+        sub.set_defaults(**{k: v for k, v in defaults.items() if k in own})
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value as its flag takes it: a bool for a switch, else a
+    string, or what the flag's type makes of it, within the flag's choices."""
+    if isinstance(action, argparse._StoreConstAction):
+        ok = isinstance(value, bool)
+    elif action.type is None:
+        ok = isinstance(value, str)
+    elif isinstance(value, bool):
+        ok = False
+    else:
+        try:
+            value, ok = action.type(value), True
+        except (TypeError, ValueError):
+            ok = False
+    if ok and action.choices is not None:
+        ok = value in action.choices
+    if not ok:
+        flag = action.option_strings[0] if action.option_strings else action.dest
+        raise SchemaError(f"config value {value!r} is not a valid {flag}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,20 +265,16 @@ def _cmd_scenario(args) -> int:
     if args.case not in ("1", "2", "3"):
         print(f"unknown case {args.case!r}; expected 1, 2 or 3", file=sys.stderr)
         return EXIT_USAGE
-    if not 0.0 < args.step < math.inf:
-        raise SchemaError(f"step must be positive and finite, got {args.step}")
-    cfg = _camera_from_args(args)
-    weights = _parse_weights(args.weights, args.blackout_threshold)
-    try:
-        if args.case == "1":
-            scn = build_case1(args.column_setback, args.lane_width, args.target_distance)
-        elif args.case == "2":
-            scn = build_case2(args.column_offset, args.lane_distance)
-        else:
-            layout = args.layout
-            scn = build_case3(_parse_layout(layout) if isinstance(layout, str) else layout)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    cfg = CameraConfig(
+        mount_height=args.mount_height, horizontal_fov_deg=args.fov, aspect=args.aspect
+    )
+    weights = _parse_weights(args.weights)
+    if args.case == "1":
+        scn = build_case1(args.column_setback, args.lane_width, args.target_distance)
+    elif args.case == "2":
+        scn = build_case2(args.column_offset, args.lane_distance)
+    else:
+        scn = build_case3(_parse_layout(args.layout))
     if args.scene:
         extra = import_scene(Path(args.scene).read_text(encoding="utf-8"))
         scn = replace(scn, scene=_merge_scene(scn.scene, extra))
@@ -311,7 +315,7 @@ def _cmd_score(args) -> int:
         doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid report JSON: {exc.msg}") from exc
-    weights = _parse_weights(args.weights, args.blackout_threshold)
+    weights = _parse_weights(args.weights)
     sc = rescore_report_document(doc, weights, args.blackout_threshold)
     if args.format == "json":
         print(json.dumps(sc.to_document(), indent=2, sort_keys=True))
@@ -346,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SpecParseError, SchemaError, OSError) as exc:
+    except (SpecParseError, SchemaError, OptionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GarageError as exc:

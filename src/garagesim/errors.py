@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: schema/parse problems are usage-level
-failures (exit 2), domain failures such as an invalid plan or impossible
+The CLI maps these onto exit codes: schema/parse problems and bad options
+are usage-level failures (exit 2), domain failures such as an invalid plan or impossible
 scenario geometry are data-level failures (exit 1).
 """
 
@@ -18,6 +18,11 @@ class SpecParseError(GarageError):
 
 class SchemaError(GarageError):
     """A JSON document does not conform to its declared schema."""
+
+
+class OptionError(GarageError, ValueError):
+    """A run option (camera, step, samples per edge, score weights or
+    threshold, case dimension) is out of range; a ValueError too."""
 
 
 class SpecValidationError(GarageError):

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import ConstructionError, SchemaError
+from .errors import ConstructionError, OptionError, SchemaError
 from .scene import (
     Box3,
     CEILING_HEIGHT,
@@ -30,6 +30,8 @@ from .scene import (
     _fold_bounds,
     _footprint,
     apply_light_level,
+    column_box,
+    slab_box,
     vehicle_box,
 )
 from .visibility import (
@@ -115,16 +117,13 @@ class ScenarioReport:
 # --- shared construction helpers -------------------------------------------------
 
 
-def _slab(node_id: str, kind: NodeKind, x0, y0, x1, y1, z0, z1, tags=None) -> SceneNode:
-    return SceneNode(
-        node_id,
-        kind,
-        Box3(
-            center=((x0 + x1) / 2.0, (y0 + y1) / 2.0, (z0 + z1) / 2.0),
-            half_extents=((x1 - x0) / 2.0, (y1 - y0) / 2.0, (z1 - z0) / 2.0),
-        ),
-        tags or {},
-    )
+def _shell(x0: float, y0: float, x1: float, y1: float) -> list[SceneNode]:
+    """Floor and ceiling slabs over the rectangle [x0, x1] x [y0, y1]."""
+    return [
+        SceneNode("floor", NodeKind.FLOOR_TILE, slab_box(x0, y0, x1, y1, 0.0, FLOOR_THICKNESS)),
+        SceneNode("ceiling", NodeKind.CEILING_PANEL,
+                  slab_box(x0, y0, x1, y1, CEILING_HEIGHT - CEILING_THICKNESS, CEILING_HEIGHT)),
+    ]
 
 
 def _scene_from_nodes(nodes: list[SceneNode]) -> SceneGraph:
@@ -144,10 +143,10 @@ def _boxes_overlap(a: Box3, b: Box3) -> bool:
 
 
 def _check_dimensions(case: int, *dims: float) -> None:
-    """A non-finite dimension is a bad value (ValueError); a finite one that
-    is not positive is impossible geometry (ConstructionError)."""
+    """A non-finite dimension is a bad option (OptionError); a finite one
+    that is not positive is impossible geometry (ConstructionError)."""
     if not all(map(math.isfinite, dims)):
-        raise ValueError(f"case {case} needs finite dimensions, got {', '.join(map(str, dims))}")
+        raise OptionError(f"case {case} needs finite dimensions, got {', '.join(map(str, dims))}")
     if min(dims) <= 0.0:
         raise ConstructionError(f"case {case} needs positive dimensions")
 
@@ -186,10 +185,7 @@ def build_case1(
     column = SceneNode(
         "col-corner",
         NodeKind.COLUMN,
-        Box3(
-            center=(column_setback, col_y, CEILING_HEIGHT / 2.0),
-            half_extents=(COLUMN_SIZE / 2.0, COLUMN_SIZE / 2.0, CEILING_HEIGHT / 2.0),
-        ),
+        column_box(column_setback, col_y, COLUMN_SIZE, CEILING_HEIGHT),
         {"corner": "case1"},
     )
     if _boxes_overlap(column.box, target.box):
@@ -201,15 +197,7 @@ def build_case1(
     if col_aabb[1] <= ego_y <= col_aabb[4]:
         raise ConstructionError("column placement blocks the ego path")
 
-    x1 = target_distance + 8.0
-    y0, y1 = -lane_width, lane_width
-    nodes = [
-        _slab("floor", NodeKind.FLOOR_TILE, -2.0, y0, x1, y1, 0.0, FLOOR_THICKNESS),
-        _slab("ceiling", NodeKind.CEILING_PANEL, -2.0, y0, x1, y1,
-              CEILING_HEIGHT - CEILING_THICKNESS, CEILING_HEIGHT),
-        column,
-        target,
-    ]
+    nodes = [*_shell(-2.0, -lane_width, target_distance + 8.0, lane_width), column, target]
     return Scenario(
         scene=_scene_from_nodes(nodes),
         ego_path=_as_poses(path),
@@ -243,10 +231,7 @@ def build_case2(column_offset: float = 2.5, lane_distance: float = 8.0) -> Scena
     column = SceneNode(
         "col-side",
         NodeKind.COLUMN,
-        Box3(
-            center=(column_offset, side_y, CEILING_HEIGHT / 2.0),
-            half_extents=(COLUMN_SIZE / 2.0, COLUMN_SIZE / 2.0, CEILING_HEIGHT / 2.0),
-        ),
+        column_box(column_offset, side_y, COLUMN_SIZE, CEILING_HEIGHT),
         {"corner": "case2"},
     )
     half_span = 6.0
@@ -260,12 +245,8 @@ def build_case2(column_offset: float = 2.5, lane_distance: float = 8.0) -> Scena
     if _boxes_overlap(column.box, target.box):
         raise ConstructionError("column placement overlaps the target's lane")
 
-    x1 = lane_distance + 6.0
     nodes = [
-        _slab("floor", NodeKind.FLOOR_TILE, -4.0, -half_span - 4.0, x1, half_span + 4.0,
-              0.0, FLOOR_THICKNESS),
-        _slab("ceiling", NodeKind.CEILING_PANEL, -4.0, -half_span - 4.0, x1,
-              half_span + 4.0, CEILING_HEIGHT - CEILING_THICKNESS, CEILING_HEIGHT),
+        *_shell(-4.0, -half_span - 4.0, lane_distance + 6.0, half_span + 4.0),
         ego_body,
         column,
         target,
@@ -323,14 +304,8 @@ def build_case3(
     path = ego_lane_path or ((0.0, 0.0), (20.0, 0.0))
     max_y = max(SLOT_OFFSETS.values()) + 6.0
     max_x = anchor_x + slope * max(SLOT_OFFSETS.values()) + 8.0
-    nodes = [
-        _slab("floor", NodeKind.FLOOR_TILE, -2.0, -4.0, max_x, max_y, 0.0, FLOOR_THICKNESS),
-        _slab("ceiling", NodeKind.CEILING_PANEL, -2.0, -4.0, max_x, max_y,
-              CEILING_HEIGHT - CEILING_THICKNESS, CEILING_HEIGHT),
-        *vehicles,
-    ]
     return Scenario(
-        scene=_scene_from_nodes(nodes),
+        scene=_scene_from_nodes([*_shell(-2.0, -4.0, max_x, max_y), *vehicles]),
         ego_path=_as_poses(path),
         target_ids=tuple(v.id for v in vehicles),
         label=ScenarioLabel.CASE3_PARKED_ROWS,
@@ -352,19 +327,16 @@ def target_sweep(
     samples_per_edge: int = 24,
     ignore_ids: frozenset[str] = frozenset(),
 ) -> OcclusionSweep:
-    """Sweep with swapped roles: the camera stays parked while the target
-    advances along its own path (half-meter spacing as usual)."""
+    """Sweep with swapped roles: the camera stays parked while the target,
+    its own box at its own height, advances along its own path (half-meter
+    spacing as usual)."""
 
     def pairs(target: SceneNode):
-        # driving orientation: box yaw puts the length along the heading
-        length, width, height = VEHICLE_SIZES[target.tags.get("vehicle_size", "small")]
         for s in sample_arclengths(path_length(target_path), step):
             pose = pose_at(target_path, s)
-            box = Box3(
-                center=(pose.position[0], pose.position[1], FLOOR_THICKNESS + height / 2.0),
-                half_extents=(width / 2.0, length / 2.0, height / 2.0),
-                yaw=pose.heading + math.pi / 2.0,
-            )
+            # driving orientation: box yaw puts the length along the heading
+            box = replace(target.box, center=(*pose.position, target.box.center[2]),
+                          yaw=pose.heading + math.pi / 2.0)
             yield ego, SceneNode(target.id, target.kind, box, target.tags)
 
     samples = _sample_pairs(scene, target_id, pairs, cfg, samples_per_edge, ignore_ids)
@@ -380,18 +352,18 @@ def _longest_blackout(fractions: list[float], threshold: float) -> int:
 
 
 def _check_score_options(weights, blackout_threshold: float) -> None:
-    """The one check of the score options: three finite, non-negative
-    weights summing to 1, and a finite threshold in [0, 1]."""
+    """The one check of the score options (OptionError): three finite,
+    non-negative weights summing to 1, and a finite threshold in [0, 1]."""
     if (
         len(weights) != 3
         or not all(0.0 <= w < math.inf for w in weights)
         or abs(sum(weights) - 1.0) > 1e-9
     ):
-        raise ValueError(
+        raise OptionError(
             f"weights must be three finite non-negative numbers summing to 1, got {weights}"
         )
     if not 0.0 <= blackout_threshold <= 1.0:
-        raise ValueError(f"blackout threshold must be in [0, 1], got {blackout_threshold}")
+        raise OptionError(f"blackout threshold must be in [0, 1], got {blackout_threshold}")
 
 
 def _score_fractions(
@@ -470,7 +442,9 @@ def run_scenario(
     blackout_threshold: float = BLACKOUT_THRESHOLD,
     samples_per_edge: int = 24,
 ) -> ScenarioReport:
-    """Sweep every target and reduce to stats and a difficulty score."""
+    """Sweep every target and reduce to stats and a difficulty score.  A bad
+    option raises OptionError before the first sample is taken."""
+    _check_score_options(weights, blackout_threshold)
     sweeps: dict[str, OcclusionSweep] = {}
     for target_id in scn.target_ids:
         if scn.target_path is not None:
@@ -497,22 +471,10 @@ def run_scenario(
 
 def relight(scn: Scenario, level: LightLevel) -> Scenario:
     """Scenario with its scene's light level replaced."""
-    return Scenario(
-        scene=apply_light_level(scn.scene, level),
-        ego_path=scn.ego_path,
-        target_ids=scn.target_ids,
-        label=scn.label,
-        params=scn.params,
-        target_path=scn.target_path,
-        ignore_ids=scn.ignore_ids,
-    )
+    return replace(scn, scene=apply_light_level(scn.scene, level))
 
 
 # --- documents ----------------------------------------------------------------------
-
-
-def scenario_document(scn: Scenario) -> dict:
-    return {"schema": SCENARIO_SCHEMA, "label": scn.label.value, "params": scn.params}
 
 
 def report_document(report: ScenarioReport) -> dict:

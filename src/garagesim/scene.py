@@ -248,13 +248,17 @@ def layout_cells(grid: ClassifiedGrid) -> list[tuple[CellRef, Rect]]:
     return out
 
 
-def _box_from_rect(rect: Rect, z0: float, z1: float, yaw: float = 0.0) -> Box3:
-    cx, cy = rect.center
-    return Box3(
-        center=(cx, cy, (z0 + z1) / 2.0),
-        half_extents=(rect.width / 2.0, rect.height / 2.0, (z1 - z0) / 2.0),
-        yaw=yaw,
-    )
+def slab_box(x0: float, y0: float, x1: float, y1: float, z0: float, z1: float) -> Box3:
+    """Unrotated box spanning [x0, x1] x [y0, y1] x [z0, z1]: the one rule
+    for floors, walls and ceilings."""
+    return Box3(((x0 + x1) / 2.0, (y0 + y1) / 2.0, (z0 + z1) / 2.0),
+                ((x1 - x0) / 2.0, (y1 - y0) / 2.0, (z1 - z0) / 2.0))
+
+
+def column_box(x: float, y: float, size: float, height: float) -> Box3:
+    """Square column of side size standing from z = 0 to height at (x, y)."""
+    half, half_z = size / 2.0, height / 2.0
+    return Box3((x, y, half_z), (half, half, half_z))
 
 
 def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> SceneGraph:
@@ -276,19 +280,13 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
     inset_scale = 1.0 - 2.0 * options.marking_inset
     kind_name = {k: k.name.lower() for k in CellKind}
     half_pi = math.pi / 2.0
-    floor_z = FLOOR_THICKNESS / 2.0
-    floor_hz = FLOOR_THICKNESS / 2.0
     mark_z = FLOOR_THICKNESS + MARKING_THICKNESS / 2.0
     mark_hz = MARKING_THICKNESS / 2.0
     for i in range(spec.m):
-        y0, y1 = ys[i], ys[i + 1]
-        cy = (y0 + y1) / 2.0
         for j in range(spec.n):
             c = grid.cells[i][j]
             if c.kind is CellKind.OBSTACLE:
                 continue
-            x0, x1 = xs[j], xs[j + 1]
-            cx = (x0 + x1) / 2.0
             subtype = c.lane_subtype or c.park_subtype
             turns = c.rotation.quarter_turns
             tags = {
@@ -299,17 +297,13 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
             }
             if c.render_variant is not None:
                 tags["variant"] = c.render_variant.value
-            nodes.append(
-                SceneNode(
-                    f"floor-{i}-{j}", NodeKind.FLOOR_TILE,
-                    Box3((cx, cy, floor_z),
-                         ((x1 - x0) / 2.0, (y1 - y0) / 2.0, floor_hz)),
-                    tags,
-                )
-            )
-            half_w = (x1 - x0) / 2.0 * inset_scale
-            half_h = (y1 - y0) / 2.0 * inset_scale
-            # swap local extents on odd turns so the marking stays in its cell
+            floor = slab_box(xs[j], ys[i], xs[j + 1], ys[i + 1], 0.0, FLOOR_THICKNESS)
+            nodes.append(SceneNode(f"floor-{i}-{j}", NodeKind.FLOOR_TILE, floor, tags))
+            # the marking is the tile inset, its local extents swapped on odd
+            # turns so that it stays in its cell
+            cx, cy, _ = floor.center
+            half_w = floor.half_extents[0] * inset_scale
+            half_h = floor.half_extents[1] * inset_scale
             if turns % 2 == 1:
                 half_w, half_h = half_h, half_w
             mark_box = Box3(
@@ -333,11 +327,10 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
                 j0 = j
                 while j < spec.n and grid.cells[i][j].kind is CellKind.OBSTACLE:
                     j += 1
-                rect = Rect(xs[j0], ys[i], xs[j], ys[i + 1])
                 nodes.append(
                     SceneNode(
                         f"wall-{i}-{j0}", NodeKind.COLUMN,
-                        _box_from_rect(rect, 0.0, h),
+                        slab_box(xs[j0], ys[i], xs[j], ys[i + 1], 0.0, h),
                         {"structure": "wall", "row": str(i), "cols": f"{j0}-{j - 1}"},
                     )
                 )
@@ -345,7 +338,6 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
                 j += 1
 
     # columns on interior grid corners
-    half_col = options.column_size / 2.0
     for ci in range(1, spec.m):
         for cj in range(1, spec.n):
             if (ci, cj) in options.prune_columns:
@@ -359,18 +351,17 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
             nodes.append(
                 SceneNode(
                     f"col-{ci}-{cj}", NodeKind.COLUMN,
-                    Box3(center=(xs[cj], ys[ci], h / 2.0),
-                         half_extents=(half_col, half_col, h / 2.0)),
+                    column_box(xs[cj], ys[ci], options.column_size, h),
                     {"corner": f"{ci},{cj}"},
                 )
             )
 
     # ceiling panels, one per row, covering the envelope
     for i in range(spec.m):
-        rect = Rect(xs[0], ys[i], xs[-1], ys[i + 1])
         nodes.append(
             SceneNode(f"ceil-{i}", NodeKind.CEILING_PANEL,
-                      _box_from_rect(rect, h - CEILING_THICKNESS, h), {"row": str(i)})
+                      slab_box(xs[0], ys[i], xs[-1], ys[i + 1], h - CEILING_THICKNESS, h),
+                      {"row": str(i)})
         )
 
     # ramp markers on entrance/exit squares

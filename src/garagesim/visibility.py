@@ -12,13 +12,14 @@ everything is deterministic: no randomness anywhere.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OptionError
 from .scene import (
     FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, Box3, SceneGraph, SceneNode, _box_columns,
 )
@@ -66,13 +67,13 @@ class CameraConfig:
 
     def __post_init__(self):
         if not 0.0 < self.horizontal_fov_deg < 180.0:
-            raise ValueError(f"horizontal fov must be in (0, 180), got {self.horizontal_fov_deg}")
+            raise OptionError(f"horizontal fov must be in (0, 180), got {self.horizontal_fov_deg}")
         if not 0.0 < self.mount_height < math.inf:
-            raise ValueError(f"mount height must be positive and finite, got {self.mount_height}")
+            raise OptionError(f"mount height must be positive and finite, got {self.mount_height}")
         if not 0.0 < self.aspect < math.inf:
-            raise ValueError(f"aspect must be positive and finite, got {self.aspect}")
+            raise OptionError(f"aspect must be positive and finite, got {self.aspect}")
         if not (all(map(math.isfinite, self.forward)) and math.hypot(*self.forward) > 0.0):
-            raise ValueError(f"forward must be a finite non-zero vector, got {self.forward}")
+            raise OptionError(f"forward must be a finite non-zero vector, got {self.forward}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,6 @@ class Frustum:
                 np.abs(ver) <= fwd * self.tan_half_v
             )
         return ok
-
-    def contains_point(self, point: tuple[float, float, float]) -> bool:
-        return bool(self.contains(np.asarray([point], dtype=float))[0])
 
 
 def make_camera(ego: EgoPose, cfg: CameraConfig = CameraConfig()) -> Frustum:
@@ -373,6 +371,8 @@ def _sample_pairs(
     pair puts it.  A node's face grids are built when it first appears, so
     a target that stays put (a sweep) has them built once.
     """
+    if not (isinstance(samples_per_edge, numbers.Integral) and samples_per_edge >= 1):
+        raise OptionError(f"samples per edge must be a positive integer, got {samples_per_edge!r}")
     target = scene.node(target_id)
     if target.kind is not NodeKind.VEHICLE:
         raise ValueError(f"target {target_id!r} is {target.kind.value}, not a vehicle")
@@ -494,9 +494,9 @@ def pose_at(path: tuple[EgoPose, ...], s: float) -> EgoPose:
 def sample_arclengths(total: float, step: float) -> list[float]:
     """Arc lengths of sweep samples: multiples of step from 0, inclusive of
     0, up to the path length (a trailing remainder shorter than step is
-    not sampled)."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    not sampled).  The step must be positive and finite (OptionError)."""
+    if not 0.0 < step < math.inf:
+        raise OptionError(f"step must be positive and finite, got {step}")
     count = int(math.floor(total / step + 1e-9)) + 1
     return [k * step for k in range(count)]
 
@@ -568,6 +568,3 @@ def sweep_document(sw: OcclusionSweep) -> dict:
         ],
     }
 
-
-def emit_sweep(sw: OcclusionSweep) -> str:
-    return json.dumps(sweep_document(sw), indent=2, sort_keys=True) + "\n"

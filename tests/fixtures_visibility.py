@@ -20,9 +20,10 @@ from garagesim.scene import (
     SceneGraph,
     SceneNode,
     VEHICLE_SIZES,
+    slab_box,
     vehicle_box,
 )
-from garagesim.scenario import _scene_from_nodes, _slab
+from garagesim.scenario import _scene_from_nodes
 from garagesim.visibility import CameraConfig, EgoPose, make_camera
 
 from oracles import analytic_blocked_fraction
@@ -30,6 +31,11 @@ from oracles import analytic_blocked_fraction
 CFG = CameraConfig()  # 60 deg fov, 1.6 m mount
 EGO = EgoPose((0.0, 0.0), 0.0)
 APEX = (0.0, 0.0, FLOOR_THICKNESS + CFG.mount_height)
+
+
+def _slab(node_id: str, kind: NodeKind, x0, y0, x1, y1, z0, z1, tags=None) -> SceneNode:
+    """A node whose box spans [x0, x1] x [y0, y1] x [z0, z1]."""
+    return SceneNode(node_id, kind, slab_box(x0, y0, x1, y1, z0, z1), tags or {})
 
 
 @dataclass(frozen=True)

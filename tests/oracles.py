@@ -12,6 +12,8 @@ index's box arrays, the Python fold of scene bounds, the quadratic
 ``json.dumps(indent=2, sort_keys=True)`` writes, which the scene writer must
 match byte for byte.  ``ray_intersect`` is the exception: it asks the
 engine's slab test for one ray, so analytic distances can check it.
+``emit_sweep`` writes the engine's sweep/1 document as text, the form the
+golden digests pin.
 """
 
 from __future__ import annotations
@@ -375,3 +377,12 @@ def scene_document(scene) -> dict:
 def scene_json(scene) -> str:
     """scene/1 text as json's pure-Python indent encoder writes it."""
     return json.dumps(scene_document(scene), indent=2, sort_keys=True) + "\n"
+
+
+# --- sweep/1 text -----------------------------------------------------------------------
+
+
+def emit_sweep(sw) -> str:
+    from garagesim.visibility import sweep_document
+
+    return json.dumps(sweep_document(sw), indent=2, sort_keys=True) + "\n"

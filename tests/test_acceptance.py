@@ -23,11 +23,11 @@ from garagesim.grid import (
     RULE_ROW_COUNT,
 )
 from garagesim.scene import Box3, LightLevel, NodeKind, SceneNode, vehicle_box
-from garagesim.scenario import _scene_from_nodes, _slab
+from garagesim.scenario import _scene_from_nodes
 from garagesim.visibility import CameraConfig, EgoPose
 
 from conftest import random_spec
-from fixtures_visibility import CFG, EGO, build_fixtures
+from fixtures_visibility import CFG, EGO, _slab, build_fixtures
 from oracles import LANE_TABLE, parking_table, period_of
 
 N, E, S, W = (g.Direction.NORTH, g.Direction.EAST, g.Direction.SOUTH, g.Direction.WEST)

@@ -318,6 +318,28 @@ class TestGlobalFlags:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert (doc["light_level"], doc["sweeps"]["veh-target"]["step_m"]) == ("bright", 0.5)
 
+    @pytest.mark.parametrize("config, command", [
+        ({"step": [1]}, ["scenario", "--case", "1", "--out", "{out}"]),
+        ({"step": True}, ["scenario", "--case", "1", "--out", "{out}"]),
+        ({"weights": 5}, ["scenario", "--case", "1", "--out", "{out}"]),
+        ({"light": "neon"}, ["scenario", "--case", "1", "--out", "{out}"]),
+        ({"layout": 5}, ["scenario", "--case", "3", "--out", "{out}"]),
+        ({"layout": [["close", "large"]]}, ["scenario", "--case", "3", "--out", "{out}"]),
+        ({"prune_columns": 5}, ["generate", "{spec}", "--out", "{out}"]),
+        ({"format": "xml"}, ["validate", "{spec}"]),
+        ({"seedless": "yes"}, ["validate", "{spec}"]),
+    ])
+    def test_config_values_checked_like_flags(self, spec_file, tmp_path, capsys, config,
+                                              command):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out.json"
+        argv = [a.format(spec=spec_file, out=out) for a in command]
+        assert main(["--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config value "), err
+        assert not out.exists()
+
     def test_bad_config(self, spec_file, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text("[1,2,3]", encoding="utf-8")

@@ -30,8 +30,9 @@ from garagesim.grid import CellRef, Direction, GarageSpec, emit_garage_spec
 from garagesim.scene import (
     OccupancyPlan, PlanEntry, export_scene, populate_vehicles, synthesize,
 )
-from garagesim.visibility import CameraConfig, emit_sweep, sweep
+from garagesim.visibility import CameraConfig, sweep
 from conftest import random_spec
+from oracles import emit_sweep
 
 # laid over cases 2 and 3 so its wall, columns and vehicles cut sight lines
 PLAN = GarageSpec(((1, 1, 1), (0, 0, -1)), (3.0, 3.0), (3.0, 3.0, 3.0))

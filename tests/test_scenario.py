@@ -5,13 +5,15 @@ import random
 
 import pytest
 
-from garagesim.errors import ConstructionError, SchemaError
+from garagesim import visibility
+from garagesim.errors import ConstructionError, OptionError, SchemaError
 from garagesim.scene import (
     Box3,
     LightLevel,
     NodeKind,
     SceneNode,
     remove_node,
+    vehicle_box,
 )
 from garagesim.scenario import (
     DEFAULT_WEIGHTS,
@@ -28,7 +30,6 @@ from garagesim.scenario import (
     report_document,
     rescore_report_document,
     run_scenario,
-    scenario_document,
     score,
     target_sweep,
 )
@@ -37,7 +38,9 @@ from garagesim.visibility import (
     EgoPose,
     OcclusionSweep,
     VisibilitySample,
+    pose_at,
     sweep,
+    visible_fraction,
 )
 
 from oracles import box_face_points, clears_from, column_shadow_fraction
@@ -227,6 +230,23 @@ class TestCase2:
         with pytest.raises(ConstructionError):
             build_case2(column_offset=-2.0)
 
+    def test_moved_target_keeps_its_own_box(self):
+        # an untagged large target: each sample sees the large box at the
+        # pose, as a scene with the box parked there shows it
+        scn = build_case2()
+        start = scn.target_path[0].position
+        large = SceneNode("veh-target", NodeKind.VEHICLE, vehicle_box(start, "large", 0))
+        others = [n for n in scn.scene.nodes if n.id != "veh-target"]
+        sw = target_sweep(_scene_from_nodes([*others, large]), scn.ego_path[0],
+                          scn.target_path, CFG, "veh-target", ignore_ids=scn.ignore_ids)
+        assert len(sw.samples) == 25
+        for k, sample in enumerate(sw.samples):
+            # the lane runs south, so the target faces south: two quarter-turns
+            moved = vehicle_box(pose_at(scn.target_path, k * sw.step).position, "large", 2)
+            parked = _scene_from_nodes([*others, SceneNode("veh-target", NodeKind.VEHICLE, moved)])
+            assert sample == visible_fraction(parked, scn.ego_path[0], CFG, "veh-target",
+                                              ignore_ids=scn.ignore_ids), k
+
 
 class TestCase3:
     def test_solo_controls_fully_visible(self):
@@ -362,6 +382,24 @@ class TestScore:
             assert run_scenario(bigger).score.total >= base - 1e-9
 
 
+class TestRunOptions:
+    @pytest.mark.parametrize("build", [build_case1, build_case2])
+    @pytest.mark.parametrize("option", [
+        {"step": 0.0}, {"step": math.nan}, {"step": math.inf}, {"step": -0.5},
+        {"samples_per_edge": 0}, {"samples_per_edge": -1},
+    ], ids=lambda option: "{}={}".format(*next(iter(option.items()))))
+    def test_bad_option_raises_before_any_sample(self, monkeypatch, build, option):
+        def no_sample(*args):
+            raise AssertionError("a sample was taken")
+
+        monkeypatch.setattr(visibility, "_sample_from_points", no_sample)
+        scn = build()
+        with pytest.raises(OptionError):
+            run_scenario(scn, **option)
+        with pytest.raises(ValueError):  # an OptionError is a ValueError too
+            sweep(scn.scene, scn.ego_path, CFG, scn.target_ids[0], **option)
+
+
 class TestRunAndReport:
     def test_repeat_run_identical(self):
         a = run_scenario(build_case1())
@@ -375,12 +413,6 @@ class TestRunAndReport:
         assert fractions(bright) == fractions(dim)
         assert dim.score.total > bright.score.total
         assert dim.light_level is LightLevel.DIM
-
-    def test_scenario_document(self):
-        doc = scenario_document(build_case2())
-        assert doc["schema"] == "scenario/1"
-        assert doc["label"] == "case2-parked-ego"
-        assert doc["params"]["column_offset"] == 2.5
 
     def test_report_document_shape(self):
         report = run_scenario(build_case3([("close", "small"), ("far", "large")]))
