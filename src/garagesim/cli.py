@@ -162,20 +162,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scn = sub.add_parser("scenario", help="build and run an occlusion case")
     p_scn.add_argument("--case", required=True, help="1, 2 or 3")
-    p_scn.add_argument("--column-setback", type=float, default=3.0)
-    p_scn.add_argument("--lane-width", type=float, default=6.0)
-    p_scn.add_argument("--target-distance", type=float, default=18.0)
-    p_scn.add_argument("--column-offset", type=float, default=2.5)
-    p_scn.add_argument("--lane-distance", type=float, default=8.0)
+    p_scn.add_argument("--column-setback", type=float)
+    p_scn.add_argument("--lane-width", type=float)
+    p_scn.add_argument("--target-distance", type=float)
+    p_scn.add_argument("--column-offset", type=float)
+    p_scn.add_argument("--lane-distance", type=float)
     p_scn.add_argument("--layout", default="close:large,far:small",
                        help="case 3 slots, e.g. 'close:large,far:small'")
     p_scn.add_argument("--light", choices=[l.value for l in LightLevel], default="bright")
     p_scn.add_argument("--scene", default=None,
                        help="scene/1 file to merge in as extra environment")
-    p_scn.add_argument("--step", type=float, default=0.5)
-    p_scn.add_argument("--fov", type=float, default=60.0)
-    p_scn.add_argument("--mount-height", type=float, default=1.6)
-    p_scn.add_argument("--aspect", type=float, default=16.0 / 9.0)
+    p_scn.add_argument("--step", type=float)
+    p_scn.add_argument("--fov", type=float)
+    p_scn.add_argument("--mount-height", type=float)
+    p_scn.add_argument("--aspect", type=float)
     p_scn.add_argument("--weights", default=None, help="w_occ,w_blk,w_lit summing to 1")
     p_scn.add_argument("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD)
     p_scn.add_argument("--out", required=True, help="report/1 JSON output path")
@@ -261,18 +261,25 @@ def _parse_layout(text: str) -> list[tuple[str, str]]:
     return layout
 
 
+def _given(args, *names: str, **renamed: str) -> dict:
+    """The set flags (on the command line or in --config) among names, and
+    among renamed's keyword: dest pairs, as keyword arguments; an unset flag
+    is left out, so the library's default holds."""
+    dests = {**{name: name for name in names}, **renamed}
+    return {key: getattr(args, dest) for key, dest in dests.items()
+            if getattr(args, dest) is not None}
+
+
 def _cmd_scenario(args) -> int:
     if args.case not in ("1", "2", "3"):
         print(f"unknown case {args.case!r}; expected 1, 2 or 3", file=sys.stderr)
         return EXIT_USAGE
-    cfg = CameraConfig(
-        mount_height=args.mount_height, horizontal_fov_deg=args.fov, aspect=args.aspect
-    )
+    cfg = CameraConfig(**_given(args, "mount_height", "aspect", horizontal_fov_deg="fov"))
     weights = _parse_weights(args.weights)
     if args.case == "1":
-        scn = build_case1(args.column_setback, args.lane_width, args.target_distance)
+        scn = build_case1(**_given(args, "column_setback", "lane_width", "target_distance"))
     elif args.case == "2":
-        scn = build_case2(args.column_offset, args.lane_distance)
+        scn = build_case2(**_given(args, "column_offset", "lane_distance"))
     else:
         scn = build_case3(_parse_layout(args.layout))
     if args.scene:
@@ -282,9 +289,9 @@ def _cmd_scenario(args) -> int:
     report = run_scenario(
         scn,
         cfg,
-        step=args.step,
         weights=weights,
         blackout_threshold=args.blackout_threshold,
+        **_given(args, "step"),
     )
     out = Path(args.out)
     out.write_text(emit_report(report), encoding="utf-8")

@@ -35,6 +35,8 @@ from .scene import (
     vehicle_box,
 )
 from .visibility import (
+    DEFAULT_SAMPLES_PER_EDGE,
+    DEFAULT_STEP,
     CameraConfig,
     EgoPose,
     OcclusionSweep,
@@ -266,10 +268,7 @@ def build_case2(column_offset: float = 2.5, lane_distance: float = 8.0) -> Scena
     )
 
 
-def build_case3(
-    layout: list[tuple[str, str]],
-    ego_lane_path=None,
-) -> Scenario:
+def build_case3(layout: list[tuple[str, str]]) -> Scenario:
     """Stacked-row scenario: parking rows at increasing lateral offsets from
     the ego lane, staggered down-lane so that from early in the sweep the
     slots line up along one sight line (a closer vehicle then shadows a
@@ -301,12 +300,11 @@ def build_case3(
             )
         )
 
-    path = ego_lane_path or ((0.0, 0.0), (20.0, 0.0))
     max_y = max(SLOT_OFFSETS.values()) + 6.0
     max_x = anchor_x + slope * max(SLOT_OFFSETS.values()) + 8.0
     return Scenario(
         scene=_scene_from_nodes([*_shell(-2.0, -4.0, max_x, max_y), *vehicles]),
-        ego_path=_as_poses(path),
+        ego_path=_as_poses(((0.0, 0.0), (20.0, 0.0))),
         target_ids=tuple(v.id for v in vehicles),
         label=ScenarioLabel.CASE3_PARKED_ROWS,
         params={"layout": [[slot, size] for slot, size in layout]},
@@ -322,9 +320,9 @@ def target_sweep(
     target_path: tuple[EgoPose, ...],
     cfg: CameraConfig,
     target_id: str,
-    step: float = 0.5,
+    step: float = DEFAULT_STEP,
     *,
-    samples_per_edge: int = 24,
+    samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE,
     ignore_ids: frozenset[str] = frozenset(),
 ) -> OcclusionSweep:
     """Sweep with swapped roles: the camera stays parked while the target,
@@ -437,10 +435,10 @@ def _sweep_stats(sw: OcclusionSweep) -> dict:
 def run_scenario(
     scn: Scenario,
     cfg: CameraConfig = CameraConfig(),
-    step: float = 0.5,
+    step: float = DEFAULT_STEP,
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
     blackout_threshold: float = BLACKOUT_THRESHOLD,
-    samples_per_edge: int = 24,
+    samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE,
 ) -> ScenarioReport:
     """Sweep every target and reduce to stats and a difficulty score.  A bad
     option raises OptionError before the first sample is taken."""

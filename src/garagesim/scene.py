@@ -33,6 +33,7 @@ PLAN_SCHEMA = "occupancy-plan/1"
 
 CEILING_HEIGHT = 3.0
 COLUMN_SIZE = 0.5
+MARKING_INSET = 0.1
 FLOOR_THICKNESS = 0.05
 CEILING_THICKNESS = 0.05
 MARKING_THICKNESS = 0.01
@@ -199,10 +200,7 @@ class OccupancyPlan:
 @dataclass(frozen=True)
 class SynthOptions:
     light: LightLevel = LightLevel.BRIGHT
-    ceiling_height: float = CEILING_HEIGHT
-    column_size: float = COLUMN_SIZE
     prune_columns: frozenset[tuple[int, int]] = frozenset()
-    marking_inset: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -271,13 +269,13 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
     drivable-cell centers per the light preset, row-major.
     """
     spec = grid.spec
-    h = options.ceiling_height
+    h = CEILING_HEIGHT
     xs = _prefix(spec.col_widths)
     ys = _prefix(spec.row_widths)
     nodes: list[SceneNode] = []
 
     # floor tiles and markings, row-major
-    inset_scale = 1.0 - 2.0 * options.marking_inset
+    inset_scale = 1.0 - 2.0 * MARKING_INSET
     kind_name = {k: k.name.lower() for k in CellKind}
     half_pi = math.pi / 2.0
     mark_z = FLOOR_THICKNESS + MARKING_THICKNESS / 2.0
@@ -351,7 +349,7 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
             nodes.append(
                 SceneNode(
                     f"col-{ci}-{cj}", NodeKind.COLUMN,
-                    column_box(xs[cj], ys[ci], options.column_size, h),
+                    column_box(xs[cj], ys[ci], COLUMN_SIZE, h),
                     {"corner": f"{ci},{cj}"},
                 )
             )

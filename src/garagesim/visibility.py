@@ -26,6 +26,7 @@ from .scene import (
 
 SWEEP_SCHEMA = "sweep/1"
 
+DEFAULT_STEP = 0.5
 DEFAULT_SAMPLES_PER_EDGE = 24
 _EPS_REL = 1e-9
 
@@ -54,16 +55,11 @@ def _hull_2d(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class CameraConfig:
-    """Camera mounted above the ego's floor point, facing forward.
-
-    forward is the camera axis in the ego frame (x ahead, y to the right);
-    the default is a straight front-facing mount.
-    """
+    """Camera mounted above the ego's floor point, facing along its heading."""
 
     mount_height: float = 1.6
     horizontal_fov_deg: float = 60.0
     aspect: float = 16.0 / 9.0
-    forward: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
         if not 0.0 < self.horizontal_fov_deg < 180.0:
@@ -72,8 +68,6 @@ class CameraConfig:
             raise OptionError(f"mount height must be positive and finite, got {self.mount_height}")
         if not 0.0 < self.aspect < math.inf:
             raise OptionError(f"aspect must be positive and finite, got {self.aspect}")
-        if not (all(map(math.isfinite, self.forward)) and math.hypot(*self.forward) > 0.0):
-            raise OptionError(f"forward must be a finite non-zero vector, got {self.forward}")
 
 
 @dataclass(frozen=True)
@@ -107,13 +101,7 @@ class Frustum:
 def make_camera(ego: EgoPose, cfg: CameraConfig = CameraConfig()) -> Frustum:
     """Frustum for an ego pose: apex raised by the mount height above the
     slab, horizontal half-angle fov/2, vertical half-angle atan(tan(fov/2)/aspect)."""
-    ch, sh = math.cos(ego.heading), math.sin(ego.heading)
-    fx, fy = cfg.forward
-    norm = math.hypot(fx, fy)
-    fx, fy = fx / norm, fy / norm
-    # rotate the ego-frame axis into the world
-    ax = fx * ch - fy * sh
-    ay = fx * sh + fy * ch
+    ax, ay = math.cos(ego.heading), math.sin(ego.heading)
     tan_h = math.tan(math.radians(cfg.horizontal_fov_deg) / 2.0)
     return Frustum(
         apex=(ego.position[0], ego.position[1], FLOOR_THICKNESS + cfg.mount_height),
@@ -506,7 +494,7 @@ def sweep(
     path,
     cfg: CameraConfig,
     target_id: str,
-    step: float = 0.5,
+    step: float = DEFAULT_STEP,
     *,
     samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE,
     ignore_ids: frozenset[str] = frozenset(),
