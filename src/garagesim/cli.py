@@ -97,9 +97,13 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
     subs = [sub for action in parser._actions
             if isinstance(action, argparse._SubParsersAction) for sub in action.choices.values()]
-    for action in [a for p in (parser, *subs) for a in p._actions]:
-        if action.dest in defaults and isinstance(
-                action, (argparse._StoreAction, argparse._StoreConstAction)):
+    flags = [a for p in (parser, *subs) for a in p._actions if a.option_strings
+             and isinstance(a, (argparse._StoreAction, argparse._StoreConstAction))]
+    unknown = sorted(set(defaults) - {a.dest for a in flags})
+    if unknown:
+        raise SchemaError(f"no flag for config key(s) {', '.join(map(repr, unknown))}")
+    for action in flags:
+        if action.dest in defaults:
             defaults[action.dest] = _config_value(action, defaults[action.dest])
     parser.set_defaults(**defaults)
     # the running subcommand's parser writes its own flags' defaults over the
@@ -121,13 +125,12 @@ def _config_value(action: argparse.Action, value):
     else:
         try:
             value, ok = action.type(value), True
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             ok = False
     if ok and action.choices is not None:
         ok = value in action.choices
     if not ok:
-        flag = action.option_strings[0] if action.option_strings else action.dest
-        raise SchemaError(f"config value {value!r} is not a valid {flag}")
+        raise SchemaError(f"config value {value!r} is not a valid {action.option_strings[0]}")
     return value
 
 

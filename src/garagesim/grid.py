@@ -180,7 +180,10 @@ def _parse_widths(raw: object, field: str) -> tuple[float, ...]:
     for k, value in enumerate(raw):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecParseError(f"non-numeric width {field}[{k}]: {value!r}")
-        out.append(float(value))
+        try:
+            out.append(float(value))
+        except OverflowError as exc:
+            raise SpecParseError(f"width {field}[{k}] is out of float range") from exc
     return tuple(out)
 
 
@@ -282,15 +285,26 @@ RULE_ROW_COUNT = "row-count"
 RULE_COL_COUNT = "col-count"
 RULE_CODE_RANGE = "code-range"
 RULE_WIDTH_POSITIVE = "width-positive"
+RULE_ENVELOPE_FINITE = "envelope-finite"
 RULE_NO_LANES = "no-lanes"
+
+
+def _prefix(widths: tuple[float, ...]) -> list[float]:
+    """Cell edges along one axis: the running totals of the widths from 0,
+    added left to right."""
+    out = [0.0]
+    for w in widths:
+        out.append(out[-1] + w)
+    return out
 
 
 def validate(spec: GarageSpec) -> ValidationReport:
     """Check plan well-formedness; reports every breach, never raises.
 
     Rules: row/col width vectors must match the matrix dimensions, every
-    code must lie in [-1, 3], every width must be positive and finite, and
-    a garage without a single drivable square is unusable.
+    code must lie in [-1, 3], every width must be positive and finite, the
+    running total of finite widths (the envelope's cell edges) must stay
+    finite, and a garage without a single drivable square is unusable.
     """
     violations: list[Violation] = []
     m, n = spec.m, spec.n
@@ -331,6 +345,15 @@ def validate(spec: GarageSpec) -> ValidationReport:
                         f"width {w!r} is not a positive finite number",
                     )
                 )
+        edge = _prefix(widths)[-1]
+        if all(map(math.isfinite, widths)) and not math.isfinite(edge):
+            violations.append(
+                Violation(
+                    RULE_ENVELOPE_FINITE,
+                    name,
+                    f"widths add up to {edge!r}, past the float range",
+                )
+            )
     if not any(is_drivable(code) for row in spec.structure for code in row):
         violations.append(
             Violation(RULE_NO_LANES, "structure", "plan contains no drivable squares")

@@ -514,7 +514,7 @@ def rescore_report_document(
             tid: [float(s["visible_fraction"]) for s in sw["samples"]]
             for tid, sw in sweeps.items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed report: {exc}") from exc
     if not fractions or any(not f for f in fractions.values()):
         raise SchemaError("report has no sweep samples")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PlanError, SchemaError
 from .classify import ClassifiedGrid
-from .grid import CellKind, CellRef
+from .grid import CellKind, CellRef, _prefix
 
 if TYPE_CHECKING:
     from .visibility import SceneIndex
@@ -221,13 +221,6 @@ class Rect:
     @property
     def height(self) -> float:
         return self.y1 - self.y0
-
-
-def _prefix(widths: tuple[float, ...]) -> list[float]:
-    out = [0.0]
-    for w in widths:
-        out.append(out[-1] + w)
-    return out
 
 
 def layout_cells(grid: ClassifiedGrid) -> list[tuple[CellRef, Rect]]:
@@ -541,7 +534,7 @@ def parse_occupancy_plan(text: str) -> OccupancyPlan:
                     force=bool(raw.get("force", False)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad plan entry {k}: {exc}") from exc
     return OccupancyPlan(tuple(entries))
 
@@ -575,7 +568,7 @@ def _box_from_document(doc: dict) -> Box3:
             raise ValueError(f"non-finite value in center {center}, half_extents {half}"
                              f" or yaw {yaw}")
         return Box3(center, half, yaw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad box: {exc}") from exc
 
 

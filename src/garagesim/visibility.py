@@ -28,6 +28,9 @@ SWEEP_SCHEMA = "sweep/1"
 
 DEFAULT_STEP = 0.5
 DEFAULT_SAMPLES_PER_EDGE = 24
+#: most samples one sweep takes; a longer sweep is an OptionError, not a
+#: list that grows until memory runs out
+MAX_SWEEP_SAMPLES = 1_000_000
 _EPS_REL = 1e-9
 
 
@@ -482,10 +485,15 @@ def pose_at(path: tuple[EgoPose, ...], s: float) -> EgoPose:
 def sample_arclengths(total: float, step: float) -> list[float]:
     """Arc lengths of sweep samples: multiples of step from 0, inclusive of
     0, up to the path length (a trailing remainder shorter than step is
-    not sampled).  The step must be positive and finite (OptionError)."""
+    not sampled).  The step must be positive and finite, and the count at
+    most MAX_SWEEP_SAMPLES (OptionError)."""
     if not 0.0 < step < math.inf:
         raise OptionError(f"step must be positive and finite, got {step}")
-    count = int(math.floor(total / step + 1e-9)) + 1
+    ratio = total / step + 1e-9
+    if not ratio < MAX_SWEEP_SAMPLES:
+        raise OptionError(f"a {total} m sweep at step {step} m takes more than"
+                          f" {MAX_SWEEP_SAMPLES} samples")
+    count = int(math.floor(ratio)) + 1
     return [k * step for k in range(count)]
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,16 @@ class TestValidate:
         assert main(["validate", str(p)]) == 1
         out = capsys.readouterr().out
         assert "row-count" in out and "4" in out and "m=3" in out
+
+    def test_widths_summing_past_float_range(self, tmp_path, capsys):
+        wide = GarageSpec(((1, 1),), (5.0,), (1e308, 1e308))
+        p = tmp_path / "wide.json"
+        p.write_text(emit_garage_spec(wide), encoding="utf-8")
+        assert main(["validate", str(p)]) == 1
+        assert "envelope-finite at col_widths" in capsys.readouterr().out
+        out = tmp_path / "scene.json"
+        assert main(["generate", str(p), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
@@ -344,3 +355,72 @@ class TestGlobalFlags:
         cfg = tmp_path / "config.json"
         cfg.write_text("[1,2,3]", encoding="utf-8")
         assert main(["--config", str(cfg), "validate", str(spec_file)]) == 2
+
+    def test_config_key_naming_no_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"stpe": 0.01, "weigths": "1,0,0"}), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["--config", str(cfg), "scenario", "--case", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'stpe'" in err[0], err
+        assert not out.exists()
+
+
+BIG = "1" * 400  # a JSON integer that float() cannot hold
+
+
+def _wide_plan(tmp_path, out):
+    plan = tmp_path / "plan.json"
+    plan.write_text(emit_garage_spec(ALL_LANE_3X3).replace("6.0", BIG, 1), encoding="utf-8")
+    return ["validate", str(plan)]
+
+
+def _far_scene_box(tmp_path, out):
+    scene = tmp_path / "scene.json"
+    scene.write_text(
+        '{"schema": "scene/1", "light_level": "bright", "bounds": {"center": [0, 0, 0],'
+        ' "half_extents": [50, 50, 3], "yaw": 0.0}, "nodes": [{"id": "x", "kind":'
+        f' "column", "center": [5, {BIG}, 1], "half_extents": [1, 1, 1], "yaw": 0.0,'
+        ' "tags": {}}]}', encoding="utf-8")
+    return ["scenario", "--case", "1", "--scene", str(scene), "--out", str(out)]
+
+
+def _far_occupancy_cell(tmp_path, out):
+    spec, plan = tmp_path / "plan.json", tmp_path / "occupancy.json"
+    spec.write_text(emit_garage_spec(ALL_LANE_3X3), encoding="utf-8")
+    plan.write_text('{"schema": "occupancy-plan/1", "entries": [{"cell": [1e400, 0],'
+                    ' "size": "small", "force": true}]}', encoding="utf-8")
+    return ["generate", str(spec), "--occupancy", str(plan), "--out", str(out)]
+
+
+def _huge_config_step(tmp_path, out):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"step": %s}' % BIG, encoding="utf-8")
+    return ["--config", str(cfg), "scenario", "--case", "1", "--out", str(out)]
+
+
+def _huge_report_fraction(tmp_path, out):
+    report = tmp_path / "report.json"
+    assert main(["scenario", "--case", "1", "--out", str(report)]) == 0
+    text = report.read_text(encoding="utf-8")
+    report.write_text(re.sub(r'"visible_fraction": [^,\n]+', f'"visible_fraction": {BIG}',
+                             text, count=1), encoding="utf-8")
+    return ["score", str(report)]
+
+
+def _huge_sweep(tmp_path, out):
+    return ["scenario", "--case", "1", "--column-setback=1e308", "--out", str(out)]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _wide_plan, _far_scene_box, _far_occupancy_cell, _huge_config_step,
+    _huge_report_fraction, _huge_sweep,
+], ids=lambda make_argv: make_argv.__name__.lstrip("_"))
+def test_out_of_range_number_exit_2(tmp_path, capsys, make_argv):
+    out = tmp_path / "out.json"
+    argv = make_argv(tmp_path, out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()

@@ -386,7 +386,7 @@ class TestRunOptions:
     @pytest.mark.parametrize("build", [build_case1, build_case2])
     @pytest.mark.parametrize("option", [
         {"step": 0.0}, {"step": math.nan}, {"step": math.inf}, {"step": -0.5},
-        {"samples_per_edge": 0}, {"samples_per_edge": -1},
+        {"step": 1e-300}, {"samples_per_edge": 0}, {"samples_per_edge": -1},
     ], ids=lambda option: "{}={}".format(*next(iter(option.items()))))
     def test_bad_option_raises_before_any_sample(self, monkeypatch, build, option):
         def no_sample(*args):
@@ -396,8 +396,11 @@ class TestRunOptions:
         scn = build()
         with pytest.raises(OptionError):
             run_scenario(scn, **option)
+        # the swept path: case 2's ego path is one pose, where any step
+        # takes one sample
+        path = scn.target_path or scn.ego_path
         with pytest.raises(ValueError):  # an OptionError is a ValueError too
-            sweep(scn.scene, scn.ego_path, CFG, scn.target_ids[0], **option)
+            sweep(scn.scene, path, CFG, scn.target_ids[0], **option)
 
 
 class TestRunAndReport:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from garagesim import visibility
+from garagesim.errors import OptionError
 from garagesim.scene import (
     Box3,
     CEILING_HEIGHT,
@@ -397,6 +399,22 @@ class TestSweep:
         assert sample_arclengths(0.0, 0.5) == [0.0]
         with pytest.raises(ValueError):
             sample_arclengths(1.0, 0.0)
+
+    @pytest.mark.parametrize("total, step", [
+        (1e308, 0.5),  # total / step overflows to inf
+        (1e308, 1.0),  # finite, but ~1e308 samples
+        (10.0, 1e-300),
+        (1e6, 1.0),  # one past the cap
+    ])
+    def test_arclengths_cap(self, total, step):
+        with pytest.raises(OptionError):
+            sample_arclengths(total, step)
+
+    def test_arclengths_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(visibility, "MAX_SWEEP_SAMPLES", 21)
+        assert len(sample_arclengths(10.0, 0.5)) == 21
+        with pytest.raises(OptionError):
+            sample_arclengths(10.5, 0.5)
 
     def test_pose_at_clamps(self):
         path = (EgoPose((0.0, 0.0), 0.0), EgoPose((2.0, 0.0), 0.0))
