@@ -265,9 +265,10 @@ def _parse_layout(text: str) -> list[tuple[str, str]]:
 
 
 def _given(args, *names: str, **renamed: str) -> dict:
-    """The set flags (on the command line or in --config) among names, and
-    among renamed's keyword: dest pairs, as keyword arguments; an unset flag
-    is left out, so the library's default holds."""
+    """Keyword arguments from the flags set on the command line or in
+    --config: each of names from its own dest, each key of renamed from the
+    dest it maps to.  An unset flag is left out, so the library's default
+    holds."""
     dests = {**{name: name for name in names}, **renamed}
     return {key: getattr(args, dest) for key, dest in dests.items()
             if getattr(args, dest) is not None}
