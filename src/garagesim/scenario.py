@@ -496,6 +496,14 @@ def emit_report(report: ScenarioReport) -> str:
     return json.dumps(report_document(report), indent=2, sort_keys=True) + "\n"
 
 
+def _fraction(value) -> float:
+    """A report's visible fraction: a JSON number (no bool) in [0, 1]."""
+    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+        raise SchemaError(f"malformed report: visible_fraction {value!r} is not a number"
+                          " in [0, 1]")
+    return float(value)
+
+
 def rescore_report_document(
     doc: dict,
     weights: tuple[float, float, float],
@@ -511,10 +519,10 @@ def rescore_report_document(
         level = LightLevel(doc["light_level"])
         sweeps = doc["sweeps"]
         fractions = {
-            tid: [float(s["visible_fraction"]) for s in sw["samples"]]
+            tid: [_fraction(s["visible_fraction"]) for s in sw["samples"]]
             for tid, sw in sweeps.items()
         }
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise SchemaError(f"malformed report: {exc}") from exc
     if not fractions or any(not f for f in fractions.values()):
         raise SchemaError("report has no sweep samples")

@@ -92,7 +92,7 @@ _LIGHT_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box3:
     """Oriented box: center, half extents along its local axes, yaw about +z."""
 
@@ -142,7 +142,7 @@ def _box_columns(boxes: list[Box3]) -> tuple[np.ndarray, ...]:
     return centers, halves, cos_yaw, sin_yaw, aabbs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneNode:
     id: str
     kind: NodeKind
@@ -521,22 +521,34 @@ def parse_occupancy_plan(text: str) -> OccupancyPlan:
         raise SchemaError(f"invalid plan JSON: {exc.msg}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
         raise SchemaError(f"expected schema {PLAN_SCHEMA!r}")
-    entries = []
-    for k, raw in enumerate(doc.get("entries", [])):
-        try:
-            i, j = raw["cell"]
-            entries.append(
-                PlanEntry(
-                    cell=CellRef(int(i), int(j)),
-                    size=str(raw["size"]),
-                    parked=bool(raw.get("parked", True)),
-                    color=str(raw.get("color", "white")),
-                    force=bool(raw.get("force", False)),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"bad plan entry {k}: {exc}") from exc
-    return OccupancyPlan(tuple(entries))
+    raw_entries = doc.get("entries", [])
+    if type(raw_entries) is not list:
+        raise SchemaError("plan entries must be a JSON array")
+    return OccupancyPlan(tuple(_plan_entry(k, raw) for k, raw in enumerate(raw_entries)))
+
+
+# the fields of a plan entry besides its cell, with their JSON types
+_PLAN_FIELDS = {"size": (str, "string"), "parked": (bool, "boolean"),
+                "color": (str, "string"), "force": (bool, "boolean")}
+
+
+def _plan_entry(k: int, raw) -> PlanEntry:
+    """Entry k of a plan document.  Nothing is converted: 0.9, "1" and true
+    are no cell coordinates, and "false" is no boolean."""
+    if type(raw) is not dict:
+        raise SchemaError(f"bad plan entry {k}: not a JSON object")
+    cell = raw.get("cell")
+    if type(cell) is not list or len(cell) != 2 or any(type(c) is not int for c in cell):
+        raise SchemaError(f"bad plan entry {k}: cell must be two integers, got {cell!r}")
+    if "size" not in raw:
+        raise SchemaError(f"bad plan entry {k}: no size")
+    fields = {name: raw[name] for name in _PLAN_FIELDS if name in raw}
+    for name, value in fields.items():
+        kind, json_name = _PLAN_FIELDS[name]
+        if type(value) is not kind:
+            raise SchemaError(f"bad plan entry {k}: {name} must be a JSON {json_name},"
+                              f" got {value!r}")
+    return PlanEntry(CellRef(*cell), **fields)
 
 
 def emit_occupancy_plan(plan: OccupancyPlan) -> str:
@@ -559,11 +571,13 @@ def emit_occupancy_plan(plan: OccupancyPlan) -> str:
 # --- scene documents -----------------------------------------------------------
 
 
-def _box_from_document(doc: dict) -> Box3:
+def _box_from_document(doc: dict, number=float) -> Box3:
+    """The box of a node or bounds object; number reads each box value
+    (float, or a _Floats lookup that gives the same float)."""
     try:
-        center = tuple(map(float, doc["center"]))
-        half = tuple(map(float, doc["half_extents"]))
-        yaw = float(doc["yaw"])
+        center = tuple(map(number, doc["center"]))
+        half = tuple(map(number, doc["half_extents"]))
+        yaw = number(doc["yaw"])
         if not all(map(math.isfinite, (*center, *half, yaw))):
             raise ValueError(f"non-finite value in center {center}, half_extents {half}"
                              f" or yaw {yaw}")
@@ -698,50 +712,105 @@ _NODE_KINDS = {k.value: k for k in NodeKind}
 _STR = frozenset({str})
 
 
-def import_scene(text: str) -> SceneGraph:
-    """Parse a scene/1 document; a box with a non-finite number (JSON's
-    NaN and Infinity tokens, or an overflowing literal) is a SchemaError."""
+class _Floats(dict):
+    """JSON box value -> its float, filled while one scene is read, so that
+    equal box values share one float.  An equal int or bool finds the
+    stored float, which is what float() gives it.  Zeros are never stored,
+    because 0.0 == -0.0 would give both one entry."""
+
+    def __missing__(self, value) -> float:
+        number = float(value)
+        if number:
+            self[value] = number
+        return number
+
+
+def _node_from_document(raw: dict, number=float) -> SceneNode:
+    """The one check of a node object: id, kind, tags, the cell tag of a
+    drivable floor tile, then the box.  The duplicate-id check is the
+    caller's, between the id and the rest."""
+    node_id = raw.get("id")
+    if not isinstance(node_id, str) or not node_id:
+        raise SchemaError("node without a string id")
+    kind_raw = raw.get("kind")
     try:
-        doc = json.loads(text)
+        kind = _NODE_KINDS.get(kind_raw)
+    except TypeError:  # unhashable, so no kind's value
+        kind = None
+    if kind is None:
+        raise SchemaError(f"unknown node kind {kind_raw!r}")
+    tags = raw.get("tags", {})
+    # JSON object keys are always strings, so only the values need a look
+    if type(tags) is not dict or not _STR.issuperset(map(type, tags.values())):
+        raise SchemaError(f"node {node_id!r} tags must map strings to strings")
+    if (kind is NodeKind.FLOOR_TILE and tags.get("cell_kind") in _DRIVABLE_NAMES
+            and "cell" not in tags):
+        # lamp sites are read from these tiles' cell tags
+        raise SchemaError(f"floor tile {node_id!r} of a drivable cell has no cell tag")
+    return SceneNode(node_id, kind, _box_from_document(raw, number), tags)
+
+
+def _node_hook():
+    """A json object_hook that builds each node as the parser closes it, so
+    that the document tree never stands beside the scene.  An object with
+    a "kind" key is taken for a node (one with a "schema" key may be the
+    document); one that fails the check is left as it was parsed, for the
+    walk after the parse to raise its error in document order."""
+    number = _Floats().__getitem__
+
+    def hook(obj: dict):
+        if "kind" not in obj or "schema" in obj:
+            return obj
+        try:
+            return _node_from_document(obj, number)
+        except SchemaError:
+            return obj
+
+    return hook
+
+
+def import_scene(text: str) -> SceneGraph:
+    """Parse a scene/1 document in one pass; a box with a non-finite
+    number (JSON's NaN and Infinity tokens, or an overflowing literal) is a
+    SchemaError, as is an input that is not made of JSON objects where the
+    schema has them."""
+    try:
+        doc = json.loads(text, object_hook=_node_hook())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid scene JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != SCENE_SCHEMA:
-        raise SchemaError(f"expected schema {SCENE_SCHEMA!r}, got {doc.get('schema')!r}")
+    # a document read as a node had no schema key
+    schema = doc.get("schema") if type(doc) is dict else None
+    if schema != SCENE_SCHEMA:
+        raise SchemaError(f"expected schema {SCENE_SCHEMA!r}, got {schema!r}")
     try:
         level = LightLevel(doc["light_level"])
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"bad light_level: {exc}") from exc
-    nodes = []
+    nodes = doc.get("nodes", [])
+    if type(nodes) is not list:
+        raise SchemaError("scene nodes must be a JSON array")
     seen: set[str] = set()
-    for raw in doc.get("nodes", []):
-        node_id = raw.get("id")
-        if not isinstance(node_id, str) or not node_id:
-            raise SchemaError("node without a string id")
-        if node_id in seen:
-            raise SchemaError(f"duplicate node id {node_id!r}")
-        seen.add(node_id)
-        kind_raw = raw.get("kind")
-        try:
-            kind = _NODE_KINDS.get(kind_raw)
-        except TypeError:  # unhashable, so no kind's value
-            kind = None
-        if kind is None:
-            raise SchemaError(f"unknown node kind {kind_raw!r}")
-        tags = raw.get("tags", {})
-        # JSON object keys are always strings, so only the values need a look
-        if type(tags) is not dict or not _STR.issuperset(map(type, tags.values())):
-            raise SchemaError(f"node {node_id!r} tags must map strings to strings")
-        if (kind is NodeKind.FLOOR_TILE and tags.get("cell_kind") in _DRIVABLE_NAMES
-                and "cell" not in tags):
-            # lamp sites are read from these tiles' cell tags
-            raise SchemaError(f"floor tile {node_id!r} of a drivable cell has no cell tag")
-        nodes.append(SceneNode(node_id, kind, _box_from_document(raw), tags))
-    bounds_raw = doc.get("bounds")
-    if not isinstance(bounds_raw, dict):
+    for k, node in enumerate(nodes):
+        if type(node) is not SceneNode:
+            # the hook left it as parsed: check it here, where the first bad
+            # node in document order raises its error
+            if type(node) is not dict:
+                raise SchemaError(f"scene node {k} is not a JSON object")
+            node_id = node.get("id")
+            if isinstance(node_id, str) and node_id in seen:
+                raise SchemaError(f"duplicate node id {node_id!r}")
+            node = nodes[k] = _node_from_document(node)
+        if node.id in seen:
+            raise SchemaError(f"duplicate node id {node.id!r}")
+        seen.add(node.id)
+    bounds = doc.get("bounds")
+    if type(bounds) is SceneNode:  # a bounds object that also reads as a node
+        bounds = bounds.box
+    elif isinstance(bounds, dict):
+        bounds = _box_from_document(bounds)
+    else:
         raise SchemaError("scene document is missing its bounds box")
-    return SceneGraph(
-        nodes=tuple(nodes), bounds=_box_from_document(bounds_raw), light_level=level
-    )
+    return SceneGraph(nodes=tuple(nodes), bounds=bounds, light_level=level)
 
 
 _BOX_FACES = (

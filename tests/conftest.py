@@ -1,14 +1,21 @@
+import os
 import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from garagesim.grid import GarageSpec
 
 CODES = (-1, 0, 1, 2, 3)
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# test that fails in CI fails the same way when run locally with it set
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_spec(rng: random.Random, max_side: int = 6, ensure_lane: bool = True) -> GarageSpec:

@@ -10,7 +10,8 @@ the scene index's AABB broadphase and slab test, which read only the
 index's box arrays, the Python fold of scene bounds, the quadratic
 ``clears_from`` scan, and the scene/1 document as a dict that
 ``json.dumps(indent=2, sort_keys=True)`` writes, which the scene writer must
-match byte for byte.  ``ray_intersect`` is the exception: it asks the
+match byte for byte, and the two-pass scene/1 reader that the one-pass
+reader must match scene for scene and error for error.  ``ray_intersect`` is the exception: it asks the
 engine's slab test for one ray, so analytic distances can check it.
 ``emit_sweep`` writes the engine's sweep/1 document as text, the form the
 golden digests pin.
@@ -23,8 +24,9 @@ import math
 
 import numpy as np
 
+from garagesim.errors import SchemaError
 from garagesim.grid import Direction
-from garagesim.scene import Box3
+from garagesim.scene import Box3, LightLevel, NodeKind, SceneGraph, SceneNode
 
 N, E, S, W = Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST
 
@@ -377,6 +379,67 @@ def scene_document(scene) -> dict:
 def scene_json(scene) -> str:
     """scene/1 text as json's pure-Python indent encoder writes it."""
     return json.dumps(scene_document(scene), indent=2, sort_keys=True) + "\n"
+
+
+def _document_box(doc: dict) -> Box3:
+    try:
+        center = tuple(map(float, doc["center"]))
+        half = tuple(map(float, doc["half_extents"]))
+        yaw = float(doc["yaw"])
+        if not all(map(math.isfinite, (*center, *half, yaw))):
+            raise ValueError(f"non-finite value in center {center}, half_extents {half}"
+                             f" or yaw {yaw}")
+        return Box3(center, half, yaw)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad box: {exc}") from exc
+
+
+_DRIVABLE_CELL_KINDS = frozenset({"lane", "entrance", "exit"})
+
+
+def import_scene_two_pass(text: str) -> SceneGraph:
+    """The engine's earlier scene/1 reader: the whole document parsed to
+    dicts first, then one loop over its nodes.  Its errors are the ones the
+    one-pass reader must give, except where this one fails on an input
+    that is not made of JSON objects (an AttributeError or TypeError)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid scene JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict) or doc.get("schema") != "scene/1":
+        raise SchemaError(f"expected schema 'scene/1', got {doc.get('schema')!r}")
+    try:
+        level = LightLevel(doc["light_level"])
+    except (KeyError, ValueError) as exc:
+        raise SchemaError(f"bad light_level: {exc}") from exc
+    kinds = {k.value: k for k in NodeKind}
+    nodes = []
+    seen: set[str] = set()
+    for raw in doc.get("nodes", []):
+        node_id = raw.get("id")
+        if not isinstance(node_id, str) or not node_id:
+            raise SchemaError("node without a string id")
+        if node_id in seen:
+            raise SchemaError(f"duplicate node id {node_id!r}")
+        seen.add(node_id)
+        kind_raw = raw.get("kind")
+        try:
+            kind = kinds.get(kind_raw)
+        except TypeError:
+            kind = None
+        if kind is None:
+            raise SchemaError(f"unknown node kind {kind_raw!r}")
+        tags = raw.get("tags", {})
+        if type(tags) is not dict or not all(type(v) is str for v in tags.values()):
+            raise SchemaError(f"node {node_id!r} tags must map strings to strings")
+        if (kind is NodeKind.FLOOR_TILE and tags.get("cell_kind") in _DRIVABLE_CELL_KINDS
+                and "cell" not in tags):
+            raise SchemaError(f"floor tile {node_id!r} of a drivable cell has no cell tag")
+        nodes.append(SceneNode(node_id, kind, _document_box(raw), tags))
+    bounds_raw = doc.get("bounds")
+    if not isinstance(bounds_raw, dict):
+        raise SchemaError("scene document is missing its bounds box")
+    return SceneGraph(nodes=tuple(nodes), bounds=_document_box(bounds_raw), light_level=level)
 
 
 # --- sweep/1 text -----------------------------------------------------------------------

@@ -127,6 +127,25 @@ class TestGenerate:
         scene = import_scene(out.read_text(encoding="utf-8"))
         assert scene.node("veh-1-0").tags["vehicle_size"] == "small"
 
+    @pytest.mark.parametrize("entry", [
+        {"cell": [0.9, "1"], "size": "small", "force": True},
+        {"cell": [True, 2], "size": "small", "force": True},
+        {"cell": [1, 0], "size": "small", "parked": "false"},
+        {"cell": [1, 0], "size": "small", "force": "true"},
+    ])
+    def test_coerced_plan_entry_exit_2(self, tmp_path, capsys, entry):
+        sp = tmp_path / "plan.json"
+        sp.write_text(emit_garage_spec(GarageSpec(((1, 1, 1), (0, 0, 0)), (6.0, 5.0),
+                                                  (3.0, 3.0, 3.0))), encoding="utf-8")
+        pp = tmp_path / "occupancy.json"
+        pp.write_text(json.dumps({"schema": "occupancy-plan/1", "entries": [entry]}),
+                      encoding="utf-8")
+        out = tmp_path / "s.json"
+        assert main(["generate", str(sp), "--occupancy", str(pp), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "plan entry 0" in err[0], err
+        assert not out.exists()
+
     def test_bad_plan_exit_1(self, tmp_path):
         spec = GarageSpec(((1, 1), (0, 0)), (6.0, 5.0), (3.0, 3.0))
         sp = tmp_path / "plan.json"
@@ -216,6 +235,19 @@ class TestScenario:
         assert len(err) == 1 and err[0].startswith("error:") and "cell tag" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("nodes", ["[1]", '["x"]', "[[1, 2]]", "5", None])
+    def test_scene_of_non_objects_exit_2(self, tmp_path, capsys, nodes):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1]" if nodes is None else
+                       '{"schema": "scene/1", "light_level": "bright", "bounds": {"center":'
+                       ' [0, 0, 0], "half_extents": [50, 50, 3], "yaw": 0.0}, "nodes": %s}'
+                       % nodes, encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["scenario", "--case", "1", "--scene", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not out.exists()
+
     def test_reports_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["scenario", "--case", "1", "--out", str(a)])
@@ -285,6 +317,16 @@ class TestScore:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
         assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize("fraction", ['"0.5"', "7.0", "-0.25", "true", "NaN", "null"])
+    def test_bad_visible_fraction_exit_2(self, report_file, capsys, fraction):
+        text = report_file.read_text(encoding="utf-8")
+        report_file.write_text(re.sub(r'"visible_fraction": [^,\n]+',
+                                      f'"visible_fraction": {fraction}', text), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["score", str(report_file)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "visible_fraction" in err[0], err
 
     def test_missing_report(self, tmp_path):
         assert main(["score", str(tmp_path / "none.json")]) == 2

@@ -445,6 +445,9 @@ class TestRunAndReport:
             rescore_report_document(doc, (2.0, -1.0, 0.0))
         with pytest.raises(ValueError):
             rescore_report_document(doc, DEFAULT_WEIGHTS, math.nan)
+        for sweeps in ([], 5, {"veh-target": 5}):
+            with pytest.raises(SchemaError, match="malformed report"):
+                rescore_report_document(dict(doc, sweeps=sweeps), DEFAULT_WEIGHTS)
 
     def test_clears_from_is_one_scan(self):
         rng = random.Random(29)

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -35,7 +37,7 @@ from garagesim.scene import (
     _fold_bounds,
 )
 from conftest import random_spec
-from oracles import fold_bounds, scene_json
+from oracles import fold_bounds, import_scene_two_pass, scene_json
 
 
 class TestLayout:
@@ -259,6 +261,33 @@ class TestVehicles:
         )
         assert parse_occupancy_plan(emit_occupancy_plan(plan)) == plan
 
+    @pytest.mark.parametrize("entry, match", [
+        ({"cell": [0.9, "1"], "size": "small", "force": True}, "cell must be two integers"),
+        ({"cell": [True, 2], "size": "small"}, "cell must be two integers"),
+        ({"cell": [1.0, 2], "size": "small"}, "cell must be two integers"),
+        ({"cell": [1, 2, 3], "size": "small"}, "cell must be two integers"),
+        ({"cell": "12", "size": "small"}, "cell must be two integers"),
+        ({"size": "small"}, "cell must be two integers"),
+        ({"cell": [1, 2]}, "no size"),
+        ({"cell": [1, 2], "size": 4}, "size must be a JSON string"),
+        ({"cell": [1, 2], "size": "small", "parked": "false"}, "parked must be a JSON boolean"),
+        ({"cell": [1, 2], "size": "small", "parked": 0}, "parked must be a JSON boolean"),
+        ({"cell": [1, 2], "size": "small", "force": "true"}, "force must be a JSON boolean"),
+        ({"cell": [1, 2], "size": "small", "color": None}, "color must be a JSON string"),
+        ([1, 2], "not a JSON object"),
+    ])
+    def test_plan_entries_are_not_coerced(self, entry, match):
+        doc = {"schema": "occupancy-plan/1", "entries": [{"cell": [0, 0], "size": "large"},
+                                                          entry]}
+        with pytest.raises(SchemaError, match=f"bad plan entry 1: {match}"):
+            parse_occupancy_plan(json.dumps(doc))
+
+    @pytest.mark.parametrize("entries", [5, {"cell": [1, 2]}, "entries"])
+    def test_plan_entries_must_be_an_array(self, entries):
+        with pytest.raises(SchemaError, match="entries must be a JSON array"):
+            parse_occupancy_plan(json.dumps({"schema": "occupancy-plan/1",
+                                             "entries": entries}))
+
 
 class _OwnRepr(float):
     """A float subclass whose own repr the scene writer must not use."""
@@ -423,6 +452,27 @@ class TestSceneDocuments:
         with pytest.raises(SchemaError):
             import_scene(json.dumps({"schema": "scene/2"}))
 
+    @pytest.mark.parametrize("nodes, match", [
+        ([1], "scene node 0 is not a JSON object"),
+        (["x"], "scene node 0 is not a JSON object"),
+        ([[1, 2]], "scene node 0 is not a JSON object"),
+        ([{"id": "a", "kind": "column", "center": [0, 0, 1], "half_extents": [1, 1, 1],
+           "yaw": 0.0}, None], "scene node 1 is not a JSON object"),
+        (5, "scene nodes must be a JSON array"),
+        ({}, "scene nodes must be a JSON array"),
+    ])
+    def test_non_object_nodes_rejected(self, nodes, match):
+        doc = {"schema": "scene/1", "light_level": "bright",
+               "bounds": {"center": [0, 0, 0], "half_extents": [1, 1, 1], "yaw": 0.0},
+               "nodes": nodes}
+        with pytest.raises(SchemaError, match=match):
+            import_scene(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[1]", "5", '"scene/1"', "null"])
+    def test_non_object_document_rejected(self, text):
+        with pytest.raises(SchemaError, match="expected schema 'scene/1', got None"):
+            import_scene(text)
+
     def test_obj_triangle_count(self, all_lane_3x3):
         scene = synthesize(classify_all(all_lane_3x3))
         obj = export_scene(scene, "obj")
@@ -437,6 +487,194 @@ class TestSceneDocuments:
         assert len(out.nodes) == len(scene.nodes) - 1
         with pytest.raises(KeyError):
             remove_node(scene, "no-such-node")
+
+
+# scene/1 inputs for the one-pass reader against the two-pass oracle: valid
+# documents with a few flaws each.  Valid box values mix ints, bools,
+# numeric strings, -0.0 and extreme floats; flawed ones add NaN, the
+# infinities and overflowing literals (placeholders swapped for text json
+# cannot write).  Ids come from a small pool, so duplicates are common.  An
+# object shaped like a valid node is drawn as a tags dict, as the bounds
+# and as the document itself; the one-pass reader builds such an object
+# into a node wherever it stands, so drawn where an error message quotes
+# it (a kind, a box value) the message would quote the node, and it is not
+# drawn there.
+_FAR = {'"@far@"': "1e999", '"@-far@"': "-1e999"}
+_GOOD_VALUES = st.one_of(st.floats(-1e3, 1e3), st.integers(-5, 5),
+                         st.sampled_from([0.0, -0.0, True, False, "1.5", " -2 ", 1e308, 5e-324]))
+_GOOD_HALVES = st.one_of(st.floats(0.01, 1e3), st.integers(1, 5), st.sampled_from([True, "2"]))
+_BAD_VALUES = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0, -1, 10**400, "x", "nan", None, "@far@", "@-far@", [1.0],
+     {"a": 1}]))
+_VALID_NODE = {"id": "t", "kind": "column", "center": [0, 0, 1], "half_extents": [1, 1, 1],
+               "yaw": 0.0, "tags": {}}
+_NODE_KINDS = [k.value for k in NodeKind]
+_TAG_TEXTS = st.sampled_from(["lane", "exit", "parking", "0,0", "column"])
+_GOOD_TAGS = st.dictionaries(st.sampled_from(["cell", "kind", "id", "x"]), _TAG_TEXTS,
+                             max_size=4)
+
+
+def _vectors(values, sizes=(3, 3)):
+    return st.lists(values, min_size=sizes[0], max_size=sizes[1])
+
+
+_NODE_FLAWS = {
+    "id": st.sampled_from(["", 1, None, ["a"]]),
+    "kind": st.sampled_from(["pillar!", "Column", None, 3, ["column"], {"column": 1}]),
+    "center": st.one_of(_vectors(st.one_of(_GOOD_VALUES, _BAD_VALUES), (2, 4)),
+                        st.sampled_from(["abc", "123", 5, None, {}, {"a": 1}])),
+    "half_extents": st.one_of(_vectors(st.one_of(_GOOD_HALVES, _BAD_VALUES), (2, 4)),
+                              st.sampled_from(["123", 5, None])),
+    "yaw": _BAD_VALUES,
+    "tags": st.one_of(
+        st.dictionaries(_TAG_TEXTS, st.sampled_from([1, None, ["b"], {"b": "c"}, _VALID_NODE]),
+                        min_size=1, max_size=2),
+        st.sampled_from(["a", ["a"], 1, None, _VALID_NODE, {"cell_kind": "lane"}])),
+}
+
+
+@st.composite
+def _node_objects(draw):
+    node = {"id": draw(st.sampled_from("abcdefgh")), "kind": draw(st.sampled_from(_NODE_KINDS)),
+            "center": draw(_vectors(_GOOD_VALUES)), "half_extents": draw(_vectors(_GOOD_HALVES)),
+            "yaw": draw(_GOOD_VALUES), "tags": draw(_GOOD_TAGS)}
+    flaws = st.lists(st.sampled_from([*_NODE_FLAWS, "drop", "extra"]), min_size=1, max_size=2)
+    for flaw in draw(flaws) if draw(st.integers(0, 4)) == 0 else ():
+        if flaw == "drop":
+            node.pop(draw(st.sampled_from(sorted(node))), None)
+        elif flaw == "extra":
+            node.update(draw(st.sampled_from([{"schema": "scene/1"}, {"extra": [1]}])))
+        else:
+            node[flaw] = draw(_NODE_FLAWS[flaw])
+    if draw(st.integers(0, 9)) == 0:  # a drivable floor tile, tagged or not
+        node["kind"] = "floor_tile"
+        node["tags"] = draw(st.sampled_from([{"cell_kind": "exit"},
+                                             {"cell_kind": "lane", "cell": "0,0"}]))
+    return node
+
+
+_DOC_FLAWS = {
+    "schema": st.sampled_from(["scene/2", None]),
+    "light_level": st.sampled_from(["dusk", [1]]),
+    "bounds": st.one_of(
+        st.builds(lambda c, h, y: {"center": c, "half_extents": h, "yaw": y},
+                  _NODE_FLAWS["center"], _NODE_FLAWS["half_extents"], _BAD_VALUES),
+        st.sampled_from([1, [1], None, _VALID_NODE, dict(_VALID_NODE, kind="x")])),
+    "nodes": st.sampled_from([5, None, {}, "", "abc", _VALID_NODE]),
+    "entry": st.sampled_from([1, "x", [1, 2], None]),
+}
+
+
+@st.composite
+def _scene_texts(draw):
+    doc = {"schema": "scene/1", "light_level": draw(st.sampled_from([v.value for v in LightLevel])),
+           "bounds": {"center": draw(_vectors(_GOOD_VALUES)),
+                      "half_extents": draw(_vectors(_GOOD_HALVES)), "yaw": draw(_GOOD_VALUES)},
+           "nodes": [draw(_node_objects()) for _ in range(draw(st.sampled_from(range(7))))]}
+    flaws = st.lists(st.sampled_from([*_DOC_FLAWS, "drop", "kind", "top"]), min_size=1,
+                     max_size=2)
+    flaws = draw(flaws) if draw(st.booleans()) else ()
+    for flaw in flaws:
+        if flaw == "drop":
+            doc.pop(draw(st.sampled_from(sorted(doc))), None)
+        elif flaw == "kind":  # the document with node keys besides its own
+            doc.update(draw(st.sampled_from([{"kind": "column", "id": "d"}, _VALID_NODE])))
+        elif flaw == "entry" and type(doc.get("nodes")) is list:
+            doc["nodes"].insert(draw(st.integers(0, len(doc["nodes"]))), draw(_DOC_FLAWS[flaw]))
+        elif flaw != "top" and flaw != "entry":
+            doc[flaw] = draw(_DOC_FLAWS[flaw])
+    if "top" in flaws:
+        doc = draw(st.sampled_from([[1], 5, "x", None, dict(_VALID_NODE, x=doc)]))
+    text = json.dumps(doc)
+    for placeholder, literal in _FAR.items():
+        text = text.replace(placeholder, literal)
+    return text
+
+
+def _read_outcome(read, text):
+    """A scene with its text, a SchemaError's message, or the type of any
+    other exception."""
+    try:
+        scene = read(text)
+    except SchemaError as exc:
+        return "error", str(exc)
+    except Exception as exc:
+        return "crash", type(exc).__name__
+    return "scene", scene, export_scene(scene)
+
+
+def _column_document(*nodes, **doc) -> str:
+    return json.dumps({"schema": "scene/1", "light_level": "bright",
+                       "bounds": {"center": [0, 0, 0], "half_extents": [1, 1, 1], "yaw": 0.0},
+                       "nodes": [dict(_VALID_NODE, **node) for node in nodes], **doc})
+
+
+class TestOnePassImport:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_scene_texts())
+    @example(text=_column_document({"id": "a"}, {"id": "b", "center": [1, True, "2.5"]},
+                                   {"id": "c", "center": [-0.0, 0, 1e-300]}))
+    @example(text=_column_document({"id": "a"}, {"id": "a", "kind": "pillar!"}))
+    @example(text=_column_document({"id": "a", "kind": "pillar!"}, {"id": "a"}))
+    @example(text=_column_document({"id": "a", "center": [0, 1]}))
+    @example(text=_column_document({"id": "a", "center": [0, [1.0], 1]}))
+    @example(text=_column_document({"id": "a", "center": [0, 1, 2, 3]}))
+    @example(text=_column_document({"id": "a", "yaw": "@far@"}).replace('"@far@"', "1e999"))
+    @example(text=_column_document({"id": "a", "half_extents": [1, float("inf"), 1]}))
+    @example(text=_column_document({"id": "a", "center": [float("nan"), 0, 1]}))
+    @example(text=_column_document({"id": "a", "tags": {"a": 1}}))
+    @example(text=_column_document({"id": "a", "tags": _VALID_NODE}))
+    @example(text=_column_document({"id": "a", "kind": "floor_tile",
+                                    "tags": {"cell_kind": "lane"}}))
+    @example(text=_column_document({"id": "a"}, bounds=_VALID_NODE))
+    @example(text=_column_document({"id": "a"}, bounds=None))
+    @example(text=_column_document({"id": "a", "schema": "scene/1"}, {"id": "a"}))
+    @example(text=json.dumps(dict(_VALID_NODE, light_level="bright")))
+    @example(text=_column_document(nodes={}))
+    def test_one_pass_reader_matches_the_two_pass_oracle(self, text):
+        old = _read_outcome(import_scene_two_pass, text)
+        new = _read_outcome(import_scene, text)
+        if new == ("error", "scene nodes must be a JSON array"):
+            # the two-pass reader looped over whatever "nodes" held: it failed
+            # on most of it and read an empty object or string as no nodes
+            nodes = json.loads(text)["nodes"]
+            assert type(nodes) is not list
+            assert old[0] == "crash" or nodes in ({}, "")
+        elif old[0] == "crash":
+            assert new[0] == "error", (old, new)
+        else:
+            assert new == old
+
+    def test_nodes_share_equal_floats_but_keep_signed_zeros(self):
+        scene = import_scene(_column_document({"id": "a", "center": [2.5, 1, -0.0]},
+                                              {"id": "b", "center": [2.5, True, 0.0]}))
+        a, b = (n.box for n in scene.nodes)
+        assert a.center[0] is b.center[0] and a.center[1] is b.center[1]
+        assert [math.copysign(1.0, n.box.center[2]) for n in scene.nodes] == [-1.0, 1.0]
+        assert all(type(v) is float for n in scene.nodes for v in n.box.center)
+
+    def test_peak_memory_is_near_the_scene_it_returns(self, rng):
+        # lanes on every third row and column, parking between them
+        structure = tuple(tuple(1 if i % 3 == 0 or j % 3 == 0 else 0 for j in range(60))
+                          for i in range(60))
+        grid = classify_all(GarageSpec(structure, (5.0,) * 60, (3.0,) * 60))
+        spaces = [cell for cell, _ in layout_cells(grid)
+                  if structure[cell.i][cell.j] == 0 and rng.random() < 0.3]
+        scene = populate_vehicles(synthesize(grid), grid, OccupancyPlan(
+            tuple(PlanEntry(cell, "medium") for cell in spaces)))
+        text = export_scene(scene)
+        del scene
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scene = import_scene(text)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scene.nodes) > 5000
+        # a reader that holds the parsed document beside the scene peaks near 1.6x
+        assert peak - before <= 1.25 * (after - before)
 
 
 class TestSceneGraph:
