@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import GarageError, OptionError, SchemaError, SpecParseError
+from .errors import JSON_TOO_DEEP, GarageError, OptionError, SchemaError, SpecParseError
 from .grid import load_garage_spec, validate
 from .classify import classify_all
 from .scene import (
@@ -92,6 +92,8 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"cannot read config {path}: {JSON_TOO_DEEP}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config file must hold a JSON object")
     defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
@@ -326,6 +328,8 @@ def _cmd_score(args) -> int:
         doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid report JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"invalid report JSON: {JSON_TOO_DEEP}") from exc
     weights = _parse_weights(args.weights)
     sc = rescore_report_document(doc, weights, args.blackout_threshold)
     if args.format == "json":

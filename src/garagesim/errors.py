@@ -7,6 +7,10 @@ scenario geometry are data-level failures (exit 1).
 
 from __future__ import annotations
 
+#: what every JSON reader says, in its own error type, of a document nested
+#: past the interpreter's recursion limit (json raises RecursionError there)
+JSON_TOO_DEEP = "nested too deeply"
+
 
 class GarageError(Exception):
     """Base class for all package-specific errors."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
-from .errors import SchemaError, SpecParseError
+from .errors import JSON_TOO_DEEP, SchemaError, SpecParseError
 
 SPEC_SCHEMA = "garage-spec/1"
 
@@ -197,6 +197,8 @@ def parse_garage_spec(text: str) -> GarageSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SpecParseError(f"invalid JSON: {JSON_TOO_DEEP}") from exc
     if not isinstance(doc, dict):
         raise SpecParseError("top-level document must be a JSON object")
     schema = doc.get("schema")

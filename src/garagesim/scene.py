@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import PlanError, SchemaError
+from .errors import JSON_TOO_DEEP, PlanError, SchemaError
 from .classify import ClassifiedGrid
 from .grid import CellKind, CellRef, _prefix
 
@@ -519,6 +519,8 @@ def parse_occupancy_plan(text: str) -> OccupancyPlan:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid plan JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"invalid plan JSON: {JSON_TOO_DEEP}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
         raise SchemaError(f"expected schema {PLAN_SCHEMA!r}")
     raw_entries = doc.get("entries", [])
@@ -778,6 +780,8 @@ def import_scene(text: str) -> SceneGraph:
         doc = json.loads(text, object_hook=_node_hook())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid scene JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"invalid scene JSON: {JSON_TOO_DEEP}") from exc
     # a document read as a node had no schema key
     schema = doc.get("schema") if type(doc) is dict else None
     if schema != SCENE_SCHEMA:

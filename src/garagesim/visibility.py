@@ -16,6 +16,7 @@ import math
 import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -32,6 +33,8 @@ DEFAULT_SAMPLES_PER_EDGE = 24
 #: list that grows until memory runs out
 MAX_SWEEP_SAMPLES = 1_000_000
 _EPS_REL = 1e-9
+#: consecutive samples that share one grid query of the broadphase
+_STRETCH = 32
 
 
 def _hull_2d(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -89,12 +92,13 @@ class Frustum:
     tan_half_v: float
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points (N, 3) inside the frustum."""
-        d = points - np.asarray(self.apex)
-        fwd = d @ np.asarray(self.forward)
-        lat = d @ np.asarray(self.right)
-        ver = d @ np.asarray(self.up)
+        """Boolean mask of points (N, 3) inside the frustum; a point with a
+        NaN or infinite coordinate may come out NaN, and is outside."""
         with np.errstate(invalid="ignore"):
+            d = points - np.asarray(self.apex)
+            fwd = d @ np.asarray(self.forward)
+            lat = d @ np.asarray(self.right)
+            ver = d @ np.asarray(self.up)
             ok = (fwd > 0.0) & (np.abs(lat) <= fwd * self.tan_half_h) & (
                 np.abs(ver) <= fwd * self.tan_half_v
             )
@@ -222,73 +226,99 @@ class SceneIndex:
             for row in range(int(j0) * nx, int(j1) * nx + 1, nx):
                 parts.append(self._members[self._start[row + i0]:self._start[row + i1 + 1]])
         near = np.concatenate(parts)
-        box = self.aabbs[near]
-        hit = np.all(box[:, :3] < hi - 1e-9, axis=1) & np.all(box[:, 3:] > lo + 1e-9, axis=1)
+        hit = _meets(self.aabbs[near], lo, hi)
         return [k for k in np.sort(near[hit]).tolist() if k not in skip]
 
+    def candidates_each(
+        self, lo: np.ndarray, hi: np.ndarray, skip: set[int]
+    ) -> list[np.ndarray]:
+        """candidates() of each range [lo[r], hi[r]] (rows of (S, 3) arrays),
+        as ascending index arrays, from one grid query.
+
+        The query range is the union of the rows, folded with fmin and fmax
+        so a NaN row cannot empty the others' lists.  Its candidates hold
+        every row's, and each row's own exact test on them keeps exactly
+        that row's list, in the same order.
+        """
+        if not len(lo):
+            return []
+        near = np.array(self.candidates(np.fmin.reduce(lo), np.fmax.reduce(hi), skip),
+                        dtype=np.intp)
+        return [near[hit] for hit in _meets(self.aabbs[near], lo[:, None], hi[:, None])]
+
     def cull_outside_wedge(
-        self, subset: list[int], apex_xy: tuple[float, float],
+        self, subset: np.ndarray, apex_xy: tuple[float, float],
         corners_xy: list[tuple[float, float]],
-    ) -> list[int]:
-        """Drop candidates fully outside the 2D hull of apex + target corners.
+    ) -> np.ndarray:
+        """Drop candidates (an index array) fully outside the 2D hull of
+        apex + target corners.
 
         Conservative separating-axis test along the hull edges only, so it
         never discards a box the rays could pass through.
         """
-        if not subset:
+        if not len(subset):
             return subset
         hull = _hull_2d([apex_xy] + corners_xy)
         if len(hull) < 3:
             return subset
-        idx = np.asarray(subset)
-        x0, y0 = self.aabbs[idx, 0], self.aabbs[idx, 1]
-        x1, y1 = self.aabbs[idx, 3], self.aabbs[idx, 4]
-        keep = np.ones(len(subset), dtype=bool)
-        for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
-            # inward normal of a CCW edge; a box is outside when its corner
-            # most along the normal still falls behind the edge
-            nx, ny = -(by - ay), bx - ax
-            best = (np.where(nx > 0, x1, x0) - ax) * nx + (
-                np.where(ny > 0, y1, y0) - ay
+        # one row per hull edge a -> b, one column per box
+        a, b = np.array(hull), np.array(hull[1:] + hull[:1])
+        ax, ay = a[:, :1], a[:, 1:]
+        # inward normal of a CCW edge; a box is outside when its corner
+        # most along the normal still falls behind the edge
+        nx, ny = -(b[:, 1:] - ay), b[:, :1] - ax
+        box = self.aabbs[subset]
+        with np.errstate(invalid="ignore"):
+            best = (np.where(nx > 0, box[:, 3], box[:, 0]) - ax) * nx + (
+                np.where(ny > 0, box[:, 4], box[:, 1]) - ay
             ) * ny
-            keep &= best > 0.0
-        return [subset[k] for k in np.nonzero(keep)[0].tolist()]
+        return subset[(best > 0.0).all(axis=0)]
 
     def entry_distances(
-        self, origin: np.ndarray, dirs: np.ndarray, subset: list[int]
+        self, origin: np.ndarray, dirs: np.ndarray, subset
     ) -> np.ndarray:
         """Entry distance of each unit ray into each subset box, inf on miss.
 
         Returns an array (len(subset), nrays); rays starting inside a box
-        get distance 0 for it.  One slab test over every (box, ray) pair.
+        get distance 0 for it.  One slab test over every (box, ray) pair;
+        non-finite boxes and rays raise no floating-point warnings.
         """
         k = np.asarray(subset, dtype=np.intp)
         c, s = self.cos_yaw[k][:, None], self.sin_yaw[k][:, None]
-        rel = origin - self.centers[k]
-        rx, ry = rel[:, :1], rel[:, 1:2]
-        dx, dy = dirs[:, 0], dirs[:, 1]
-        # local frame: u = (c, s), v = (-s, c), w = z
-        o_local = (rx * c + ry * s, -rx * s + ry * c, rel[:, 2:])
-        d_local = (dx * c + dy * s, -dx * s + dy * c, dirs[:, 2])
-        t_lo = np.full((len(k), dirs.shape[0]), -np.inf)
-        t_hi = np.full_like(t_lo, np.inf)
-        for axis in range(3):
-            o, h, d = o_local[axis], self.halves[k, axis:axis + 1], d_local[axis]
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rel = origin - self.centers[k]
+            rx, ry = rel[:, :1], rel[:, 1:2]
+            dx, dy = dirs[:, 0], dirs[:, 1]
+            # local frame: u = (c, s), v = (-s, c), w = z
+            o_local = (rx * c + ry * s, -rx * s + ry * c, rel[:, 2:])
+            d_local = (dx * c + dy * s, -dx * s + dy * c, dirs[:, 2])
+            for axis in range(3):
+                o, h, d = o_local[axis], self.halves[k, axis:axis + 1], d_local[axis]
                 t1 = (-h - o) / d
                 t2 = (h - o) / d
-            lo_a, hi_a = np.minimum(t1, t2), np.maximum(t1, t2)
-            zero = np.abs(d) < 1e-15
-            if zero.any():  # a ray parallel to a slab is inside it everywhere or nowhere
-                inside = np.abs(o) <= h
-                lo_a = np.where(zero, np.where(inside, -np.inf, np.inf), lo_a)
-                hi_a = np.where(zero, np.where(inside, np.inf, -np.inf), hi_a)
-            np.maximum(t_lo, lo_a, out=t_lo)
-            np.minimum(t_hi, hi_a, out=t_hi)
-        # an empty or NaN slab interval leaves t_hi < entry or a NaN, so the
-        # one comparison below also rejects it
-        entry = np.maximum(t_lo, 0.0)
-        return np.where(t_hi >= entry, entry, np.inf)
+                lo_a = np.minimum(t1, t2)
+                hi_a = np.maximum(t1, t2, out=t1)
+                zero = np.abs(d) < 1e-15
+                if zero.any():  # a ray parallel to a slab is inside it everywhere or nowhere
+                    inside = np.abs(o) <= h
+                    lo_a = np.where(zero, np.where(inside, -np.inf, np.inf), lo_a)
+                    hi_a = np.where(zero, np.where(inside, np.inf, -np.inf), hi_a)
+                if axis == 0:
+                    t_lo, t_hi = lo_a, hi_a
+                else:
+                    np.maximum(t_lo, lo_a, out=t_lo)
+                    np.minimum(t_hi, hi_a, out=t_hi)
+            # an empty or NaN slab interval leaves t_hi < entry or a NaN, so the
+            # one comparison below also rejects it
+            entry = np.maximum(t_lo, 0.0, out=t_lo)
+            np.copyto(entry, np.inf, where=~(t_hi >= entry))
+        return entry
+
+
+def _meets(boxes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The exact broadphase test, broadcast over AABB rows (..., 6) and
+    ranges (..., 3): the box meets [lo, hi] shrunk by 1e-9 on every side."""
+    return np.all(boxes[..., :3] < hi - 1e-9, axis=-1) & np.all(boxes[..., 3:] > lo + 1e-9, axis=-1)
 
 
 # --- target sampling ----------------------------------------------------------
@@ -298,20 +328,22 @@ def _face_grids(box: Box3, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outward normals (6, 3), centres (6, 3) and sample points (6, s * s, 3)
     of the box's six faces, in the order +u, -u, +v, -v, +w, -w (u and v
     the yawed x and y axes, w up).  Each face carries an s x s grid at cell
-    centers, so boundary samples never sit exactly on edges."""
+    centers, so boundary samples never sit exactly on edges.  An infinite
+    box gets NaN points, quietly, and the frustum test rejects them."""
     c, sn = math.cos(box.yaw), math.sin(box.yaw)
     axes = np.array([[c, sn, 0.0], [-sn, c, 0.0], [0.0, 0.0, 1.0]])
     half = np.asarray(box.half_extents, dtype=float)
     ticks = (np.arange(s) + 0.5) / s * 2.0 - 1.0  # cell centers in [-1, 1]
     axis = np.repeat(np.arange(3), 2)
     normals = axes[axis] * np.tile([1.0, -1.0], 3)[:, None]
-    centers = np.asarray(box.center) + normals * half[axis, None]
-    # the face spans its other two axes; grid point (i, j) is
-    # (centre + ticks[i] * h1 * a1) + ticks[j] * h2 * a2
-    a1, a2 = (axis + 1) % 3, (axis + 2) % 3
-    g1 = (ticks * half[a1, None])[:, :, None, None] * axes[a1][:, None, None, :]
-    g2 = (ticks * half[a2, None])[:, None, :, None] * axes[a2][:, None, None, :]
-    points = centers[:, None, None, :] + g1 + g2
+    with np.errstate(invalid="ignore"):
+        centers = np.asarray(box.center) + normals * half[axis, None]
+        # the face spans its other two axes; grid point (i, j) is
+        # (centre + ticks[i] * h1 * a1) + ticks[j] * h2 * a2
+        a1, a2 = (axis + 1) % 3, (axis + 2) % 3
+        g1 = (ticks * half[a1, None])[:, :, None, None] * axes[a1][:, None, None, :]
+        g2 = (ticks * half[a2, None])[:, None, :, None] * axes[a2][:, None, None, :]
+        points = centers[:, None, None, :] + g1 + g2
     return normals, centers, points.reshape(6, s * s, 3)
 
 
@@ -360,7 +392,9 @@ def _sample_pairs(
     The scene's index is built once per scene and kept with it.  A moved
     target keeps its id, so the index skips it as an occluder wherever the
     pair puts it.  A node's face grids are built when it first appears, so
-    a target that stays put (a sweep) has them built once.
+    a target that stays put (a sweep) has them built once.  The pairs are
+    taken in stretches of _STRETCH, and the samples of a stretch share one
+    grid query of the broadphase.
     """
     if not (isinstance(samples_per_edge, numbers.Integral) and samples_per_edge >= 1):
         raise OptionError(f"samples per edge must be a positive integer, got {samples_per_edge!r}")
@@ -370,40 +404,53 @@ def _sample_pairs(
     index = scene.index
     skip = {index.index_of[i] for i in (set(ignore_ids) | {target_id}) if i in index.index_of}
     samples = []
-    node_seen = grids = None
-    for ego, node in pairs(target):
-        if node is not node_seen:
-            node_seen, grids = node, _face_grids(node.box, samples_per_edge)
-        frustum = make_camera(ego, cfg)
-        apex = np.asarray(frustum.apex)
-        points = _facing_points(grids, apex)
-        samples.append(_sample_from_points(index, frustum, apex, points, ego, node, skip))
+    node_seen = grids = bounds = None
+    stream = iter(pairs(target))
+    while stretch := list(islice(stream, _STRETCH)):
+        # per sample: ego, target node, its AABB, camera apex and the
+        # target's sample points in the frustum
+        views = []
+        for ego, node in stretch:
+            if node is not node_seen:
+                node_seen, grids = node, _face_grids(node.box, samples_per_edge)
+                bounds = node.box.aabb
+            frustum = make_camera(ego, cfg)
+            apex = np.asarray(frustum.apex)
+            points = _facing_points(grids, apex)
+            views.append((ego, node, bounds, apex, points[frustum.contains(points)]))
+        # the broadphase of the samples in view: each gets the candidates
+        # of the box spanned by its camera and its target
+        shown = [v for v in views if len(v[4])]
+        near = iter(())
+        if shown:
+            box, apexes = np.array([v[2] for v in shown]), np.array([v[3] for v in shown])
+            near = iter(index.candidates_each(
+                np.minimum(box[:, :3], apexes), np.maximum(box[:, 3:], apexes), skip))
+        samples += [_sample_from_points(index, *v, next(near) if len(v[4]) else None)
+                    for v in views]
     return tuple(samples)
 
 
 def _sample_from_points(
     index: SceneIndex,
-    frustum: Frustum,
-    apex: np.ndarray,
-    points: np.ndarray,
     ego: EgoPose,
     target: SceneNode,
-    skip: set[int],
+    t_aabb: tuple[float, ...],
+    apex: np.ndarray,
+    pts: np.ndarray,
+    subset: np.ndarray | None,
 ) -> VisibilitySample:
-    eligible = frustum.contains(points)
-    total = int(eligible.sum())
+    """One sample from the target's sample points in the frustum, pts, and
+    the broadphase candidates of the camera and target range, subset."""
+    total = len(pts)
     if total == 0:
         return VisibilitySample(ego, target.id, 0.0, False, ())
 
-    pts = points[eligible]
     rel = pts - apex[None, :]
-    dist = np.linalg.norm(rel, axis=1)
+    # the Euclidean norm as np.linalg.norm computes it
+    dist = np.sqrt(np.add.reduce(rel * rel, axis=1))
     dirs = rel / dist[:, None]
 
-    t_aabb = target.box.aabb
-    lo = np.minimum(np.asarray(t_aabb[:3]), apex)
-    hi = np.maximum(np.asarray(t_aabb[3:]), apex)
-    subset = index.candidates(lo, hi, skip)
     subset = index.cull_outside_wedge(
         subset,
         (float(apex[0]), float(apex[1])),
@@ -411,14 +458,17 @@ def _sample_from_points(
          (t_aabb[3], t_aabb[4]), (t_aabb[0], t_aabb[4])],
     )
 
-    if subset:
+    if len(subset):
         t = index.entry_distances(apex, dirs, subset)
-        nearest = t.min(axis=0)
-        blocked = nearest < dist * (1.0 - _EPS_REL)
-        visible = int((~blocked).sum())
-        who = np.asarray(subset)[np.argmin(t, axis=0)[blocked]]
-        hits, counts = np.unique(who, return_counts=True)
-        contrib = sorted(((index.ids[k], cnt) for k, cnt in zip(hits.tolist(), counts.tolist())),
+        # the first nearest box of each ray: argmin takes the element min
+        # would, NaN included
+        first = t.argmin(axis=0)
+        blocked = t[first, np.arange(total)] < dist * (1.0 - _EPS_REL)
+        counts = np.bincount(first[blocked], minlength=len(subset))
+        hits = np.flatnonzero(counts)
+        visible = total - int(counts.sum())
+        contrib = sorted(((index.ids[k], cnt) for k, cnt in
+                          zip(subset[hits].tolist(), counts[hits].tolist())),
                          key=lambda kv: (-kv[1], kv[0]))
         occluders = tuple((nid, cnt / total) for nid, cnt in contrib)
     else:

@@ -7,14 +7,18 @@ subtype rules, an interval-arithmetic shadow model for single-occluder
 visibility, a 2D segment/rectangle blocker for full-height columns, the
 per-face sample grid of a target box, plain one-box-at-a-time versions of
 the scene index's AABB broadphase and slab test, which read only the
-index's box arrays, the Python fold of scene bounds, the quadratic
-``clears_from`` scan, and the scene/1 document as a dict that
-``json.dumps(indent=2, sort_keys=True)`` writes, which the scene writer must
-match byte for byte, and the two-pass scene/1 reader that the one-pass
-reader must match scene for scene and error for error.  ``ray_intersect`` is the exception: it asks the
-engine's slab test for one ray, so analytic distances can check it.
-``emit_sweep`` writes the engine's sweep/1 document as text, the form the
-golden digests pin.
+index's box arrays, the wedge cull one hull edge at a time, the Python
+fold of scene bounds, the quadratic ``clears_from`` scan, and the scene/1
+document as a dict that ``json.dumps(indent=2, sort_keys=True)`` writes,
+which the scene writer must match byte for byte, and the two-pass scene/1
+reader that the one-pass reader must match scene for scene and error for
+error.  ``ray_intersect`` and ``per_sample_loop`` are the exceptions:
+``ray_intersect`` asks the engine's slab test for one ray, so analytic
+distances can check it, and ``per_sample_loop``, the sample loop with one
+broadphase query per sample, asks the engine's camera, hull, broadphase
+query and slab test, each checked on its own, so it checks how the loop
+puts them together.  ``emit_sweep`` writes the engine's sweep/1 document
+as text, the form the golden digests pin.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 from garagesim.errors import SchemaError
 from garagesim.grid import Direction
 from garagesim.scene import Box3, LightLevel, NodeKind, SceneGraph, SceneNode
+from garagesim.visibility import VisibilitySample, _hull_2d, make_camera
 
 N, E, S, W = Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST
 
@@ -327,6 +332,75 @@ def ray_intersect(scene, origin, direction, ignore=frozenset()):
     if not np.isfinite(t[best]):
         return None
     return index.ids[subset[best]], float(t[best])
+
+
+# --- the sample loop with one broadphase query per sample ----------------------------
+
+
+def per_edge_cull_outside_wedge(index, subset: list[int], apex_xy, corners_xy) -> list[int]:
+    """The wedge cull one hull edge at a time: candidates whose AABB lies
+    fully behind an edge of the 2D hull of apex + target corners dropped."""
+    if not subset:
+        return subset
+    hull = _hull_2d([apex_xy] + corners_xy)
+    if len(hull) < 3:
+        return subset
+    idx = np.asarray(subset)
+    x0, y0 = index.aabbs[idx, 0], index.aabbs[idx, 1]
+    x1, y1 = index.aabbs[idx, 3], index.aabbs[idx, 4]
+    keep = np.ones(len(subset), dtype=bool)
+    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+        nx, ny = -(by - ay), bx - ax
+        best = (np.where(nx > 0, x1, x0) - ax) * nx + (
+            np.where(ny > 0, y1, y0) - ay
+        ) * ny
+        keep &= best > 0.0
+    return [subset[k] for k in np.nonzero(keep)[0].tolist()]
+
+
+def per_sample_loop(scene, target_id, pairs, cfg, samples_per_edge, ignore_ids):
+    """The engine's sample loop before its broadphase ran once per stretch of
+    samples, in _sample_pairs' signature: per sample, the face points
+    sampled afresh, one candidates() query of the camera and target range,
+    the wedge cull edge by edge, ray lengths from np.linalg.norm, the
+    nearest box from min and argmin, and occluders tallied with np.unique."""
+    index = scene.index
+    target = scene.node(target_id)
+    skip = {index.index_of[i] for i in (set(ignore_ids) | {target_id}) if i in index.index_of}
+    samples = []
+    for ego, node in pairs(target):
+        frustum = make_camera(ego, cfg)
+        apex = np.asarray(frustum.apex)
+        points = face_points(node, apex, samples_per_edge)
+        eligible = frustum.contains(points)
+        total = int(eligible.sum())
+        if total == 0:
+            samples.append(VisibilitySample(ego, node.id, 0.0, False, ()))
+            continue
+        pts = points[eligible]
+        rel = pts - apex[None, :]
+        dist = np.linalg.norm(rel, axis=1)
+        dirs = rel / dist[:, None]
+        t_aabb = node.box.aabb
+        lo = np.minimum(np.asarray(t_aabb[:3]), apex)
+        hi = np.maximum(np.asarray(t_aabb[3:]), apex)
+        subset = per_edge_cull_outside_wedge(
+            index, index.candidates(lo, hi, skip), (float(apex[0]), float(apex[1])),
+            [(t_aabb[0], t_aabb[1]), (t_aabb[3], t_aabb[1]),
+             (t_aabb[3], t_aabb[4]), (t_aabb[0], t_aabb[4])],
+        )
+        occluders, visible = (), total
+        if subset:
+            t = index.entry_distances(apex, dirs, subset)
+            blocked = t.min(axis=0) < dist * (1.0 - 1e-9)
+            visible = int((~blocked).sum())
+            who = np.asarray(subset)[np.argmin(t, axis=0)[blocked]]
+            hits, counts = np.unique(who, return_counts=True)
+            contrib = sorted(((index.ids[k], cnt) for k, cnt in zip(hits.tolist(), counts.tolist())),
+                             key=lambda kv: (-kv[1], kv[0]))
+            occluders = tuple((nid, cnt / total) for nid, cnt in contrib)
+        samples.append(VisibilitySample(ego, node.id, visible / total, True, occluders))
+    return tuple(samples)
 
 
 # --- scene bounds and sweep stats as plain loops -----------------------------------

@@ -466,3 +466,70 @@ def test_out_of_range_number_exit_2(tmp_path, capsys, make_argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert not out.exists()
+
+
+DEEP = "[" * 100_000  # past the recursion limit of every JSON reader
+
+
+def _deep_plan(tmp_path, out):
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"schema": "garage-spec/1", "structure": %s}' % DEEP, encoding="utf-8")
+    return ["validate", str(plan)]
+
+
+def _deep_plan_document(tmp_path, out):
+    plan = tmp_path / "plan.json"
+    plan.write_text(DEEP, encoding="utf-8")
+    return ["generate", str(plan), "--out", str(out)]
+
+
+def _deep_scene(tmp_path, out):
+    scene = tmp_path / "scene.json"
+    scene.write_text('{"schema": "scene/1", "light_level": "bright", "nodes": [{"id": "x",'
+                     ' "kind": "column", "tags": %s}]}' % DEEP, encoding="utf-8")
+    return ["scenario", "--case", "1", "--scene", str(scene), "--out", str(out)]
+
+
+def _deep_scene_document(tmp_path, out):
+    scene = tmp_path / "scene.json"
+    scene.write_text(DEEP, encoding="utf-8")
+    return ["scenario", "--case", "2", "--scene", str(scene), "--out", str(out)]
+
+
+def _deep_occupancy(tmp_path, out):
+    spec, plan = tmp_path / "plan.json", tmp_path / "occupancy.json"
+    spec.write_text(emit_garage_spec(ALL_LANE_3X3), encoding="utf-8")
+    plan.write_text('{"schema": "occupancy-plan/1", "entries": %s' % DEEP, encoding="utf-8")
+    return ["generate", str(spec), "--occupancy", str(plan), "--out", str(out)]
+
+
+def _deep_report(tmp_path, out):
+    report = tmp_path / "report.json"
+    report.write_text('{"schema": "report/1", "sweeps": %s' % DEEP, encoding="utf-8")
+    return ["score", str(report)]
+
+
+def _deep_report_document(tmp_path, out):
+    report = tmp_path / "report.json"
+    report.write_text(DEEP, encoding="utf-8")
+    return ["score", str(report)]
+
+
+def _deep_config(tmp_path, out):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"step": %s}' % DEEP, encoding="utf-8")
+    return ["--config", str(cfg), "scenario", "--case", "1", "--out", str(out)]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _deep_plan, _deep_plan_document, _deep_scene, _deep_scene_document, _deep_occupancy,
+    _deep_report, _deep_report_document, _deep_config,
+], ids=lambda make_argv: make_argv.__name__.lstrip("_"))
+def test_deeply_nested_json_exit_2(tmp_path, capsys, make_argv):
+    out = tmp_path / "out.json"
+    argv = make_argv(tmp_path, out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "nested too deeply" in err[0], err
+    assert not out.exists()

@@ -2,8 +2,9 @@
 
 The bucket-grid broadphase must return exactly the list a full scan over
 every AABB returns, order included (ties in the nearest-box argmin go to
-the first box, so the order names the occluder), and the broadcast slab
-test must return the per-box loop's distances bit for bit.  The scenes
+the first box, so the order names the occluder), also for each range of
+a stack queried at once, and the broadcast slab test and wedge cull must
+return the per-box and per-edge loops' results bit for bit.  The scenes
 mix small rotated boxes with wall runs and ceiling panels wider than a
 grid cell, NaN and infinite boxes, and non-blocking kinds; the queries
 fall inside, across and outside the scene, on box bounds, and carry NaN
@@ -18,7 +19,7 @@ import numpy as np
 from garagesim.scene import Box3, LightLevel, NodeKind, OPAQUE_KINDS, SceneGraph, SceneNode
 from garagesim.visibility import SceneIndex
 
-from oracles import full_scan_candidates, per_box_entry_distances
+from oracles import full_scan_candidates, per_box_entry_distances, per_edge_cull_outside_wedge
 
 OPAQUE = sorted(OPAQUE_KINDS, key=lambda k: k.value)
 SIDE = 60.0
@@ -94,6 +95,46 @@ def test_candidates_match_full_scan():
     for count in (0, 1, 2, 5, 40, 300, 1500):
         for _ in range(4):
             _assert_candidates_match(SceneIndex(random_scene(rng, count)), rng, 60)
+
+
+def test_candidates_each_match_full_scan():
+    # one grid query over the union of a stack of ranges, then each range's
+    # own exact test: every row's list as a query of its own returns it,
+    # with NaN, infinite and inverted rows in the stack
+    rng = random.Random(7)
+    for count in (0, 1, 5, 40, 300, 1500):
+        for _ in range(6):
+            index = SceneIndex(random_scene(rng, count))
+            rows = [random_query(rng, index) for _ in range(rng.randrange(1, 40))]
+            lo, hi = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+            skip = set(rng.sample(range(len(index.ids)), min(len(index.ids), rng.randrange(3))))
+            got = index.candidates_each(lo, hi, skip)
+            assert len(got) == len(rows)
+            for r, near in enumerate(got):
+                assert near.dtype == np.intp
+                assert near.tolist() == full_scan_candidates(index.aabbs, lo[r], hi[r], skip), r
+    assert SceneIndex(random_scene(rng, 5)).candidates_each(np.empty((0, 3)), np.empty((0, 3)),
+                                                            set()) == []
+
+
+def test_wedge_cull_matches_per_edge_loop():
+    rng = random.Random(19)
+    half = SIDE / 2.0
+    for trial in range(200):
+        index = SceneIndex(random_scene(rng, rng.randrange(1, 60)))
+        subset = sorted(rng.sample(range(len(index.ids)), rng.randrange(len(index.ids) + 1)))
+        apex = (rng.uniform(-half, half), rng.uniform(-half, half))
+        x0, y0 = rng.uniform(-half, half), rng.uniform(-half, half)
+        x1, y1 = x0 + rng.choice([0.0, rng.uniform(0.5, 5.0)]), y0 + rng.uniform(0.5, 5.0)
+        if subset and trial % 3 == 0:  # a hull edge on a box's bound: best is exactly 0
+            x0, y0, _, x1, y1, _ = index.aabbs[rng.choice(subset)].tolist()
+            x0, y0 = rng.choice([(x1, y0), (x0, y1), (x1, y1)])
+            x1, y1 = x0 + rng.uniform(0.5, 5.0), y0 + rng.uniform(0.5, 5.0)
+        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        if trial % 10 == 0:  # a degenerate hull keeps every candidate
+            apex, corners = (x0, y0), [(x0, y0)] * 4
+        got = index.cull_outside_wedge(np.array(subset, dtype=np.intp), apex, corners)
+        assert got.tolist() == per_edge_cull_outside_wedge(index, subset, apex, corners), trial
 
 
 def test_one_box_scenes():
