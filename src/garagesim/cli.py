@@ -12,36 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import JSON_TOO_DEEP, GarageError, OptionError, SchemaError, SpecParseError
 from .grid import load_garage_spec, validate
-from .classify import classify_all
-from .scene import (
-    LightLevel,
-    NodeKind,
-    SceneGraph,
-    SynthOptions,
-    export_scene,
-    import_scene,
-    parse_occupancy_plan,
-    populate_vehicles,
-)
-from .scenario import (
-    BLACKOUT_THRESHOLD,
-    DEFAULT_WEIGHTS,
-    _scene_from_nodes,
-    build_case1,
-    build_case2,
-    build_case3,
-    emit_report,
-    relight,
-    rescore_report_document,
-    run_scenario,
-)
-from .visibility import CameraConfig, sweep_csv
+
+if TYPE_CHECKING:
+    from .scene import SceneGraph
+
+# Each handler imports the machinery it runs, so `validate` and `score` load
+# no numpy and a command pays only for its own modules at start-up.
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -51,6 +33,8 @@ EXIT_USAGE = 2
 def _parse_weights(text: str | None) -> tuple[float, float, float]:
     """Weights from 'w_occ,w_blk,w_lit' (the defaults when text is empty);
     the library checks their values."""
+    from .scoring import DEFAULT_WEIGHTS
+
     if not text:
         return DEFAULT_WEIGHTS
     parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
@@ -137,6 +121,9 @@ def _config_value(action: argparse.Action, value):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .scene import LightLevel
+    from .scoring import BLACKOUT_THRESHOLD
+
     parser = argparse.ArgumentParser(
         prog="garagesim",
         description="Garage plan compiler and occlusion analyzer",
@@ -214,12 +201,16 @@ def _cmd_generate(args) -> int:
         for v in report.violations:
             print(f"violation {v.rule} at {v.location}: {v.message}", file=sys.stderr)
         return EXIT_DATA
+    from .classify import classify_all
+    from .scene import (
+        LightLevel, NodeKind, SynthOptions, export_scene, parse_occupancy_plan,
+        populate_vehicles, synthesize,
+    )
+
     grid = classify_all(spec)
     options = SynthOptions(
         light=LightLevel(args.light), prune_columns=_parse_corners(args.prune_columns)
     )
-    from .scene import synthesize
-
     scene = synthesize(grid, options)
     if args.occupancy:
         plan = parse_occupancy_plan(Path(args.occupancy).read_text(encoding="utf-8"))
@@ -244,6 +235,8 @@ def _cmd_generate(args) -> int:
 
 def _merge_scene(base: SceneGraph, extra: SceneGraph) -> SceneGraph:
     """Scenario scene plus extra environment; the caller relights it."""
+    from .scenario import _scene_from_nodes
+
     ids = {n.id for n in base.nodes}
     merged = list(base.nodes)
     for n in extra.nodes:
@@ -280,6 +273,12 @@ def _cmd_scenario(args) -> int:
     if args.case not in ("1", "2", "3"):
         print(f"unknown case {args.case!r}; expected 1, 2 or 3", file=sys.stderr)
         return EXIT_USAGE
+    from dataclasses import replace
+
+    from .scenario import build_case1, build_case2, build_case3, emit_report, relight, run_scenario
+    from .scene import LightLevel, import_scene
+    from .visibility import CameraConfig, sweep_csv
+
     cfg = CameraConfig(**_given(args, "mount_height", "aspect", horizontal_fov_deg="fov"))
     weights = _parse_weights(args.weights)
     if args.case == "1":
@@ -330,6 +329,8 @@ def _cmd_score(args) -> int:
         raise SchemaError(f"invalid report JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise SchemaError(f"invalid report JSON: {JSON_TOO_DEEP}") from exc
+    from .scoring import rescore_report_document
+
     weights = _parse_weights(args.weights)
     sc = rescore_report_document(doc, weights, args.blackout_threshold)
     if args.format == "json":

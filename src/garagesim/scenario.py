@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import ConstructionError, OptionError, SchemaError
+from .errors import ConstructionError, OptionError
 from .scene import (
     Box3,
     CEILING_HEIGHT,
@@ -34,6 +34,17 @@ from .scene import (
     slab_box,
     vehicle_box,
 )
+# the score formula and the report reader live in scoring, which loads no
+# numpy; scenario.rescore_report_document stays importable
+from .scoring import (
+    BLACKOUT_THRESHOLD,
+    DEFAULT_WEIGHTS,
+    REPORT_SCHEMA,
+    DifficultyScore,
+    _check_score_options,
+    _score_fractions,
+    rescore_report_document,
+)
 from .visibility import (
     DEFAULT_SAMPLES_PER_EDGE,
     DEFAULT_STEP,
@@ -46,20 +57,10 @@ from .visibility import (
     pose_at,
     sample_arclengths,
     sweep,
+    sweep_document,
 )
 
 SCENARIO_SCHEMA = "scenario/1"
-REPORT_SCHEMA = "report/1"
-
-BLACKOUT_THRESHOLD = 0.2
-DEFAULT_WEIGHTS = (0.4, 0.4, 0.2)
-
-LIGHT_PENALTY = {
-    LightLevel.BRIGHT: 0.0,
-    LightLevel.CLEAR: 0.2,
-    LightLevel.MODERATE: 0.5,
-    LightLevel.DIM: 1.0,
-}
 
 #: lateral offset of each parking row from the ego lane, meters
 SLOT_OFFSETS = {"close": 4.0, "medium": 8.0, "far": 12.0}
@@ -86,24 +87,6 @@ class Scenario:
             raise ConstructionError("scenario needs at least one target")
         if not self.ego_path:
             raise ConstructionError("scenario needs an ego pose or path")
-
-
-@dataclass(frozen=True)
-class DifficultyScore:
-    total: float
-    occlusion_term: float
-    blackout_term: float
-    light_term: float
-    weights: tuple[float, float, float]
-
-    def to_document(self) -> dict:
-        return {
-            "total": self.total,
-            "occlusion_term": self.occlusion_term,
-            "blackout_term": self.blackout_term,
-            "light_term": self.light_term,
-            "weights": list(self.weights),
-        }
 
 
 @dataclass(frozen=True)
@@ -341,47 +324,6 @@ def target_sweep(
     return OcclusionSweep(samples=samples, step=step, path=target_path, swept="target")
 
 
-def _longest_blackout(fractions: list[float], threshold: float) -> int:
-    longest = run = 0
-    for f in fractions:
-        run = run + 1 if f < threshold else 0
-        longest = max(longest, run)
-    return longest
-
-
-def _check_score_options(weights, blackout_threshold: float) -> None:
-    """The one check of the score options (OptionError): three finite,
-    non-negative weights summing to 1, and a finite threshold in [0, 1]."""
-    if (
-        len(weights) != 3
-        or not all(0.0 <= w < math.inf for w in weights)
-        or abs(sum(weights) - 1.0) > 1e-9
-    ):
-        raise OptionError(
-            f"weights must be three finite non-negative numbers summing to 1, got {weights}"
-        )
-    if not 0.0 <= blackout_threshold <= 1.0:
-        raise OptionError(f"blackout threshold must be in [0, 1], got {blackout_threshold}")
-
-
-def _score_fractions(
-    fractions: list[list[float]],
-    level: LightLevel,
-    weights: tuple[float, float, float],
-    blackout_threshold: float,
-) -> DifficultyScore:
-    """The score formula over per-sweep visible-fraction lists, pooled in
-    the order given."""
-    _check_score_options(weights, blackout_threshold)
-    w_occ, w_blk, w_lit = weights
-    all_fracs = [f for fr in fractions for f in fr]
-    occlusion = sum(1.0 - f for f in all_fracs) / len(all_fracs)
-    blackout = max(_longest_blackout(fr, blackout_threshold) / len(fr) for fr in fractions)
-    light = LIGHT_PENALTY[level]
-    total = 100.0 * (w_occ * occlusion + w_blk * blackout + w_lit * light)
-    return DifficultyScore(total, occlusion, blackout, light, tuple(weights))
-
-
 def score(
     sweeps: dict[str, OcclusionSweep] | list[OcclusionSweep],
     level: LightLevel,
@@ -476,8 +418,6 @@ def relight(scn: Scenario, level: LightLevel) -> Scenario:
 
 
 def report_document(report: ScenarioReport) -> dict:
-    from .visibility import sweep_document
-
     return {
         "schema": REPORT_SCHEMA,
         "scenario": {
@@ -494,36 +434,3 @@ def report_document(report: ScenarioReport) -> dict:
 
 def emit_report(report: ScenarioReport) -> str:
     return json.dumps(report_document(report), indent=2, sort_keys=True) + "\n"
-
-
-def _fraction(value) -> float:
-    """A report's visible fraction: a JSON number (no bool) in [0, 1]."""
-    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
-        raise SchemaError(f"malformed report: visible_fraction {value!r} is not a number"
-                          " in [0, 1]")
-    return float(value)
-
-
-def rescore_report_document(
-    doc: dict,
-    weights: tuple[float, float, float],
-    blackout_threshold: float = BLACKOUT_THRESHOLD,
-) -> DifficultyScore:
-    """Recompute the difficulty score of an emitted report/1 document.
-
-    Fractions pool in the report's key order, which may differ from the
-    run's target order in the last bit of the occlusion term."""
-    if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
-        raise SchemaError(f"expected schema {REPORT_SCHEMA!r}")
-    try:
-        level = LightLevel(doc["light_level"])
-        sweeps = doc["sweeps"]
-        fractions = {
-            tid: [_fraction(s["visible_fraction"]) for s in sw["samples"]]
-            for tid, sw in sweeps.items()
-        }
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise SchemaError(f"malformed report: {exc}") from exc
-    if not fractions or any(not f for f in fractions.values()):
-        raise SchemaError("report has no sweep samples")
-    return _score_fractions(list(fractions.values()), level, weights, blackout_threshold)

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import JSON_TOO_DEEP, PlanError, SchemaError
 from .classify import ClassifiedGrid
 from .grid import CellKind, CellRef, _prefix
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .visibility import SceneIndex
 
 SCENE_SCHEMA = "scene/1"
@@ -130,6 +130,8 @@ def _box_columns(boxes: list[Box3]) -> tuple[np.ndarray, ...]:
     AABBs (k, 6) of the boxes.  The cos and sin come from math, as in
     Box3.aabb (numpy's may differ in the last bit), so every row's bounds
     are the floats Box3.aabb gives."""
+    import numpy as np  # loaded on the first box array, not by importing scene
+
     k = len(boxes)
     chain = itertools.chain.from_iterable
     centers = np.fromiter(chain(b.center for b in boxes), float, 3 * k).reshape(k, 3)
@@ -439,6 +441,8 @@ def _fold_bounds(boxes) -> Box3:
     """Axis-aligned box around the world AABBs of the given boxes, in
     float64 (an int box field past 2**52 is rounded to a float first).  A
     NaN bound is skipped, as a min/max fold over the boxes skips it."""
+    import numpy as np
+
     aabbs = _box_columns(list(boxes))[4]
     lo = np.fmin.reduce(aabbs[:, :3], axis=0, initial=math.inf).tolist()
     hi = np.fmax.reduce(aabbs[:, 3:], axis=0, initial=-math.inf).tolist()

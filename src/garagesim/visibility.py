@@ -431,6 +431,14 @@ def _sample_pairs(
     return tuple(samples)
 
 
+def _lengths(rel: np.ndarray) -> np.ndarray:
+    """Row norms of an (n, 3) array, bit-equal to np.linalg.norm(rel, axis=1):
+    the same sum, (x*x + y*y) + z*z, taken from the columns, which costs a
+    fraction of a reduction over the length-3 axis."""
+    x, y, z = rel.T
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def _sample_from_points(
     index: SceneIndex,
     ego: EgoPose,
@@ -447,8 +455,7 @@ def _sample_from_points(
         return VisibilitySample(ego, target.id, 0.0, False, ())
 
     rel = pts - apex[None, :]
-    # the Euclidean norm as np.linalg.norm computes it
-    dist = np.sqrt(np.add.reduce(rel * rel, axis=1))
+    dist = _lengths(rel)
     dirs = rel / dist[:, None]
 
     subset = index.cull_outside_wedge(

@@ -160,6 +160,26 @@ class TestRayIntersect:
         assert hit[1] == pytest.approx(expected, abs=1e-9)
 
 
+class TestRayLengths:
+    """The sample loop's ray lengths are the bits np.linalg.norm gives."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 31, 1152, 8193, 20000])
+    def test_bit_equal_to_linalg_norm(self, n):
+        rng = np.random.default_rng(n)
+        # moderate magnitudes, with some whose squares overflow to inf and
+        # some whose squares are subnormal or zero, mixed within rows
+        exponent = rng.uniform(-3.0, 3.0, (n, 3))
+        pick = rng.random((n, 3))
+        exponent[pick < 0.1] = rng.uniform(140.0, 200.0, (n, 3))[pick < 0.1]
+        exponent[pick > 0.9] = rng.uniform(-200.0, -140.0, (n, 3))[pick > 0.9]
+        rel = rng.normal(size=(n, 3)) * 10.0 ** exponent
+        rel[rng.random((n, 3)) < 0.02] = 0.0
+        with np.errstate(over="ignore"):
+            expected = np.linalg.norm(rel, axis=1)
+            got = visibility._lengths(rel)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
 _COORDS = st.floats(-50.0, 50.0)
 _YAWS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, -math.pi / 4, math.nan]),
                   st.floats(-7.0, 7.0))
