@@ -234,16 +234,16 @@ def _cmd_generate(args) -> int:
 
 
 def _merge_scene(base: SceneGraph, extra: SceneGraph) -> SceneGraph:
-    """Scenario scene plus extra environment; the caller relights it."""
-    from .scenario import _scene_from_nodes
+    """Scenario scene plus extra environment, bounded by both, made from
+    their joined box tables; the caller relights it."""
+    from .scene import _bounded_scene
 
-    ids = {n.id for n in base.nodes}
-    merged = list(base.nodes)
-    for n in extra.nodes:
-        if n.id in ids:
-            raise SchemaError(f"--scene node id {n.id!r} collides with the scenario")
-        merged.append(n)
-    return _scene_from_nodes(merged)
+    base, extra = base._table_of(), extra._table_of()
+    ids = set(base.ids)
+    if not ids.isdisjoint(extra.ids):
+        first = next(node_id for node_id in extra.ids if node_id in ids)
+        raise SchemaError(f"--scene node id {first!r} collides with the scenario")
+    return _bounded_scene(base + extra)
 
 
 def _parse_layout(text: str) -> list[tuple[str, str]]:
@@ -288,8 +288,9 @@ def _cmd_scenario(args) -> int:
     else:
         scn = build_case3(_parse_layout(args.layout))
     if args.scene:
-        extra = import_scene(Path(args.scene).read_text(encoding="utf-8"))
-        scn = replace(scn, scene=_merge_scene(scn.scene, extra))
+        # held by no name, so the imported table goes once merged
+        scn = replace(scn, scene=_merge_scene(
+            scn.scene, import_scene(Path(args.scene).read_text(encoding="utf-8"))))
     scn = relight(scn, LightLevel(args.light))
     report = run_scenario(
         scn,

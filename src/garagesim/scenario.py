@@ -114,7 +114,7 @@ def _shell(x0: float, y0: float, x1: float, y1: float) -> list[SceneNode]:
 def _scene_from_nodes(nodes: list[SceneNode]) -> SceneGraph:
     return SceneGraph(
         nodes=tuple(nodes),
-        bounds=_fold_bounds(n.box for n in nodes),
+        bounds=_fold_bounds(n.box.aabb for n in nodes),
         light_level=LightLevel.BRIGHT,
     )
 

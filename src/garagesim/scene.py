@@ -12,11 +12,12 @@ lamps.  Vehicles are appended afterwards by populate_vehicles.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain, compress
 from typing import TYPE_CHECKING
 
 from .errors import JSON_TOO_DEEP, PlanError, SchemaError
@@ -125,23 +126,18 @@ def _aabb(center, half, cos_yaw, sin_yaw):
     return (cx - ex, cy - ey, cz - hz, cx + ex, cy + ey, cz + hz)
 
 
-def _box_columns(boxes: list[Box3]) -> tuple[np.ndarray, ...]:
-    """Centres and half extents (k, 3), cos and sin of yaw (k,) and world
-    AABBs (k, 6) of the boxes.  The cos and sin come from math, as in
-    Box3.aabb (numpy's may differ in the last bit), so every row's bounds
-    are the floats Box3.aabb gives."""
-    import numpy as np  # loaded on the first box array, not by importing scene
-
-    k = len(boxes)
-    chain = itertools.chain.from_iterable
-    centers = np.fromiter(chain(b.center for b in boxes), float, 3 * k).reshape(k, 3)
-    halves = np.fromiter(chain(b.half_extents for b in boxes), float, 3 * k).reshape(k, 3)
-    cos_yaw = np.fromiter((math.cos(b.yaw) for b in boxes), float, k)
-    sin_yaw = np.fromiter((math.sin(b.yaw) for b in boxes), float, k)
-    # inf * 0 on infinite boxes and overflow on huge ones, quiet as in Box3.aabb
-    with np.errstate(invalid="ignore", over="ignore"):
-        aabbs = np.stack(_aabb(centers.T, halves.T, cos_yaw, sin_yaw), axis=1)
-    return centers, halves, cos_yaw, sin_yaw, aabbs
+def _fold_bounds(aabbs) -> Box3:
+    """Axis-aligned box around world AABBs, given as rows of (min x, min y,
+    min z, max x, max y, max z): the one fold for loose boxes (their
+    Box3.aabb) and box table rows alike.  Each bound is folded in order from
+    an infinity with min or max, which keep the running bound over a NaN."""
+    columns = list(zip(*aabbs)) or [()] * 6
+    lo = [min(chain((math.inf,), columns[k])) for k in range(3)]
+    hi = [max(chain((-math.inf,), columns[k + 3])) for k in range(3)]
+    return Box3(
+        center=tuple((lo[k] + hi[k]) / 2.0 for k in range(3)),
+        half_extents=tuple(max((hi[k] - lo[k]) / 2.0, 1e-9) for k in range(3)),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,16 +148,162 @@ class SceneNode:
     tags: dict[str, str] = field(default_factory=dict)
 
 
+_KINDS = tuple(NodeKind)
+#: kind -> its code in a box table, and the same keyed by the kind's JSON text
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_NODE_CODES = {kind.value: code for code, kind in enumerate(_KINDS)}
+_FLOOR_CODE = _KIND_CODES[NodeKind.FLOOR_TILE]
+#: rows a box table turns into nodes at a time
+_CHUNK = 1024
+
+
+class _BoxTable:
+    """The boxes of a scene in node order, as one table: node ids, kind
+    codes (indexes into _KINDS), tags, and seven float64 box values per row
+    (centre, half extents, yaw) in one array.  A table is filled once, in
+    the pass that makes it, and never changed after."""
+
+    __slots__ = ("ids", "codes", "tags", "values")
+
+    def __init__(self, ids=None, codes=None, tags=None, values=None):
+        self.ids: list[str] = [] if ids is None else ids
+        self.codes: array = array("B") if codes is None else codes
+        self.tags: list[dict[str, str]] = [] if tags is None else tags
+        self.values: array = array("d") if values is None else values
+
+    @classmethod
+    def of_nodes(cls, nodes) -> _BoxTable:
+        """The table of the given nodes (a box value that is no float, an
+        int say, is stored as the float it converts to)."""
+        import numpy as np
+
+        boxes = [n.box for n in nodes]
+        k = len(boxes)
+        values = array("d", [0.0]) * (7 * k)
+        box = np.frombuffer(values).reshape(k, 7)  # written through, in place
+        box[:, :3] = np.fromiter(chain.from_iterable(b.center for b in boxes), float, 3 * k
+                                 ).reshape(k, 3)
+        box[:, 3:6] = np.fromiter(chain.from_iterable(b.half_extents for b in boxes), float,
+                                  3 * k).reshape(k, 3)
+        box[:, 6] = np.fromiter((b.yaw for b in boxes), float, k)
+        del box  # a view holds the array's buffer, which then could not grow
+        return cls([n.id for n in nodes], array("B", [_KIND_CODES[n.kind] for n in nodes]),
+                   [n.tags for n in nodes], values)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def add(self, node_id: str, code: int, tags: dict[str, str], values) -> None:
+        """Append one row."""
+        self.ids.append(node_id)
+        self.codes.append(code)
+        self.tags.append(tags)
+        self.values.extend(values)
+
+    def __add__(self, other: _BoxTable) -> _BoxTable:
+        """This table's rows, then other's."""
+        return _BoxTable(self.ids + other.ids, self.codes + other.codes,
+                         self.tags + other.tags, self.values + other.values)
+
+    def kind_mask(self, kinds) -> np.ndarray:
+        """A mask of the rows whose kind is one of kinds."""
+        import numpy as np
+
+        wanted = np.zeros(len(_KINDS), bool)
+        wanted[[_KIND_CODES[kind] for kind in kinds]] = True
+        return wanted[np.frombuffer(self.codes, np.uint8)]
+
+    def take(self, rows: np.ndarray) -> _BoxTable:
+        """A table of the rows in a mask, in order."""
+        import numpy as np
+
+        keep = rows.tobytes()
+        codes, values = array("B"), array("d")
+        codes.frombytes(np.frombuffer(self.codes, np.uint8)[rows])
+        values.frombytes(np.frombuffer(self.values).reshape(-1, 7)[rows].view(np.uint8))
+        return _BoxTable(list(compress(self.ids, keep)), codes,
+                         list(compress(self.tags, keep)), values)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """Centres and half extents (k, 3), cos and sin of yaw (k,) and world
+        AABBs (k, 6) of the rows.  The cos and sin come from math, as in
+        Box3.aabb (numpy's may differ in the last bit), so every row's bounds
+        are the floats Box3.aabb gives its node's box."""
+        import numpy as np  # loaded on the first box array, not by importing scene
+
+        box = np.frombuffer(self.values).reshape(-1, 7)
+        centers, halves = box[:, :3].copy(), box[:, 3:6].copy()
+        yaw = self.values[6::7]
+        cos_yaw = np.fromiter(map(math.cos, yaw), float, len(yaw))
+        sin_yaw = np.fromiter(map(math.sin, yaw), float, len(yaw))
+        # inf * 0 on infinite boxes and overflow on huge ones, quiet as in Box3.aabb
+        with np.errstate(invalid="ignore", over="ignore"):
+            aabbs = np.stack(_aabb(centers.T, halves.T, cos_yaw, sin_yaw), axis=1)
+        return centers, halves, cos_yaw, sin_yaw, aabbs
+
+    def node(self, k: int) -> SceneNode:
+        """The node of row k."""
+        return self._build(k, k + 1, float)[0]
+
+    def nodes(self) -> tuple[SceneNode, ...]:
+        """The node of every row, built _CHUNK rows at a time, so that only
+        one chunk's box values stand as a list beside the nodes.  Equal box
+        values share one float (signed zeros apart)."""
+        number = _Floats().__getitem__
+        nodes: list[SceneNode] = []
+        for start in range(0, len(self), _CHUNK):
+            nodes += self._build(start, start + _CHUNK, number)
+        return tuple(nodes)
+
+    def _build(self, start: int, stop: int, number) -> list[SceneNode]:
+        v = list(map(number, self.values[7 * start:7 * stop]))
+        boxes = map(Box3, zip(v[0::7], v[1::7], v[2::7]), zip(v[3::7], v[4::7], v[5::7]),
+                    v[6::7])
+        return list(map(SceneNode, self.ids[start:stop],
+                        map(_KINDS.__getitem__, self.codes[start:stop]), boxes,
+                        self.tags[start:stop]))
+
+
 @dataclass(frozen=True)
 class SceneGraph:
-    """An ordered scene of boxes.  What is derived from it, the ray-test
-    index and the id lookup, is built on first use and kept with the scene;
-    a scene is never changed (every edit makes a new SceneGraph, with
-    nothing cached), so what is kept cannot go stale."""
+    """An ordered scene of boxes.
+
+    Every scene has one box table, which the ray-test index, the bounds of
+    a merge and re-lighting read.  A scene made from nodes derives it when
+    one of those asks.  A scene made from its table (an imported, merged or
+    re-lit one) builds its nodes on first access of nodes, and keeps them
+    in place of the table; until then node() builds just the node asked
+    for, and count() reads the table.  What else is derived (the index, the
+    id lookup) is kept with the scene; a scene is never changed (every edit
+    makes a new SceneGraph, with nothing cached), so what is kept cannot go
+    stale."""
 
     nodes: tuple[SceneNode, ...]
     bounds: Box3
     light_level: LightLevel
+
+    def __getattr__(self, name: str):
+        # called only for what the instance lacks: a table scene's nodes
+        # until their first access
+        table = vars(self).get("_own_table")
+        if name != "nodes" or table is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # threads that build at once all get the first tuple stored, and the
+        # table goes only once the nodes stand in its place
+        nodes = vars(self).setdefault("nodes", table.nodes())
+        vars(self).pop("_own_table", None)
+        return nodes
+
+    def _table_of(self, kinds=None) -> _BoxTable:
+        """The box table of the scene's nodes, or of those of the given
+        kinds, in order: a table scene's own table or rows of it; else one
+        derived from the nodes and not kept, so that a scene holds its
+        boxes once."""
+        table = vars(self).get("_own_table")
+        if table is None:
+            return _BoxTable.of_nodes(
+                self.nodes if kinds is None else [n for n in self.nodes if n.kind in kinds])
+        return table if kinds is None else table.take(table.kind_mask(kinds))
 
     @functools.cached_property
     def index(self) -> SceneIndex:
@@ -176,13 +318,44 @@ class SceneGraph:
         return {n.id: n for n in reversed(self.nodes)}
 
     def node(self, node_id: str) -> SceneNode:
+        """The first node with the given id.  A table scene builds it from
+        its row, found by one scan of the ids."""
         try:
+            table = vars(self).get("_own_table")
+            if table is not None:
+                return table.node(table.ids.index(node_id))
             return self._node_by_id[node_id]
-        except (KeyError, TypeError):  # TypeError: an unhashable id names no node
+        except (KeyError, TypeError, ValueError):  # TypeError: an unhashable id
             raise KeyError(f"no node {node_id!r} in scene") from None
 
     def count(self, kind: NodeKind) -> int:
+        table = vars(self).get("_own_table")
+        if table is not None:
+            return table.codes.count(_KIND_CODES[kind])
         return sum(1 for n in self.nodes if n.kind is kind)
+
+
+def _table_scene(table: _BoxTable, bounds: Box3, light_level: LightLevel) -> SceneGraph:
+    """A scene made from its box table: its nodes are built on first access."""
+    scene = object.__new__(SceneGraph)
+    vars(scene).update(_own_table=table, bounds=bounds, light_level=light_level)
+    return scene
+
+
+def _bounded_scene(table: _BoxTable) -> SceneGraph:
+    """A bright scene made from a table and bounded by its boxes' AABBs, as
+    scenario._scene_from_nodes bounds one made from nodes.  The fold of one
+    bound ends on the first row, in order, holding that bound's extreme (a
+    NaN never wins), and no row before it holds the extreme; so folding
+    just those rows, at most six and kept in order, gives the same box."""
+    import numpy as np
+
+    aabbs = table.columns()[4]
+    lo, hi = aabbs[:, :3], aabbs[:, 3:]
+    hits = np.hstack([lo == np.fmin.reduce(lo, axis=0, initial=math.inf),
+                      hi == np.fmax.reduce(hi, axis=0, initial=-math.inf)])
+    rows = np.unique(hits.argmax(axis=0)[hits.any(axis=0)]) if len(hits) else []
+    return _table_scene(table, _fold_bounds(aabbs[rows].tolist()), LightLevel.BRIGHT)
 
 
 @dataclass(frozen=True)
@@ -310,7 +483,8 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
             else:
                 nodes.append(SceneNode(f"mark-park-{i}-{j}", NodeKind.PARKING_MARKING,
                                        mark_box, dict(tags)))
-    lamp_sites = _lamp_sites(nodes)
+    lamp_sites = _lamp_sites((n.tags, *n.box.center[:2]) for n in nodes
+                             if n.kind is NodeKind.FLOOR_TILE)
 
     # obstacle wall slabs, merged per row run
     for i in range(spec.m):
@@ -374,7 +548,9 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
                 )
 
     # lamps last, over the drivable floor tiles found above
-    nodes.extend(_make_lamps(lamp_sites, options.light, h))
+    lamps, lamp_z, half = _lamps(lamp_sites, options.light, h)
+    nodes += [SceneNode(lamp_id, NodeKind.LAMP, Box3((x, y, lamp_z), half), tags)
+              for lamp_id, tags, x, y in lamps]
 
     bounds = Box3(
         center=(xs[-1] / 2.0, ys[-1] / 2.0, h / 2.0),
@@ -383,36 +559,29 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
     return SceneGraph(nodes=tuple(nodes), bounds=bounds, light_level=options.light)
 
 
-def _make_lamps(
-    sites: list[tuple[float, float, str]], level: LightLevel, ceiling_h: float
-) -> list[SceneNode]:
+def _lamps(sites: list[tuple[float, float, str]], level: LightLevel, ceiling_h: float):
+    """The lamps of a light level over the given sites: the (id, tags, x, y)
+    of each, in site order, and the centre height and half extents that
+    they share."""
     count = math.ceil(level.lamp_coverage * len(sites)) if sites else 0
     lamp_z = ceiling_h - CEILING_THICKNESS - LAMP_SIZE[2] / 2.0
     half = (LAMP_SIZE[0] / 2.0, LAMP_SIZE[1] / 2.0, LAMP_SIZE[2] / 2.0)
     intensity = repr(level.lamp_intensity)
-    lamps = []
-    for k, (cx, cy, cell) in enumerate(sites[:count]):
-        lamps.append(
-            SceneNode(
-                "lamp-" + cell.replace(",", "-"), NodeKind.LAMP,
-                Box3((cx, cy, lamp_z), half),
-                {"cell": cell, "site_index": str(k), "intensity": intensity},
-            )
-        )
-    return lamps
+    lamps = [("lamp-" + cell.replace(",", "-"),
+              {"cell": cell, "site_index": str(k), "intensity": intensity}, cx, cy)
+             for k, (cx, cy, cell) in enumerate(sites[:count])]
+    return lamps, lamp_z, half
 
 
 _DRIVABLE_NAMES = frozenset(k.name.lower() for k in CellKind if k.drivable)
 
 
-def _lamp_sites(nodes) -> list[tuple[float, float, str]]:
-    """(x, y, cell) of each drivable-cell floor tile, in node order: the one
-    source of lamp sites for synthesis and re-lighting alike."""
-    return [
-        (n.box.center[0], n.box.center[1], n.tags["cell"])
-        for n in nodes
-        if n.kind is NodeKind.FLOOR_TILE and n.tags.get("cell_kind") in _DRIVABLE_NAMES
-    ]
+def _lamp_sites(floors) -> list[tuple[float, float, str]]:
+    """(x, y, cell) of each drivable-cell tile among floor tiles given as
+    (tags, centre x, centre y), in order: the one source of lamp sites for
+    synthesis and re-lighting alike."""
+    return [(x, y, tags["cell"]) for tags, x, y in floors
+            if tags.get("cell_kind") in _DRIVABLE_NAMES]
 
 
 def apply_light_level(scene: SceneGraph, level: LightLevel) -> SceneGraph:
@@ -420,13 +589,20 @@ def apply_light_level(scene: SceneGraph, level: LightLevel) -> SceneGraph:
 
     Lamp sites are the drivable-cell floor tiles, filled row-major, so the
     populated set under a lower coverage is a prefix of a higher one.
-    Applying a level always overrides the previous one.
+    Applying a level always overrides the previous one.  The scene is read
+    from its box table, and the new one is made from a table.
     """
-    sites = _lamp_sites(scene.nodes)
-    keep = tuple(n for n in scene.nodes if n.kind is not NodeKind.LAMP)
-    h = scene.bounds.center[2] + scene.bounds.half_extents[2]
-    lamps = _make_lamps(sites, level, h)
-    return SceneGraph(nodes=keep + tuple(lamps), bounds=scene.bounds, light_level=level)
+    table = scene._table_of()
+    floors = table.kind_mask({NodeKind.FLOOR_TILE}).nonzero()[0].tolist()
+    sites = _lamp_sites((table.tags[k], table.values[7 * k], table.values[7 * k + 1])
+                        for k in floors)
+    relit = table.take(table.kind_mask(set(NodeKind) - {NodeKind.LAMP}))
+    lamps, lamp_z, half = _lamps(sites, level, scene.bounds.center[2]
+                                 + scene.bounds.half_extents[2])
+    lamp = _KIND_CODES[NodeKind.LAMP]
+    for lamp_id, tags, x, y in lamps:
+        relit.add(lamp_id, lamp, tags, (x, y, lamp_z, *half, 0.0))
+    return _table_scene(relit, scene.bounds, level)
 
 
 def remove_node(scene: SceneGraph, node_id: str) -> SceneGraph:
@@ -435,21 +611,6 @@ def remove_node(scene: SceneGraph, node_id: str) -> SceneGraph:
     if len(kept) == len(scene.nodes):
         raise KeyError(f"no node {node_id!r} in scene")
     return replace(scene, nodes=kept)
-
-
-def _fold_bounds(boxes) -> Box3:
-    """Axis-aligned box around the world AABBs of the given boxes, in
-    float64 (an int box field past 2**52 is rounded to a float first).  A
-    NaN bound is skipped, as a min/max fold over the boxes skips it."""
-    import numpy as np
-
-    aabbs = _box_columns(list(boxes))[4]
-    lo = np.fmin.reduce(aabbs[:, :3], axis=0, initial=math.inf).tolist()
-    hi = np.fmax.reduce(aabbs[:, 3:], axis=0, initial=-math.inf).tolist()
-    return Box3(
-        center=tuple((lo[k] + hi[k]) / 2.0 for k in range(3)),
-        half_extents=tuple(max((hi[k] - lo[k]) / 2.0, 1e-9) for k in range(3)),
-    )
 
 
 def vehicle_box(
@@ -509,7 +670,7 @@ def populate_vehicles(
         vehicles.append(
             SceneNode(f"veh-{entry.cell.i}-{entry.cell.j}", NodeKind.VEHICLE, box, tags)
         )
-    bounds = _fold_bounds([scene.bounds, *(v.box for v in vehicles)])
+    bounds = _fold_bounds([scene.bounds.aabb, *(v.box.aabb for v in vehicles)])
     return SceneGraph(
         nodes=scene.nodes + tuple(vehicles), bounds=bounds, light_level=scene.light_level
     )
@@ -577,19 +738,43 @@ def emit_occupancy_plan(plan: OccupancyPlan) -> str:
 # --- scene documents -----------------------------------------------------------
 
 
-def _box_from_document(doc: dict, number=float) -> Box3:
-    """The box of a node or bounds object; number reads each box value
-    (float, or a _Floats lookup that gives the same float)."""
+def _box_values(doc: dict) -> tuple[float, ...]:
+    """Centre, half extents and yaw of a node or bounds object as seven
+    floats, with every check Box3 makes, and all finite.
+
+    The common box, three centre and three half-extent values that convert
+    to finite floats with positive half extents, passes the first block,
+    which takes what the full check below takes and gives the same floats;
+    anything else goes through the full check, which raises its errors in
+    their order."""
     try:
-        center = tuple(map(number, doc["center"]))
-        half = tuple(map(number, doc["half_extents"]))
-        yaw = number(doc["yaw"])
-        if not all(map(math.isfinite, (*center, *half, yaw))):
+        cx, cy, cz = doc["center"]
+        hx, hy, hz = doc["half_extents"]
+        values = (float(cx), float(cy), float(cz), float(hx), float(hy), float(hz),
+                  float(doc["yaw"]))
+        # a finite sum has only finite terms
+        if math.isfinite(sum(values)) and values[3] > 0.0 and values[4] > 0.0 and values[5] > 0.0:
+            return values
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    try:
+        center = tuple(map(float, doc["center"]))
+        half = tuple(map(float, doc["half_extents"]))
+        yaw = float(doc["yaw"])
+        values = (*center, *half, yaw)
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"non-finite value in center {center}, half_extents {half}"
                              f" or yaw {yaw}")
-        return Box3(center, half, yaw)
+        Box3(center, half, yaw)  # its checks, with its messages
+        return values
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad box: {exc}") from exc
+
+
+def _box_from_document(doc: dict) -> Box3:
+    """The box of a bounds object."""
+    values = _box_values(doc)
+    return Box3(values[:3], values[3:6], values[6])
 
 
 # scene/1 text is exactly what json.dumps(document, indent=2, sort_keys=True)
@@ -714,15 +899,13 @@ def export_scene(scene: SceneGraph, format: str = "scene-json") -> str:
     raise ValueError(f"unknown export format {format!r}")
 
 
-_NODE_KINDS = {k.value: k for k in NodeKind}
 _STR = frozenset({str})
 
 
 class _Floats(dict):
-    """JSON box value -> its float, filled while one scene is read, so that
-    equal box values share one float.  An equal int or bool finds the
-    stored float, which is what float() gives it.  Zeros are never stored,
-    because 0.0 == -0.0 would give both one entry."""
+    """Box value -> its float, filled while one table builds its nodes, so
+    that equal box values share one float.  Zeros are never stored, because
+    0.0 == -0.0 would give both one entry."""
 
     def __missing__(self, value) -> float:
         number = float(value)
@@ -731,62 +914,87 @@ class _Floats(dict):
         return number
 
 
-def _node_from_document(raw: dict, number=float) -> SceneNode:
+def _node_row(raw: dict) -> tuple[str, int, dict[str, str], tuple[float, ...]]:
     """The one check of a node object: id, kind, tags, the cell tag of a
-    drivable floor tile, then the box.  The duplicate-id check is the
-    caller's, between the id and the rest."""
+    drivable floor tile, then the box.  A node that passes gives its table
+    row.  The duplicate-id check is the caller's, between the id and the
+    rest."""
     node_id = raw.get("id")
     if not isinstance(node_id, str) or not node_id:
         raise SchemaError("node without a string id")
     kind_raw = raw.get("kind")
     try:
-        kind = _NODE_KINDS.get(kind_raw)
+        code = _NODE_CODES.get(kind_raw)
     except TypeError:  # unhashable, so no kind's value
-        kind = None
-    if kind is None:
+        code = None
+    if code is None:
         raise SchemaError(f"unknown node kind {kind_raw!r}")
     tags = raw.get("tags", {})
     # JSON object keys are always strings, so only the values need a look
     if type(tags) is not dict or not _STR.issuperset(map(type, tags.values())):
         raise SchemaError(f"node {node_id!r} tags must map strings to strings")
-    if (kind is NodeKind.FLOOR_TILE and tags.get("cell_kind") in _DRIVABLE_NAMES
-            and "cell" not in tags):
+    if code == _FLOOR_CODE and tags.get("cell_kind") in _DRIVABLE_NAMES and "cell" not in tags:
         # lamp sites are read from these tiles' cell tags
         raise SchemaError(f"floor tile {node_id!r} of a drivable cell has no cell tag")
-    return SceneNode(node_id, kind, _box_from_document(raw, number), tags)
+    return node_id, code, tags, _box_values(raw)
 
 
-def _node_hook():
-    """A json object_hook that builds each node as the parser closes it, so
-    that the document tree never stands beside the scene.  An object with
-    a "kind" key is taken for a node (one with a "schema" key may be the
-    document); one that fails the check is left as it was parsed, for the
-    walk after the parse to raise its error in document order."""
-    number = _Floats().__getitem__
+#: what the import hook leaves in the document for a node it has tabled
+_ROW = object()
+
+
+def _node_hook(table: _BoxTable):
+    """A json object_hook that checks each node into the table as the
+    parser closes it, so that neither the document tree nor a node object
+    stands beside the table.  An object with a "kind" key is taken for a
+    node (one with a "schema" key may be the document); one that fails the
+    check is left as it was parsed."""
+
+    add = table.add
 
     def hook(obj: dict):
         if "kind" not in obj or "schema" in obj:
             return obj
         try:
-            return _node_from_document(obj, number)
+            row = _node_row(obj)
         except SchemaError:
             return obj
+        add(*row)
+        return _ROW
 
     return hook
 
 
 def import_scene(text: str) -> SceneGraph:
-    """Parse a scene/1 document in one pass; a box with a non-finite
-    number (JSON's NaN and Infinity tokens, or an overflowing literal) is a
-    SchemaError, as is an input that is not made of JSON objects where the
-    schema has them."""
+    """Parse a scene/1 document in one pass into a scene made from its box
+    table; a box with a non-finite number (JSON's NaN and Infinity tokens,
+    or an overflowing literal) is a SchemaError, as is an input that is not
+    made of JSON objects where the schema has them.
+
+    Where the hook has tabled every node and nothing else, with no id
+    twice, the rest of the document stands as parsed and is checked as it
+    is.  Otherwise (a node failed its check, an id came twice, or an object
+    taken for a node stands where no node does) the text is parsed again
+    without the hook and checked node by node, so that the first error in
+    document order is raised, worded from the document as parsed."""
+    table = _BoxTable()
     try:
-        doc = json.loads(text, object_hook=_node_hook())
+        doc = json.loads(text, object_hook=_node_hook(table))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid scene JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise SchemaError(f"invalid scene JSON: {JSON_TOO_DEEP}") from exc
-    # a document read as a node had no schema key
+    nodes = doc.get("nodes", []) if type(doc) is dict else None
+    if (type(nodes) is list and nodes.count(_ROW) == len(nodes) == len(table)
+            and len(set(table.ids)) == len(table)):
+        return _scene_from_document(doc, table)
+    return _scene_from_document(json.loads(text))
+
+
+def _scene_from_document(doc, table: _BoxTable | None = None) -> SceneGraph:
+    """The scene of a parsed scene/1 document, checked in document order.
+    Without a table, each node is checked and tabled here; with one, the
+    import hook has tabled every node already."""
     schema = doc.get("schema") if type(doc) is dict else None
     if schema != SCENE_SCHEMA:
         raise SchemaError(f"expected schema {SCENE_SCHEMA!r}, got {schema!r}")
@@ -797,28 +1005,21 @@ def import_scene(text: str) -> SceneGraph:
     nodes = doc.get("nodes", [])
     if type(nodes) is not list:
         raise SchemaError("scene nodes must be a JSON array")
-    seen: set[str] = set()
-    for k, node in enumerate(nodes):
-        if type(node) is not SceneNode:
-            # the hook left it as parsed: check it here, where the first bad
-            # node in document order raises its error
+    if table is None:
+        table = _BoxTable()
+        seen: set[str] = set()
+        for k, node in enumerate(nodes):
             if type(node) is not dict:
                 raise SchemaError(f"scene node {k} is not a JSON object")
             node_id = node.get("id")
             if isinstance(node_id, str) and node_id in seen:
                 raise SchemaError(f"duplicate node id {node_id!r}")
-            node = nodes[k] = _node_from_document(node)
-        if node.id in seen:
-            raise SchemaError(f"duplicate node id {node.id!r}")
-        seen.add(node.id)
+            table.add(*_node_row(node))
+            seen.add(node_id)
     bounds = doc.get("bounds")
-    if type(bounds) is SceneNode:  # a bounds object that also reads as a node
-        bounds = bounds.box
-    elif isinstance(bounds, dict):
-        bounds = _box_from_document(bounds)
-    else:
+    if not isinstance(bounds, dict):
         raise SchemaError("scene document is missing its bounds box")
-    return SceneGraph(nodes=tuple(nodes), bounds=bounds, light_level=level)
+    return _table_scene(table, _box_from_document(bounds), level)
 
 
 _BOX_FACES = (

@@ -21,9 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import OptionError
-from .scene import (
-    FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, Box3, SceneGraph, SceneNode, _box_columns,
-)
+from .scene import FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, Box3, SceneGraph, SceneNode
 
 SWEEP_SCHEMA = "sweep/1"
 
@@ -171,14 +169,14 @@ class SceneIndex:
     """
 
     def __init__(self, scene: SceneGraph):
-        opaque = [n for n in scene.nodes if n.kind in OPAQUE_KINDS]
-        self.centers, self.halves, self.cos_yaw, self.sin_yaw, self.aabbs = _box_columns(
-            [n.box for n in opaque])
+        table = scene._table_of(OPAQUE_KINDS)
+        self.centers, self.halves, self.cos_yaw, self.sin_yaw, self.aabbs = table.columns()
+        self.ids: list[str] = table.ids
+        del table  # its box values, copied into the columns, go before the grid work
         self._build_grid()
-        # built last, so the peak memory of the array and grid work stays
-        # below what the index keeps
-        self.ids: list[str] = [n.id for n in opaque]
-        self.index_of: dict[str, int] = {n.id: k for k, n in enumerate(opaque)}
+        # built last, so the peak memory of the grid work stays below what
+        # the index keeps
+        self.index_of: dict[str, int] = {node_id: k for k, node_id in enumerate(self.ids)}
 
     def _build_grid(self) -> None:
         x0, y0, _, x1, y1, _ = self.aabbs.T

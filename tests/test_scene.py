@@ -34,6 +34,8 @@ from garagesim.scene import (
     populate_vehicles,
     remove_node,
     synthesize,
+    _BoxTable,
+    _bounded_scene,
     _fold_bounds,
 )
 from conftest import random_spec
@@ -412,6 +414,17 @@ class TestSceneDocuments:
         with pytest.raises(SchemaError, match="non-finite"):
             import_scene(json.dumps(doc).replace('"@"', value))
 
+    @pytest.mark.parametrize("half", [[0, 1, 1], [1, -0.0, 1], [1, 1, -2.5]])
+    @pytest.mark.parametrize("where", ["node", "bounds"])
+    def test_non_positive_half_extents_rejected(self, half, where):
+        good = {"center": [0, 0, 1], "half_extents": [1, 1, 1], "yaw": 0.0}
+        bad = dict(good, half_extents=half)
+        doc = {"schema": "scene/1", "light_level": "bright",
+               "bounds": bad if where == "bounds" else good,
+               "nodes": [dict(bad if where == "node" else good, id="a", kind="column", tags={})]}
+        with pytest.raises(SchemaError, match="half extents must be positive"):
+            import_scene(json.dumps(doc))
+
     @settings(max_examples=300, deadline=None)
     @given(scene=_scenes)
     @example(scene=SceneGraph((), Box3((0, -0.0, 1e16), (1, 5e-324, 1e-7)), LightLevel.DIM))
@@ -494,20 +507,20 @@ class TestSceneDocuments:
 # numeric strings, -0.0 and extreme floats; flawed ones add NaN, the
 # infinities and overflowing literals (placeholders swapped for text json
 # cannot write).  Ids come from a small pool, so duplicates are common.  An
-# object shaped like a valid node is drawn as a tags dict, as the bounds
-# and as the document itself; the one-pass reader builds such an object
-# into a node wherever it stands, so drawn where an error message quotes
-# it (a kind, a box value) the message would quote the node, and it is not
-# drawn there.
+# object shaped like a valid node is drawn wherever one may stand: as a
+# tags dict or tag value, a kind, a box value, the bounds, the light level,
+# the schema and the document itself.  The one-pass reader tables such an
+# object as a node wherever it stands, and an error message must still
+# quote it as parsed.
 _FAR = {'"@far@"': "1e999", '"@-far@"': "-1e999"}
 _GOOD_VALUES = st.one_of(st.floats(-1e3, 1e3), st.integers(-5, 5),
                          st.sampled_from([0.0, -0.0, True, False, "1.5", " -2 ", 1e308, 5e-324]))
 _GOOD_HALVES = st.one_of(st.floats(0.01, 1e3), st.integers(1, 5), st.sampled_from([True, "2"]))
-_BAD_VALUES = st.one_of(st.floats(), st.sampled_from(
-    [math.nan, math.inf, -math.inf, 0, -1, 10**400, "x", "nan", None, "@far@", "@-far@", [1.0],
-     {"a": 1}]))
 _VALID_NODE = {"id": "t", "kind": "column", "center": [0, 0, 1], "half_extents": [1, 1, 1],
                "yaw": 0.0, "tags": {}}
+_BAD_VALUES = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0, -1, 10**400, "x", "nan", None, "@far@", "@-far@", [1.0],
+     {"a": 1}, _VALID_NODE]))
 _NODE_KINDS = [k.value for k in NodeKind]
 _TAG_TEXTS = st.sampled_from(["lane", "exit", "parking", "0,0", "column"])
 _GOOD_TAGS = st.dictionaries(st.sampled_from(["cell", "kind", "id", "x"]), _TAG_TEXTS,
@@ -520,7 +533,8 @@ def _vectors(values, sizes=(3, 3)):
 
 _NODE_FLAWS = {
     "id": st.sampled_from(["", 1, None, ["a"]]),
-    "kind": st.sampled_from(["pillar!", "Column", None, 3, ["column"], {"column": 1}]),
+    "kind": st.sampled_from(["pillar!", "Column", None, 3, ["column"], {"column": 1},
+                             _VALID_NODE]),
     "center": st.one_of(_vectors(st.one_of(_GOOD_VALUES, _BAD_VALUES), (2, 4)),
                         st.sampled_from(["abc", "123", 5, None, {}, {"a": 1}])),
     "half_extents": st.one_of(_vectors(st.one_of(_GOOD_HALVES, _BAD_VALUES), (2, 4)),
@@ -554,8 +568,8 @@ def _node_objects(draw):
 
 
 _DOC_FLAWS = {
-    "schema": st.sampled_from(["scene/2", None]),
-    "light_level": st.sampled_from(["dusk", [1]]),
+    "schema": st.sampled_from(["scene/2", None, _VALID_NODE]),
+    "light_level": st.sampled_from(["dusk", [1], _VALID_NODE]),
     "bounds": st.one_of(
         st.builds(lambda c, h, y: {"center": c, "half_extents": h, "yaw": y},
                   _NODE_FLAWS["center"], _NODE_FLAWS["half_extents"], _BAD_VALUES),
@@ -631,6 +645,14 @@ class TestOnePassImport:
     @example(text=_column_document({"id": "a", "schema": "scene/1"}, {"id": "a"}))
     @example(text=json.dumps(dict(_VALID_NODE, light_level="bright")))
     @example(text=_column_document(nodes={}))
+    # an object shaped like a valid node where an error message quotes it
+    @example(text=_column_document({"id": "a"}, light_level=_VALID_NODE))
+    @example(text=_column_document({"id": "a"}, schema=_VALID_NODE))
+    @example(text=_column_document({"id": "a", "kind": _VALID_NODE}))
+    @example(text=_column_document({"id": "a", "center": [0, _VALID_NODE, 1]}))
+    @example(text=_column_document({"id": "a", "yaw": _VALID_NODE}))
+    @example(text=_column_document({"id": "a", "tags": {"x": _VALID_NODE}}))
+    @example(text=_column_document({"id": "a"}, {"id": "a", "kind": _VALID_NODE}))
     def test_one_pass_reader_matches_the_two_pass_oracle(self, text):
         old = _read_outcome(import_scene_two_pass, text)
         new = _read_outcome(import_scene, text)
@@ -733,16 +755,40 @@ class TestFoldBounds:
               Box3((math.inf, 0.0, 0.0), (1.0, 1.0, 1.0))])
     @example([Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), yaw=math.nan)])
     @example([])
-    def test_numpy_fold_equals_the_python_fold(self, boxes):
-        assert _outcome(_fold_bounds, boxes) == _outcome(fold_bounds, boxes)
+    def test_fold_of_aabbs_equals_the_per_box_fold(self, boxes):
+        def fold(boxes):
+            return _fold_bounds([b.aabb for b in boxes])
+
+        assert _outcome(fold, boxes) == _outcome(fold_bounds, boxes)
         # callers pass generators too
-        assert _outcome(_fold_bounds, iter(boxes)) == _outcome(fold_bounds, boxes)
+        assert (_outcome(lambda bs: _fold_bounds(b.aabb for b in bs), boxes)
+                == _outcome(fold_bounds, boxes))
+
+    @given(st.lists(_FOLD_BOXES, max_size=12))
+    @example([Box3((-0.0, 0.0, -0.0), (1.0, 2.0, 0.5), yaw=0.3),
+              Box3((0.0, -0.0, 0.0), (1.0, 2.0, 0.5), yaw=-0.3)])
+    @example([Box3((math.nan, 1.0, 2.0), (1.0, 1.0, 1.0)), Box3((3.0, 4.0, 5.0), (1.0, 1.0, 1.0))])
+    @example([Box3((math.nan, 1.0, 2.0), (1.0, 1.0, 1.0))])
+    @example([Box3((-math.inf, 0.0, 0.0), (1.0, 1.0, 1.0)),
+              Box3((math.inf, 0.0, 0.0), (1.0, 1.0, 1.0))])
+    @example([])
+    def test_table_fold_equals_the_per_box_fold(self, boxes):
+        """A scene bounded from its box table (a merge) folds only the rows
+        that hold an extreme, and gets the per-box fold's floats."""
+        def fold(boxes):
+            nodes = [SceneNode(f"n{k}", NodeKind.COLUMN, b) for k, b in enumerate(boxes)]
+            return _bounded_scene(_BoxTable.of_nodes(nodes)).bounds
+
+        assert _outcome(fold, boxes) == _outcome(fold_bounds, boxes)
 
     def test_rotated_boxes_on_a_garage(self, lane_cross_spec):
         scene = synthesize(classify_all(lane_cross_spec))
         boxes = [n.box for n in scene.nodes]
         assert any(b.yaw for b in boxes)
-        assert _box_repr(_fold_bounds(boxes)) == _box_repr(fold_bounds(boxes))
+        assert _box_repr(_fold_bounds(b.aabb for b in boxes)) == _box_repr(fold_bounds(boxes))
+        # a box table's rows fold to the same bounds as its nodes' boxes
+        rows = scene._table_of().columns()[4].tolist()
+        assert _box_repr(_fold_bounds(rows)) == _box_repr(fold_bounds(boxes))
 
 
 class TestBox3:

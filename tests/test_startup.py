@@ -14,7 +14,8 @@ import pytest
 
 import garagesim
 from garagesim.cli import main
-from garagesim.grid import GarageSpec, emit_garage_spec
+from garagesim.grid import CellRef, GarageSpec, emit_garage_spec
+from garagesim.scene import OccupancyPlan, PlanEntry, emit_occupancy_plan
 
 SRC = str(Path(garagesim.__file__).resolve().parent.parent)
 
@@ -97,6 +98,29 @@ def test_validate_loads_no_numpy(tmp_path, capsys, structure, code):
     expected = capsys.readouterr().out
     done = _python(_RUN_COMMAND, "validate", str(plan))
     assert (done.returncode, done.stdout) == (code, expected), done.stderr
+
+
+@pytest.mark.parametrize("occupancy", [False, True])
+def test_generate_loads_no_numpy(tmp_path, capsys, occupancy):
+    """generate, with or without vehicles, writes the same scene without
+    numpy: the bounds around the vehicles fold Box3.aabb floats."""
+    plan, extra = tmp_path / "plan.json", []
+    spec = GarageSpec(((1, 1, 1), (0, 0, 0)), (5.0, 5.0), (3.0, 3.0, 3.0))
+    plan.write_text(emit_garage_spec(spec), encoding="utf-8")
+    if occupancy:
+        vehicles = tmp_path / "occupancy.json"
+        vehicles.write_text(emit_occupancy_plan(OccupancyPlan((
+            PlanEntry(CellRef(1, 0), "small"), PlanEntry(CellRef(1, 2), "large")))),
+            encoding="utf-8")
+        extra = ["--occupancy", str(vehicles)]
+    argv = ["generate", str(plan), *extra, "--out", str(tmp_path / "a.json")]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.replace("a.json", "b.json")
+    argv[-1] = str(tmp_path / "b.json")
+    done = _python(_RUN_COMMAND, *argv)
+    assert (done.returncode, done.stdout) == (0, expected), done.stderr
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert ('"vehicle"' in (tmp_path / "b.json").read_text(encoding="utf-8")) == occupancy
 
 
 def test_all_is_the_pinned_list():
