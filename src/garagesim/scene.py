@@ -634,18 +634,21 @@ def populate_vehicles(
     need the force flag.  Returns a new graph; the input is unchanged."""
     from .classify import ParkSubtype
 
-    rects = {cell: rect for cell, rect in layout_cells(grid)}
+    spec = grid.spec
+    xs, ys = _prefix(spec.col_widths), _prefix(spec.row_widths)
+    rows, cols = range(spec.m), range(spec.n)
     seen: set[CellRef] = set()
     vehicles: list[SceneNode] = []
     for entry in plan.entries:
         if entry.cell in seen:
             raise PlanError(f"cell ({entry.cell.i},{entry.cell.j}) referenced twice")
         seen.add(entry.cell)
-        if entry.cell not in rects:
+        i, j = entry.cell.i, entry.cell.j
+        if i not in rows or j not in cols:
             raise PlanError(f"cell ({entry.cell.i},{entry.cell.j}) outside the grid")
         if entry.size not in VEHICLE_SIZES:
             raise PlanError(f"unknown vehicle size {entry.size!r}")
-        c = grid.cells[entry.cell.i][entry.cell.j]
+        c = grid.cells[i][j]
         placeable = c.kind is CellKind.PARKING and c.park_subtype is not ParkSubtype.TYPE4
         if not placeable and not entry.force:
             raise PlanError(
@@ -653,7 +656,8 @@ def populate_vehicles(
                 f"{'/type4' if c.park_subtype is ParkSubtype.TYPE4 else ''};"
                 " use force to place here"
             )
-        rect = rects[entry.cell]
+        # layout_cells' rectangle of this one cell
+        rect = Rect(xs[j], ys[i], xs[j + 1], ys[i + 1])
         turns = c.rotation.quarter_turns
         box = vehicle_box(rect.center, entry.size, turns)
         length, width, _ = VEHICLE_SIZES[entry.size]

@@ -89,9 +89,10 @@ class Frustum:
     tan_half_h: float
     tan_half_v: float
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points (N, 3) inside the frustum; a point with a
-        NaN or infinite coordinate may come out NaN, and is outside."""
+    def view(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points (N, 3) seen from the apex, points - apex, and the
+        boolean mask of those inside the frustum; a point with a NaN or
+        infinite coordinate may come out NaN, and is outside."""
         with np.errstate(invalid="ignore"):
             d = points - np.asarray(self.apex)
             fwd = d @ np.asarray(self.forward)
@@ -100,7 +101,11 @@ class Frustum:
             ok = (fwd > 0.0) & (np.abs(lat) <= fwd * self.tan_half_h) & (
                 np.abs(ver) <= fwd * self.tan_half_v
             )
-        return ok
+        return d, ok
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask of points (N, 3) inside the frustum (see view)."""
+        return self.view(points)[1]
 
 
 def make_camera(ego: EgoPose, cfg: CameraConfig = CameraConfig()) -> Frustum:
@@ -278,39 +283,83 @@ class SceneIndex:
         """Entry distance of each unit ray into each subset box, inf on miss.
 
         Returns an array (len(subset), nrays); rays starting inside a box
-        get distance 0 for it.  One slab test over every (box, ray) pair;
-        non-finite boxes and rays raise no floating-point warnings.
+        get distance 0 for it.  The rays are read as three contiguous
+        coordinate columns (a copy, unless dirs is column-major as the
+        sample loop passes it), and the slab test runs once per distinct
+        (cos, sin) of yaw among the subset boxes, on the ray columns turned
+        into that yaw's frame; each group's rows go back in subset order.
+        Unrotated boxes (cos 1, sin 0) take the columns as they are, where
+        turning them by x * 1 + y * 0 can change only the sign of a zero
+        component, which takes the parallel-ray branch either way, or put a
+        NaN where the other component is NaN, which makes the ray miss
+        either way; so every distance keeps the per-box loop's bits.
+        Non-finite boxes and rays raise no floating-point warnings.
         """
         k = np.asarray(subset, dtype=np.intp)
-        c, s = self.cos_yaw[k][:, None], self.sin_yaw[k][:, None]
+        c, s = self.cos_yaw[k], self.sin_yaw[k]
+        groups: dict[tuple[float, float], list[int]] = {}
+        for row, yaw in enumerate(zip(c.tolist(), s.tolist())):
+            groups.setdefault(yaw, []).append(row)
+        cols, halves = np.ascontiguousarray(dirs.T), self.halves[k]
+        rays = (cols, _parallel(cols))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rel = origin - self.centers[k]
-            rx, ry = rel[:, :1], rel[:, 1:2]
-            dx, dy = dirs[:, 0], dirs[:, 1]
-            # local frame: u = (c, s), v = (-s, c), w = z
-            o_local = (rx * c + ry * s, -rx * s + ry * c, rel[:, 2:])
-            d_local = (dx * c + dy * s, -dx * s + dy * c, dirs[:, 2])
-            for axis in range(3):
-                o, h, d = o_local[axis], self.halves[k, axis:axis + 1], d_local[axis]
-                t1 = (-h - o) / d
-                t2 = (h - o) / d
-                lo_a = np.minimum(t1, t2)
-                hi_a = np.maximum(t1, t2, out=t1)
-                zero = np.abs(d) < 1e-15
-                if zero.any():  # a ray parallel to a slab is inside it everywhere or nowhere
-                    inside = np.abs(o) <= h
-                    lo_a = np.where(zero, np.where(inside, -np.inf, np.inf), lo_a)
-                    hi_a = np.where(zero, np.where(inside, np.inf, -np.inf), hi_a)
-                if axis == 0:
-                    t_lo, t_hi = lo_a, hi_a
-                else:
-                    np.maximum(t_lo, lo_a, out=t_lo)
-                    np.minimum(t_hi, hi_a, out=t_hi)
-            # an empty or NaN slab interval leaves t_hi < entry or a NaN, so the
-            # one comparison below also rejects it
-            entry = np.maximum(t_lo, 0.0, out=t_lo)
-            np.copyto(entry, np.inf, where=~(t_hi >= entry))
+            rx, ry, c, s = rel[:, :1], rel[:, 1:2], c[:, None], s[:, None]
+            # the origin in each box's local frame: u = (c, s), v = (-s, c), w = z
+            o = np.concatenate((rx * c + ry * s, -rx * s + ry * c, rel[:, 2:]), axis=1)
+            if len(groups) == 1:  # every row in one pass, no gather or scatter
+                (yaw, _), = groups.items()
+                return _slab(o, halves, *_turned(rays, *yaw))
+            entry = np.empty((len(k), len(cols[0])))
+            for yaw, rows in groups.items():
+                entry[rows] = _slab(o[rows], halves[rows], *_turned(rays, *yaw))
         return entry
+
+
+def _parallel(cols) -> list:
+    """Per direction column, the mask of the components too near 0 to
+    divide by, or None where there is none."""
+    return [zero if zero.any() else None for zero in np.abs(cols) < 1e-15]
+
+
+def _turned(rays, c: float, s: float):
+    """Ray direction columns and their _parallel masks, in the frame of a
+    box of yaw (cos c, sin s); an unrotated box takes them as they are."""
+    cols, parallel = rays
+    if c == 1.0 and s == 0.0:
+        return rays
+    dx, dy, dz = cols
+    turned = dx * c + dy * s, -dx * s + dy * c
+    return (*turned, dz), _parallel(turned) + parallel[2:]
+
+
+def _slab(o: np.ndarray, halves: np.ndarray, dirs, parallel) -> np.ndarray:
+    """Kay-Kajiya slab test of boxes that share one yaw: the ray origin in
+    each box's frame and its half extents (n, 3), the ray directions in
+    that frame as three coordinate columns and their _parallel masks;
+    entry distances (n, nrays), inf on a miss.  The caller sets the
+    floating-point error state."""
+    # the offsets of each box's two slab planes along its three axes
+    near, far = -halves - o, halves - o
+    for axis in range(3):
+        d, zero = dirs[axis], parallel[axis]
+        t1 = near[:, axis:axis + 1] / d
+        t2 = far[:, axis:axis + 1] / d
+        lo_a = np.minimum(t1, t2)
+        hi_a = np.maximum(t1, t2, out=t1)
+        if zero is not None:  # a ray parallel to a slab is inside it everywhere or nowhere
+            inside = np.abs(o[:, axis:axis + 1]) <= halves[:, axis:axis + 1]
+            lo_a = np.where(zero, np.where(inside, -np.inf, np.inf), lo_a)
+            hi_a = np.where(zero, np.where(inside, np.inf, -np.inf), hi_a)
+        if axis == 0:
+            t_lo, t_hi = lo_a, hi_a
+        else:
+            np.maximum(t_lo, lo_a, out=t_lo)
+            np.minimum(t_hi, hi_a, out=t_hi)
+    # an empty or NaN slab interval leaves t_hi < entry or a NaN, so the
+    # one comparison below also rejects it
+    entry = np.maximum(t_lo, 0.0, out=t_lo)
+    return np.where(t_hi >= entry, entry, np.inf)
 
 
 def _meets(boxes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -406,7 +455,7 @@ def _sample_pairs(
     stream = iter(pairs(target))
     while stretch := list(islice(stream, _STRETCH)):
         # per sample: ego, target node, its AABB, camera apex and the
-        # target's sample points in the frustum
+        # rays (apex to point) to the target's sample points in the frustum
         views = []
         for ego, node in stretch:
             if node is not node_seen:
@@ -414,8 +463,10 @@ def _sample_pairs(
                 bounds = node.box.aabb
             frustum = make_camera(ego, cfg)
             apex = np.asarray(frustum.apex)
-            points = _facing_points(grids, apex)
-            views.append((ego, node, bounds, apex, points[frustum.contains(points)]))
+            rays, inside = frustum.view(_facing_points(grids, apex))
+            # the rays in view, (R, 3) over three contiguous coordinate columns
+            rays = rays.T.take(np.flatnonzero(inside), axis=1).T
+            views.append((ego, node, bounds, apex, rays))
         # the broadphase of the samples in view: each gets the candidates
         # of the box spanned by its camera and its target
         shown = [v for v in views if len(v[4])]
@@ -437,22 +488,39 @@ def _lengths(rel: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x + y * y) + z * z)
 
 
+def _first_hits(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row of each column's least entry, first on ties, and that entry
+    (up to the sign of a zero): t.argmin(axis=0) and its gather, from one
+    scan down the rows with a strict <, which costs less than argmin's copy
+    of t.  np.minimum carries a NaN into the running minimum; then argmin
+    answers, as it takes a column's first NaN."""
+    first = np.zeros(t.shape[1], dtype=np.intp)
+    best = t[0].copy()
+    for row in range(1, len(t)):
+        np.putmask(first, t[row] < best, row)
+        np.minimum(best, t[row], out=best)
+    if np.isnan(best.min()):
+        first = t.argmin(axis=0)
+        best = t[first, np.arange(t.shape[1])]
+    return first, best
+
+
 def _sample_from_points(
     index: SceneIndex,
     ego: EgoPose,
     target: SceneNode,
     t_aabb: tuple[float, ...],
     apex: np.ndarray,
-    pts: np.ndarray,
+    rel: np.ndarray,
     subset: np.ndarray | None,
 ) -> VisibilitySample:
-    """One sample from the target's sample points in the frustum, pts, and
-    the broadphase candidates of the camera and target range, subset."""
-    total = len(pts)
+    """One sample from the rays to the target's sample points in the
+    frustum, rel (points - apex), and the broadphase candidates of the
+    camera and target range, subset."""
+    total = len(rel)
     if total == 0:
         return VisibilitySample(ego, target.id, 0.0, False, ())
 
-    rel = pts - apex[None, :]
     dist = _lengths(rel)
     dirs = rel / dist[:, None]
 
@@ -464,11 +532,8 @@ def _sample_from_points(
     )
 
     if len(subset):
-        t = index.entry_distances(apex, dirs, subset)
-        # the first nearest box of each ray: argmin takes the element min
-        # would, NaN included
-        first = t.argmin(axis=0)
-        blocked = t[first, np.arange(total)] < dist * (1.0 - _EPS_REL)
+        first, nearest = _first_hits(index.entry_distances(apex, dirs, subset))
+        blocked = nearest < dist * (1.0 - _EPS_REL)
         counts = np.bincount(first[blocked], minlength=len(subset))
         hits = np.flatnonzero(counts)
         visible = total - int(counts.sum())

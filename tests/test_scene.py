@@ -254,6 +254,46 @@ class TestVehicles:
         )
         assert "overhang" not in small.node("veh-1-0").tags
 
+    def test_every_placeable_cell_holds_its_vehicle_at_the_layout_centre(self, rng):
+        from garagesim.classify import ParkSubtype
+
+        placed = 0
+        for _ in range(12):
+            grid = classify_all(random_spec(rng, max_side=14))
+            rects = dict(layout_cells(grid))
+            cells = [cell for cell in rects
+                     if grid.cells[cell.i][cell.j].kind is CellKind.PARKING
+                     and grid.cells[cell.i][cell.j].park_subtype is not ParkSubtype.TYPE4]
+            rng.shuffle(cells)
+            out = populate_vehicles(synthesize(grid), grid, OccupancyPlan(
+                tuple(PlanEntry(cell, rng.choice(sorted(VEHICLE_SIZES))) for cell in cells)))
+            for cell in cells:
+                box = out.node(f"veh-{cell.i}-{cell.j}").box
+                assert box.center[:2] == rects[cell].center, cell
+            placed += len(cells)
+        assert placed > 100
+
+    @pytest.mark.parametrize("entries, text", [
+        ([PlanEntry(CellRef(1, 0), "small"), PlanEntry(CellRef(1, 0), "large")],
+         "cell (1,0) referenced twice"),
+        ([PlanEntry(CellRef(2, 0), "small")], "cell (2,0) outside the grid"),
+        ([PlanEntry(CellRef(0, 3), "small")], "cell (0,3) outside the grid"),
+        ([PlanEntry(CellRef(-1, 0), "small")], "cell (-1,0) outside the grid"),
+        ([PlanEntry(CellRef(1, -1), "small")], "cell (1,-1) outside the grid"),
+        # the checks run in this order on one entry
+        ([PlanEntry(CellRef(5, 5), "huge")], "cell (5,5) outside the grid"),
+        ([PlanEntry(CellRef(0, 0), "huge")], "unknown vehicle size 'huge'"),
+        ([PlanEntry(CellRef(0, 0), "small")], "cell (0,0) is lane; use force to place here"),
+        ([PlanEntry(CellRef(1, 2), "small")],
+         "cell (1,2) is parking/type4; use force to place here"),
+    ])
+    def test_plan_errors_keep_their_texts(self, entries, text):
+        # lane row over a parking row whose last space has no lane beside it
+        grid = classify_all(GarageSpec(((1, 1, -1), (0, 0, 0)), (6.0, 5.0), (3.0, 3.0, 3.0)))
+        with pytest.raises(PlanError) as err:
+            populate_vehicles(synthesize(grid), grid, OccupancyPlan(tuple(entries)))
+        assert str(err.value) == text
+
     def test_plan_documents_round_trip(self):
         plan = OccupancyPlan(
             (

@@ -177,6 +177,10 @@ def _unit(v) -> np.ndarray:
 AXIAL_DIRS = _unit([
     [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
     [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, 0.8, 0.0], [0.0, -0.6, 0.8], [-0.6, 0.0, 0.8],
+    # negative zeros: an unrotated box takes them as they are, where turning
+    # the ray by x * 1 + y * 0 gives +0.0
+    [-0.0, 1.0, 0.0], [1.0, -0.0, -0.0], [-0.0, -0.0, -1.0], [-0.0, 0.6, -0.8],
+    [0.8, -0.0, 0.6], [-0.6, -0.8, -0.0],
 ])
 
 

@@ -34,7 +34,8 @@ from garagesim.visibility import (
 )
 from fixtures_visibility import CFG, EGO, _slab, build_fixtures
 from oracles import (
-    emit_sweep, face_points, full_scan_candidates, per_box_entry_distances, ray_intersect,
+    emit_sweep, face_points, full_scan_candidates, per_box_entry_distances, per_sample_loop,
+    ray_intersect,
 )
 
 FIXTURES = build_fixtures()
@@ -180,6 +181,43 @@ class TestRayLengths:
         assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
+class TestFirstHits:
+    """The first-hit scan names the row t.argmin(axis=0) names and returns
+    the entry its gather does: ties go to the first row, and a NaN in a
+    column wins it, wherever it stands."""
+
+    @staticmethod
+    def _assert_matches_argmin(t: np.ndarray) -> None:
+        want = t.argmin(axis=0)
+        first, best = visibility._first_hits(t)
+        assert first.tolist() == want.tolist(), t
+        # equal up to the sign of a zero, which no comparison sees
+        assert np.array_equal(best, t[want, np.arange(t.shape[1])], equal_nan=True), t
+
+    def test_columns_by_hand(self):
+        inf, nan = math.inf, math.nan
+        t = np.array([
+            # tie, tie later, no hit, NaN before and after a finite minimum, signed zeros
+            [1.0, 2.0, inf, nan, 0.5, inf, 0.0],
+            [1.0, 1.0, inf, 0.5, 1.0, 0.5, -0.0],
+            [2.0, 1.0, inf, 1.0, nan, 0.5, 0.0],
+        ])
+        self._assert_matches_argmin(t)
+        # the scan alone, with no NaN to hand the columns to argmin
+        self._assert_matches_argmin(t[:, [0, 1, 2, 5, 6]])
+        assert visibility._first_hits(t[:, [0, 1, 2, 5]])[0].tolist() == [0, 1, 0, 1]
+        assert visibility._first_hits(t[:, [3, 4]])[0].tolist() == [0, 2]
+
+    def test_random_matrices_with_ties_misses_and_nans(self):
+        rng = np.random.default_rng(41)
+        values = np.array([0.0, -0.0, 0.5, 0.5, 2.0, 3.0, np.inf, np.inf])
+        for trial in range(400):
+            t = rng.choice(values, size=(rng.integers(1, 9), rng.integers(1, 60)))
+            if trial % 3 == 0:  # some NaN entries
+                t[rng.random(t.shape) < 0.1] = np.nan
+            self._assert_matches_argmin(t)
+
+
 _COORDS = st.floats(-50.0, 50.0)
 _YAWS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, -math.pi / 4, math.nan]),
                   st.floats(-7.0, 7.0))
@@ -304,6 +342,24 @@ class TestVisibleFractionProperties:
         a = visible_fraction(fx.scene, EGO, CFG, "veh-t")
         b = visible_fraction(fx.scene, EGO, CFG, "veh-t")
         assert a == b
+
+    def test_yaw_groups_keep_subset_order(self, monkeypatch):
+        # candidates [A (yaw 0), Q (yaw pi/2), A' (a copy of A)]: the slab
+        # runs A and A' in one pass and Q in another, and each row must go
+        # back to its place, so ties name A and Q's own rays name Q
+        wall = Box3((6.0, 0.0, 1.0), (0.3, 3.0, 1.0))
+        scene = _scene_from_nodes([
+            SceneNode("z-a", NodeKind.COLUMN, wall),
+            SceneNode("q", NodeKind.COLUMN, Box3((4.0, 0.4, 1.0), (0.2, 0.5, 1.0),
+                                                 yaw=math.pi / 2)),
+            SceneNode("a-copy", NodeKind.COLUMN, wall),
+            SceneNode("veh-t", NodeKind.VEHICLE, Box3((12.0, 0.0, 0.75), (0.9, 2.2, 0.75))),
+        ])
+        assert scene.index.ids[:3] == ["z-a", "q", "a-copy"]
+        got = visible_fraction(scene, EGO, CFG, "veh-t", samples_per_edge=8)
+        monkeypatch.setattr(visibility, "_sample_pairs", per_sample_loop)
+        assert visible_fraction(scene, EGO, CFG, "veh-t", samples_per_edge=8) == got
+        assert {nid for nid, _ in got.occluders} == {"z-a", "q"}
 
     def test_camera_inside_occluder_blocks_all(self):
         wall = _slab("box", NodeKind.COLUMN, -1.0, -1.0, 1.0, 1.0, 0.0, 3.0)
