@@ -216,18 +216,19 @@ def _cmd_generate(args) -> int:
         plan = parse_occupancy_plan(Path(args.occupancy).read_text(encoding="utf-8"))
         scene = populate_vehicles(scene, grid, plan)
     doc = export_scene(scene, "scene-json")
-    counts = {kind.value: scene.count(kind) for kind in NodeKind if scene.count(kind)}
+    # counted from the scene's box table, which builds no nodes
+    counts = {kind.value: n for kind in NodeKind if (n := scene.count(kind))}
+    total = sum(counts.values())
     if args.out:
         Path(args.out).write_text(doc, encoding="utf-8")
         if args.format == "json":
-            print(json.dumps({"nodes": len(scene.nodes), "counts": counts},
-                             indent=2, sort_keys=True))
+            print(json.dumps({"nodes": total, "counts": counts}, indent=2, sort_keys=True))
         else:
             summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-            print(f"scene written to {args.out}: {len(scene.nodes)} nodes ({summary})")
+            print(f"scene written to {args.out}: {total} nodes ({summary})")
     else:
         sys.stdout.write(doc)
-        print(f"nodes: {len(scene.nodes)}", file=sys.stderr)
+        print(f"nodes: {total}", file=sys.stderr)
     if args.obj:
         Path(args.obj).write_text(export_scene(scene, "obj"), encoding="utf-8")
     return EXIT_OK

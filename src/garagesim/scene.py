@@ -104,14 +104,25 @@ class Box3:
     def __post_init__(self):
         if len(self.center) != 3:
             raise ValueError(f"center needs three coordinates, got {self.center}")
-        hx, hy, hz = self.half_extents
-        if hx <= 0.0 or hy <= 0.0 or hz <= 0.0:
-            raise ValueError(f"half extents must be positive, got {self.half_extents}")
+        _check_half(self.half_extents)
 
     @property
     def aabb(self) -> tuple[float, float, float, float, float, float]:
         """World-space bounds (min x, min y, min z, max x, max y, max z)."""
         return _aabb(self.center, self.half_extents, math.cos(self.yaw), math.sin(self.yaw))
+
+
+def _check_half(half) -> None:
+    """Box3's check of its half extents, which every row that synthesis
+    and vehicle placement add to a box table gets too."""
+    hx, hy, hz = half
+    if hx <= 0.0 or hy <= 0.0 or hz <= 0.0:
+        raise ValueError(f"half extents must be positive, got {half}")
+
+
+def _box(values) -> Box3:
+    """The box of seven box values: centre, half extents and yaw."""
+    return Box3(values[:3], values[3:6], values[6])
 
 
 def _aabb(center, half, cos_yaw, sin_yaw):
@@ -163,13 +174,14 @@ class _BoxTable:
     (centre, half extents, yaw) in one array.  A table is filled once, in
     the pass that makes it, and never changed after."""
 
-    __slots__ = ("ids", "codes", "tags", "values")
+    __slots__ = ("ids", "codes", "tags", "values", "_rows")
 
     def __init__(self, ids=None, codes=None, tags=None, values=None):
         self.ids: list[str] = [] if ids is None else ids
         self.codes: array = array("B") if codes is None else codes
         self.tags: list[dict[str, str]] = [] if tags is None else tags
         self.values: array = array("d") if values is None else values
+        self._rows: dict[str, int] | None = None
 
     @classmethod
     def of_nodes(cls, nodes) -> _BoxTable:
@@ -241,6 +253,15 @@ class _BoxTable:
             aabbs = np.stack(_aabb(centers.T, halves.T, cos_yaw, sin_yaw), axis=1)
         return centers, halves, cos_yaw, sin_yaw, aabbs
 
+    def row(self, node_id: str) -> int:
+        """The first row with the given id (KeyError if none), from an id
+        map made on the first call, once the table is filled."""
+        if self._rows is None:
+            ids = self.ids
+            # filled back to front, so of two rows sharing an id the first wins
+            self._rows = {ids[k]: k for k in range(len(ids) - 1, -1, -1)}
+        return self._rows[node_id]
+
     def node(self, k: int) -> SceneNode:
         """The node of row k."""
         return self._build(k, k + 1, float)[0]
@@ -269,11 +290,12 @@ class SceneGraph:
     """An ordered scene of boxes.
 
     Every scene has one box table, which the ray-test index, the bounds of
-    a merge and re-lighting read.  A scene made from nodes derives it when
-    one of those asks.  A scene made from its table (an imported, merged or
-    re-lit one) builds its nodes on first access of nodes, and keeps them
-    in place of the table; until then node() builds just the node asked
-    for, and count() reads the table.  What else is derived (the index, the
+    a merge, re-lighting, vehicle placement and the scene/1 writer read.  A
+    scene made from nodes derives it when one of those asks.  A scene made
+    from its table (a synthesized, populated, imported, merged or re-lit
+    one) builds its nodes on first access of nodes, and keeps them in
+    place of the table; until then node() builds just the node asked for,
+    and count() reads the table.  What else is derived (the index, the
     id lookup) is kept with the scene; a scene is never changed (every edit
     makes a new SceneGraph, with nothing cached), so what is kept cannot go
     stale."""
@@ -285,14 +307,19 @@ class SceneGraph:
     def __getattr__(self, name: str):
         # called only for what the instance lacks: a table scene's nodes
         # until their first access
-        table = vars(self).get("_own_table")
-        if name != "nodes" or table is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        # threads that build at once all get the first tuple stored, and the
-        # table goes only once the nodes stand in its place
-        nodes = vars(self).setdefault("nodes", table.nodes())
-        vars(self).pop("_own_table", None)
-        return nodes
+        own = vars(self)
+        table = own.get("_own_table")
+        if name == "nodes" and table is not None:
+            # threads that build at once all get the first tuple stored, and
+            # the table goes only once the nodes stand in its place
+            nodes = own.setdefault("nodes", table.nodes())
+            own.pop("_own_table", None)
+            return nodes
+        if name == "nodes" and "nodes" in own:
+            # another thread put them in place of the table since this
+            # lookup missed them
+            return own["nodes"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _table_of(self, kinds=None) -> _BoxTable:
         """The box table of the scene's nodes, or of those of the given
@@ -319,11 +346,11 @@ class SceneGraph:
 
     def node(self, node_id: str) -> SceneNode:
         """The first node with the given id.  A table scene builds it from
-        its row, found by one scan of the ids."""
+        its row, found through the table's id map."""
         try:
             table = vars(self).get("_own_table")
             if table is not None:
-                return table.node(table.ids.index(node_id))
+                return table.node(table.row(node_id))
             return self._node_by_id[node_id]
         except (KeyError, TypeError, ValueError):  # TypeError: an unhashable id
             raise KeyError(f"no node {node_id!r} in scene") from None
@@ -414,17 +441,28 @@ def layout_cells(grid: ClassifiedGrid) -> list[tuple[CellRef, Rect]]:
     return out
 
 
+def _slab(x0: float, y0: float, x1: float, y1: float, z0: float, z1: float) -> tuple:
+    """Box values of the unrotated box spanning [x0, x1] x [y0, y1] x
+    [z0, z1]: the one rule for floors, walls and ceilings."""
+    return ((x0 + x1) / 2.0, (y0 + y1) / 2.0, (z0 + z1) / 2.0,
+            (x1 - x0) / 2.0, (y1 - y0) / 2.0, (z1 - z0) / 2.0, 0.0)
+
+
 def slab_box(x0: float, y0: float, x1: float, y1: float, z0: float, z1: float) -> Box3:
-    """Unrotated box spanning [x0, x1] x [y0, y1] x [z0, z1]: the one rule
-    for floors, walls and ceilings."""
-    return Box3(((x0 + x1) / 2.0, (y0 + y1) / 2.0, (z0 + z1) / 2.0),
-                ((x1 - x0) / 2.0, (y1 - y0) / 2.0, (z1 - z0) / 2.0))
+    """Unrotated box spanning [x0, x1] x [y0, y1] x [z0, z1] (_slab)."""
+    return _box(_slab(x0, y0, x1, y1, z0, z1))
+
+
+def _column(x: float, y: float, size: float, height: float) -> tuple:
+    """Box values of a square column of side size standing from z = 0 to
+    height at (x, y)."""
+    half, half_z = size / 2.0, height / 2.0
+    return (x, y, half_z, half, half, half_z, 0.0)
 
 
 def column_box(x: float, y: float, size: float, height: float) -> Box3:
-    """Square column of side size standing from z = 0 to height at (x, y)."""
-    half, half_z = size / 2.0, height / 2.0
-    return Box3((x, y, half_z), (half, half, half_z))
+    """Square column of side size standing from z = 0 to height at (x, y) (_column)."""
+    return _box(_column(x, y, size, height))
 
 
 def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> SceneGraph:
@@ -435,12 +473,25 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
     every interior grid corner that touches a non-obstacle cell unless
     pruned; ceiling panels cover the envelope per row; lamps populate
     drivable-cell centers per the light preset, row-major.
+
+    The scene is made from its box table, filled row by row; every row
+    gets Box3's checks before it is added.
     """
     spec = grid.spec
     h = CEILING_HEIGHT
     xs = _prefix(spec.col_widths)
     ys = _prefix(spec.row_widths)
-    nodes: list[SceneNode] = []
+    ids: list[str] = []
+    codes = array("B")
+    tags_of: list[dict[str, str]] = []
+    values = array("d")
+
+    def add(node_id: str, kind: NodeKind, tags: dict[str, str], box: tuple) -> None:
+        _check_half(box[3:6])
+        ids.append(node_id)
+        codes.append(_KIND_CODES[kind])
+        tags_of.append(tags)
+        values.extend(box)
 
     # floor tiles and markings, row-major
     inset_scale = 1.0 - 2.0 * MARKING_INSET
@@ -448,6 +499,7 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
     half_pi = math.pi / 2.0
     mark_z = FLOOR_THICKNESS + MARKING_THICKNESS / 2.0
     mark_hz = MARKING_THICKNESS / 2.0
+    floors = []
     for i in range(spec.m):
         for j in range(spec.n):
             c = grid.cells[i][j]
@@ -463,28 +515,22 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
             }
             if c.render_variant is not None:
                 tags["variant"] = c.render_variant.value
-            floor = slab_box(xs[j], ys[i], xs[j + 1], ys[i + 1], 0.0, FLOOR_THICKNESS)
-            nodes.append(SceneNode(f"floor-{i}-{j}", NodeKind.FLOOR_TILE, floor, tags))
+            floor = _slab(xs[j], ys[i], xs[j + 1], ys[i + 1], 0.0, FLOOR_THICKNESS)
+            add(f"floor-{i}-{j}", NodeKind.FLOOR_TILE, tags, floor)
+            cx, cy = floor[0], floor[1]
+            floors.append((tags, cx, cy))
             # the marking is the tile inset, its local extents swapped on odd
             # turns so that it stays in its cell
-            cx, cy, _ = floor.center
-            half_w = floor.half_extents[0] * inset_scale
-            half_h = floor.half_extents[1] * inset_scale
+            half_w = floor[3] * inset_scale
+            half_h = floor[4] * inset_scale
             if turns % 2 == 1:
                 half_w, half_h = half_h, half_w
-            mark_box = Box3(
-                center=(cx, cy, mark_z),
-                half_extents=(half_w, half_h, mark_hz),
-                yaw=turns * half_pi,
-            )
+            mark = (cx, cy, mark_z, half_w, half_h, mark_hz, turns * half_pi)
             if c.kind.drivable:
-                nodes.append(SceneNode(f"mark-lane-{i}-{j}", NodeKind.LANE_MARKING,
-                                       mark_box, dict(tags)))
+                add(f"mark-lane-{i}-{j}", NodeKind.LANE_MARKING, dict(tags), mark)
             else:
-                nodes.append(SceneNode(f"mark-park-{i}-{j}", NodeKind.PARKING_MARKING,
-                                       mark_box, dict(tags)))
-    lamp_sites = _lamp_sites((n.tags, *n.box.center[:2]) for n in nodes
-                             if n.kind is NodeKind.FLOOR_TILE)
+                add(f"mark-park-{i}-{j}", NodeKind.PARKING_MARKING, dict(tags), mark)
+    lamp_sites = _lamp_sites(floors)
 
     # obstacle wall slabs, merged per row run
     for i in range(spec.m):
@@ -494,13 +540,9 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
                 j0 = j
                 while j < spec.n and grid.cells[i][j].kind is CellKind.OBSTACLE:
                     j += 1
-                nodes.append(
-                    SceneNode(
-                        f"wall-{i}-{j0}", NodeKind.COLUMN,
-                        slab_box(xs[j0], ys[i], xs[j], ys[i + 1], 0.0, h),
-                        {"structure": "wall", "row": str(i), "cols": f"{j0}-{j - 1}"},
-                    )
-                )
+                add(f"wall-{i}-{j0}", NodeKind.COLUMN,
+                    {"structure": "wall", "row": str(i), "cols": f"{j0}-{j - 1}"},
+                    _slab(xs[j0], ys[i], xs[j], ys[i + 1], 0.0, h))
             else:
                 j += 1
 
@@ -515,21 +557,13 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
             )
             if all(t.kind is CellKind.OBSTACLE for t in touching):
                 continue
-            nodes.append(
-                SceneNode(
-                    f"col-{ci}-{cj}", NodeKind.COLUMN,
-                    column_box(xs[cj], ys[ci], COLUMN_SIZE, h),
-                    {"corner": f"{ci},{cj}"},
-                )
-            )
+            add(f"col-{ci}-{cj}", NodeKind.COLUMN, {"corner": f"{ci},{cj}"},
+                _column(xs[cj], ys[ci], COLUMN_SIZE, h))
 
     # ceiling panels, one per row, covering the envelope
     for i in range(spec.m):
-        nodes.append(
-            SceneNode(f"ceil-{i}", NodeKind.CEILING_PANEL,
-                      slab_box(xs[0], ys[i], xs[-1], ys[i + 1], h - CEILING_THICKNESS, h),
-                      {"row": str(i)})
-        )
+        add(f"ceil-{i}", NodeKind.CEILING_PANEL, {"row": str(i)},
+            _slab(xs[0], ys[i], xs[-1], ys[i + 1], h - CEILING_THICKNESS, h))
 
     # ramp markers on entrance/exit squares
     for i in range(spec.m):
@@ -538,25 +572,21 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
             if c.kind in (CellKind.ENTRANCE, CellKind.EXIT):
                 rect = Rect(xs[j], ys[i], xs[j + 1], ys[i + 1])
                 cx, cy = rect.center
-                nodes.append(
-                    SceneNode(
-                        f"ramp-{i}-{j}", NodeKind.RAMP_MARKER,
-                        Box3((cx, cy, FLOOR_THICKNESS + MARKING_THICKNESS + 0.005),
-                             (rect.width / 4.0, rect.height / 4.0, 0.005)),
-                        {"cell": f"{i},{j}", "ramp": c.kind.name.lower()},
-                    )
-                )
+                add(f"ramp-{i}-{j}", NodeKind.RAMP_MARKER,
+                    {"cell": f"{i},{j}", "ramp": c.kind.name.lower()},
+                    (cx, cy, FLOOR_THICKNESS + MARKING_THICKNESS + 0.005,
+                     rect.width / 4.0, rect.height / 4.0, 0.005, 0.0))
 
     # lamps last, over the drivable floor tiles found above
     lamps, lamp_z, half = _lamps(lamp_sites, options.light, h)
-    nodes += [SceneNode(lamp_id, NodeKind.LAMP, Box3((x, y, lamp_z), half), tags)
-              for lamp_id, tags, x, y in lamps]
+    for lamp_id, tags, x, y in lamps:
+        add(lamp_id, NodeKind.LAMP, tags, (x, y, lamp_z, *half, 0.0))
 
     bounds = Box3(
         center=(xs[-1] / 2.0, ys[-1] / 2.0, h / 2.0),
         half_extents=(xs[-1] / 2.0, ys[-1] / 2.0, h / 2.0),
     )
-    return SceneGraph(nodes=tuple(nodes), bounds=bounds, light_level=options.light)
+    return _table_scene(_BoxTable(ids, codes, tags_of, values), bounds, options.light)
 
 
 def _lamps(sites: list[tuple[float, float, str]], level: LightLevel, ceiling_h: float):
@@ -613,17 +643,19 @@ def remove_node(scene: SceneGraph, node_id: str) -> SceneGraph:
     return replace(scene, nodes=kept)
 
 
+def _vehicle(center_xy: tuple[float, float], size: str, quarter_turns: int) -> tuple:
+    """Box values of a vehicle resting on the slab; at rotation 0 it faces
+    north (length along y), one quarter-turn faces it east."""
+    length, width, height = VEHICLE_SIZES[size]
+    return (center_xy[0], center_xy[1], FLOOR_THICKNESS + height / 2.0,
+            width / 2.0, length / 2.0, height / 2.0, quarter_turns * math.pi / 2.0)
+
+
 def vehicle_box(
     center_xy: tuple[float, float], size: str, quarter_turns: int
 ) -> Box3:
-    """Box for a vehicle resting on the slab; at rotation 0 it faces north
-    (length along y), one quarter-turn faces it east."""
-    length, width, height = VEHICLE_SIZES[size]
-    return Box3(
-        center=(center_xy[0], center_xy[1], FLOOR_THICKNESS + height / 2.0),
-        half_extents=(width / 2.0, length / 2.0, height / 2.0),
-        yaw=quarter_turns * math.pi / 2.0,
-    )
+    """Box for a vehicle resting on the slab (_vehicle)."""
+    return _box(_vehicle(center_xy, size, quarter_turns))
 
 
 def populate_vehicles(
@@ -631,14 +663,17 @@ def populate_vehicles(
 ) -> SceneGraph:
     """Place one vehicle per plan entry, centered in its cell and yawed to
     face the cell's lane.  Entries on non-parking cells or Type4 spaces
-    need the force flag.  Returns a new graph; the input is unchanged."""
+    need the force flag.  Returns a new graph, made from the scene's box
+    table with a row per vehicle appended; the input is unchanged."""
     from .classify import ParkSubtype
 
     spec = grid.spec
     xs, ys = _prefix(spec.col_widths), _prefix(spec.row_widths)
     rows, cols = range(spec.m), range(spec.n)
     seen: set[CellRef] = set()
-    vehicles: list[SceneNode] = []
+    vehicles = _BoxTable()
+    aabbs = [scene.bounds.aabb]
+    vehicle = _KIND_CODES[NodeKind.VEHICLE]
     for entry in plan.entries:
         if entry.cell in seen:
             raise PlanError(f"cell ({entry.cell.i},{entry.cell.j}) referenced twice")
@@ -659,7 +694,8 @@ def populate_vehicles(
         # layout_cells' rectangle of this one cell
         rect = Rect(xs[j], ys[i], xs[j + 1], ys[i + 1])
         turns = c.rotation.quarter_turns
-        box = vehicle_box(rect.center, entry.size, turns)
+        box = _vehicle(rect.center, entry.size, turns)
+        _check_half(box[3:6])
         length, width, _ = VEHICLE_SIZES[entry.size]
         foot_x, foot_y = (width, length) if turns % 2 == 0 else (length, width)
         tags = {
@@ -671,13 +707,9 @@ def populate_vehicles(
         }
         if foot_x > rect.width + 1e-9 or foot_y > rect.height + 1e-9:
             tags["overhang"] = "true"
-        vehicles.append(
-            SceneNode(f"veh-{entry.cell.i}-{entry.cell.j}", NodeKind.VEHICLE, box, tags)
-        )
-    bounds = _fold_bounds([scene.bounds.aabb, *(v.box.aabb for v in vehicles)])
-    return SceneGraph(
-        nodes=scene.nodes + tuple(vehicles), bounds=bounds, light_level=scene.light_level
-    )
+        vehicles.add(f"veh-{entry.cell.i}-{entry.cell.j}", vehicle, tags, box)
+        aabbs.append(_aabb(box[:3], box[3:6], math.cos(box[6]), math.sin(box[6])))
+    return _table_scene(scene._table_of() + vehicles, _fold_bounds(aabbs), scene.light_level)
 
 
 # --- occupancy plan documents -------------------------------------------------
@@ -836,36 +868,49 @@ _as_float = float.__float__
 
 class _FloatTexts(dict):
     """float -> its JSON text (float.__repr__, or NaN, Infinity, -Infinity),
-    filled while one scene is written.  Zeros are never stored, because
-    0.0 == -0.0 would give both one entry."""
+    filled while one scene is written.  0.0 and -0.0 are one key, which
+    holds "0.0"; _number_texts spells -0.0 itself."""
+
+    def __init__(self):
+        super().__init__({0.0: "0.0"})
 
     def __missing__(self, value: float) -> str:
         if value != value:
             return "NaN"
         if value in (math.inf, -math.inf):
             return "Infinity" if value > 0 else "-Infinity"
-        text = float.__repr__(value)
-        if value:
-            self[value] = text
+        text = self[value] = float.__repr__(value)
         return text
 
 
+_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
+
+
+def _number_texts(numbers: array, floats: _FloatTexts) -> list[str]:
+    """The JSON text of each float of an array('d')."""
+    texts = list(map(floats.__getitem__, numbers))
+    if _NEGATIVE_ZERO in numbers.tobytes():  # a -0.0, or its bytes across two floats
+        for k, number in enumerate(numbers):
+            if not number and math.copysign(1.0, number) < 0.0:
+                texts[k] = "-0.0"
+    return texts
+
+
 def _scalar(value) -> str:
-    """A box value that is no float (an int, say), as json writes it."""
+    """A box value of any type as json writes it; a container is no number."""
     if isinstance(value, (list, tuple, dict)):
         raise TypeError(f"a box value must be a number, got {value!r}")
     return json.dumps(value)
 
 
-def _box_texts(box: Box3, floats: _FloatTexts) -> tuple[str, ...]:
-    """Center, half extents and yaw of a box as JSON number texts."""
-    values = (*box.center, *box.half_extents, box.yaw)
+def _value_texts(values, floats: _FloatTexts) -> list[str]:
+    """Box values of any type as JSON number texts."""
     try:
         # float.__float__ turns float subclasses into plain floats and
         # rejects ints, which must not meet an equal float's cached text
-        return tuple(map(floats.__getitem__, map(_as_float, values)))
-    except TypeError:
-        return tuple(map(_scalar, values))
+        return _number_texts(array("d", map(_as_float, values)), floats)
+    except TypeError:  # json spells a float as the cache does
+        return list(map(_scalar, values))
 
 
 def _tags_text(tags: dict[str, str]) -> str:
@@ -876,20 +921,64 @@ def _tags_text(tags: dict[str, str]) -> str:
     return "{\n        " + items + "\n      }"
 
 
+def _tag_texts(tags: list[dict[str, str]]) -> list[str]:
+    """The text of each tags dict; a dict equal to the one before it (a
+    marking's, after its floor tile's) takes that one's text."""
+    texts, last, text = [], None, ""
+    for t in tags:
+        if t != last:
+            last, text = t, _tags_text(t)
+        texts.append(text)
+    return texts
+
+
+#: a node record followed by its comma and newline; the JSON text of each kind by code
+_RECORD = _NODE_RECORD + "\n"
+_KIND_TEXTS = tuple(_encode_str(kind.value) for kind in _KINDS)
+
+
+def _records(texts: list[str], ids: list[str], kinds, tags: list[dict[str, str]]) -> str:
+    """The records of a run of nodes, from their box value texts (seven a
+    node), ids, kind texts and tags, formatted with one %."""
+    fields = zip(texts[0::7], texts[1::7], texts[2::7], texts[3::7], texts[4::7], texts[5::7],
+                 map(_encode_str, ids), kinds, _tag_texts(tags), texts[6::7])
+    return (_RECORD * len(ids)) % tuple(chain.from_iterable(fields))
+
+
+def _table_columns(table: _BoxTable, floats: _FloatTexts):
+    """_records' arguments for each _CHUNK rows of a box table."""
+    for start in range(0, len(table), _CHUNK):
+        stop = start + _CHUNK
+        yield (_number_texts(table.values[7 * start:7 * stop], floats), table.ids[start:stop],
+               map(_KIND_TEXTS.__getitem__, table.codes[start:stop]), table.tags[start:stop])
+
+
+def _node_columns(nodes: tuple[SceneNode, ...], floats: _FloatTexts):
+    """_records' arguments for each _CHUNK nodes: the box values as they
+    are, so that an int is written as json writes it."""
+    for start in range(0, len(nodes), _CHUNK):
+        chunk = nodes[start:start + _CHUNK]
+        values = [v for n in chunk for v in (*n.box.center, *n.box.half_extents, n.box.yaw)]
+        yield (_value_texts(values, floats), [n.id for n in chunk],
+               [_KIND_TEXTS[_KIND_CODES[n.kind]] for n in chunk], [n.tags for n in chunk])
+
+
 def _write_scene(scene: SceneGraph) -> str:
+    """scene/1 text, written _CHUNK nodes at a time from the scene's box
+    table, or from its nodes when it is made from them."""
     floats = _FloatTexts()
-    head = _SCENE_HEAD % (*_box_texts(scene.bounds, floats),
+    bounds = scene.bounds
+    head = _SCENE_HEAD % (*_value_texts((*bounds.center, *bounds.half_extents, bounds.yaw),
+                                        floats),
                           _encode_str(scene.light_level.value))
-    if not scene.nodes:
+    table = vars(scene).get("_own_table")
+    columns = (_node_columns(scene.nodes, floats) if table is None
+               else _table_columns(table, floats))
+    chunks = [_records(*chunk) for chunk in columns]
+    if not chunks:
         return head + "]" + _SCENE_TAIL
-    lines = [head]
-    for n in scene.nodes:
-        c0, c1, c2, h0, h1, h2, yaw = _box_texts(n.box, floats)
-        lines.append(_NODE_RECORD % (c0, c1, c2, h0, h1, h2, _encode_str(n.id),
-                                     _encode_str(n.kind.value), _tags_text(n.tags), yaw))
-    lines[-1] = lines[-1][:-1]  # no comma after the last node
-    lines.append("  ]" + _SCENE_TAIL)
-    return "\n".join(lines)
+    chunks[-1] = chunks[-1][:-2]  # no comma and newline after the last node
+    return "".join([head, "\n", *chunks, "\n  ]", _SCENE_TAIL])
 
 
 def export_scene(scene: SceneGraph, format: str = "scene-json") -> str:

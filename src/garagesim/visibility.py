@@ -110,7 +110,11 @@ class Frustum:
 
 def make_camera(ego: EgoPose, cfg: CameraConfig = CameraConfig()) -> Frustum:
     """Frustum for an ego pose: apex raised by the mount height above the
-    slab, horizontal half-angle fov/2, vertical half-angle atan(tan(fov/2)/aspect)."""
+    slab, horizontal half-angle fov/2, vertical half-angle atan(tan(fov/2)/aspect).
+    A pose with a non-finite position or heading is an OptionError."""
+    if not all(map(math.isfinite, (*ego.position, ego.heading))):
+        raise OptionError(f"ego pose must be finite, got position {ego.position}"
+                          f" and heading {ego.heading}")
     ax, ay = math.cos(ego.heading), math.sin(ego.heading)
     tan_h = math.tan(math.radians(cfg.horizontal_fov_deg) / 2.0)
     return Frustum(

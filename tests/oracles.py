@@ -12,7 +12,9 @@ fold of scene bounds, the quadratic ``clears_from`` scan, and the scene/1
 document as a dict that ``json.dumps(indent=2, sort_keys=True)`` writes,
 which the scene writer must match byte for byte, and the two-pass scene/1
 reader that the one-pass reader must match scene for scene and error for
-error.  ``ray_intersect`` and ``per_sample_loop`` are the exceptions:
+error, and the node-building synthesis and vehicle placement that the
+box-table ones must match the same way (these two build their boxes with
+the engine's slab_box, column_box and vehicle_box).  ``ray_intersect`` and ``per_sample_loop`` are the exceptions:
 ``ray_intersect`` asks the engine's slab test for one ray, so analytic
 distances can check it, and ``per_sample_loop``, the sample loop with one
 broadphase query per sample, asks the engine's camera, hull, broadphase
@@ -28,9 +30,14 @@ import math
 
 import numpy as np
 
-from garagesim.errors import SchemaError
-from garagesim.grid import Direction
-from garagesim.scene import Box3, LightLevel, NodeKind, SceneGraph, SceneNode
+from garagesim.classify import ParkSubtype
+from garagesim.errors import PlanError, SchemaError
+from garagesim.grid import CellKind, Direction
+from garagesim.scene import (
+    CEILING_HEIGHT, CEILING_THICKNESS, COLUMN_SIZE, FLOOR_THICKNESS, LAMP_SIZE, MARKING_INSET,
+    MARKING_THICKNESS, VEHICLE_SIZES, Box3, LightLevel, NodeKind, SceneGraph, SceneNode,
+    SynthOptions, column_box, slab_box, vehicle_box,
+)
 from garagesim.visibility import VisibilitySample, _hull_2d, make_camera
 
 N, E, S, W = Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST
@@ -514,6 +521,134 @@ def import_scene_two_pass(text: str) -> SceneGraph:
     if not isinstance(bounds_raw, dict):
         raise SchemaError("scene document is missing its bounds box")
     return SceneGraph(nodes=tuple(nodes), bounds=_document_box(bounds_raw), light_level=level)
+
+
+# --- scene synthesis, one SceneNode per element ----------------------------------------
+
+
+def _edges(widths) -> list[float]:
+    out = [0.0]
+    for w in widths:
+        out.append(out[-1] + w)
+    return out
+
+
+def synthesize_nodes(grid, options=SynthOptions()) -> SceneGraph:
+    """The engine's earlier synthesis, which made a Box3 and a SceneNode per
+    element and a scene from its nodes, in the same order: floor tiles with
+    their markings, walls, columns, ceiling panels, ramp markers, lamps."""
+    spec = grid.spec
+    h = CEILING_HEIGHT
+    xs, ys = _edges(spec.col_widths), _edges(spec.row_widths)
+    nodes = []
+    sites = []
+    for i in range(spec.m):
+        for j in range(spec.n):
+            c = grid.cells[i][j]
+            if c.kind is CellKind.OBSTACLE:
+                continue
+            turns = c.rotation.quarter_turns
+            tags = {"cell": f"{i},{j}", "cell_kind": c.kind.name.lower(),
+                    "subtype": (c.lane_subtype or c.park_subtype).value,
+                    "quarter_turns": str(turns)}
+            if c.render_variant is not None:
+                tags["variant"] = c.render_variant.value
+            floor = slab_box(xs[j], ys[i], xs[j + 1], ys[i + 1], 0.0, FLOOR_THICKNESS)
+            nodes.append(SceneNode(f"floor-{i}-{j}", NodeKind.FLOOR_TILE, floor, tags))
+            if c.kind.drivable:
+                sites.append((floor.center[0], floor.center[1], tags["cell"]))
+            half_w = floor.half_extents[0] * (1.0 - 2.0 * MARKING_INSET)
+            half_h = floor.half_extents[1] * (1.0 - 2.0 * MARKING_INSET)
+            if turns % 2 == 1:
+                half_w, half_h = half_h, half_w
+            mark = Box3((floor.center[0], floor.center[1],
+                         FLOOR_THICKNESS + MARKING_THICKNESS / 2.0),
+                        (half_w, half_h, MARKING_THICKNESS / 2.0), turns * (math.pi / 2.0))
+            name, kind = (("lane", NodeKind.LANE_MARKING) if c.kind.drivable
+                          else ("park", NodeKind.PARKING_MARKING))
+            nodes.append(SceneNode(f"mark-{name}-{i}-{j}", kind, mark, dict(tags)))
+    for i in range(spec.m):
+        j = 0
+        while j < spec.n:
+            if grid.cells[i][j].kind is not CellKind.OBSTACLE:
+                j += 1
+                continue
+            j0 = j
+            while j < spec.n and grid.cells[i][j].kind is CellKind.OBSTACLE:
+                j += 1
+            nodes.append(SceneNode(f"wall-{i}-{j0}", NodeKind.COLUMN,
+                                   slab_box(xs[j0], ys[i], xs[j], ys[i + 1], 0.0, h),
+                                   {"structure": "wall", "row": str(i), "cols": f"{j0}-{j - 1}"}))
+    for ci in range(1, spec.m):
+        for cj in range(1, spec.n):
+            touching = [grid.cells[a][b] for a in (ci - 1, ci) for b in (cj - 1, cj)]
+            if (ci, cj) in options.prune_columns or all(
+                    t.kind is CellKind.OBSTACLE for t in touching):
+                continue
+            nodes.append(SceneNode(f"col-{ci}-{cj}", NodeKind.COLUMN,
+                                   column_box(xs[cj], ys[ci], COLUMN_SIZE, h),
+                                   {"corner": f"{ci},{cj}"}))
+    for i in range(spec.m):
+        nodes.append(SceneNode(f"ceil-{i}", NodeKind.CEILING_PANEL,
+                               slab_box(xs[0], ys[i], xs[-1], ys[i + 1], h - CEILING_THICKNESS, h),
+                               {"row": str(i)}))
+    for i in range(spec.m):
+        for j in range(spec.n):
+            kind = grid.cells[i][j].kind
+            if kind in (CellKind.ENTRANCE, CellKind.EXIT):
+                nodes.append(SceneNode(
+                    f"ramp-{i}-{j}", NodeKind.RAMP_MARKER,
+                    Box3(((xs[j] + xs[j + 1]) / 2.0, (ys[i] + ys[i + 1]) / 2.0,
+                          FLOOR_THICKNESS + MARKING_THICKNESS + 0.005),
+                         ((xs[j + 1] - xs[j]) / 4.0, (ys[i + 1] - ys[i]) / 4.0, 0.005)),
+                    {"cell": f"{i},{j}", "ramp": kind.name.lower()}))
+    level = options.light
+    count = math.ceil(level.lamp_coverage * len(sites)) if sites else 0
+    for k, (x, y, cell) in enumerate(sites[:count]):
+        nodes.append(SceneNode(
+            "lamp-" + cell.replace(",", "-"), NodeKind.LAMP,
+            Box3((x, y, h - CEILING_THICKNESS - LAMP_SIZE[2] / 2.0),
+                 (LAMP_SIZE[0] / 2.0, LAMP_SIZE[1] / 2.0, LAMP_SIZE[2] / 2.0)),
+            {"cell": cell, "site_index": str(k), "intensity": repr(level.lamp_intensity)}))
+    bounds = Box3((xs[-1] / 2.0, ys[-1] / 2.0, h / 2.0), (xs[-1] / 2.0, ys[-1] / 2.0, h / 2.0))
+    return SceneGraph(tuple(nodes), bounds, level)
+
+
+def populate_vehicles_nodes(scene, grid, plan) -> SceneGraph:
+    """The engine's earlier populate_vehicles: the scene's nodes and a
+    SceneNode per vehicle, checked in the same order, with the bounds
+    folded one box at a time."""
+    spec = grid.spec
+    xs, ys = _edges(spec.col_widths), _edges(spec.row_widths)
+    seen = set()
+    vehicles = []
+    for entry in plan.entries:
+        i, j = entry.cell.i, entry.cell.j
+        if entry.cell in seen:
+            raise PlanError(f"cell ({i},{j}) referenced twice")
+        seen.add(entry.cell)
+        if not (0 <= i < spec.m and 0 <= j < spec.n):
+            raise PlanError(f"cell ({i},{j}) outside the grid")
+        if entry.size not in VEHICLE_SIZES:
+            raise PlanError(f"unknown vehicle size {entry.size!r}")
+        c = grid.cells[i][j]
+        type4 = c.park_subtype is ParkSubtype.TYPE4
+        if not (c.kind is CellKind.PARKING and not type4) and not entry.force:
+            raise PlanError(f"cell ({i},{j}) is {c.kind.name.lower()}"
+                            f"{'/type4' if type4 else ''}; use force to place here")
+        turns = c.rotation.quarter_turns
+        box = vehicle_box(((xs[j] + xs[j + 1]) / 2.0, (ys[i] + ys[i + 1]) / 2.0),
+                          entry.size, turns)
+        length, width, _ = VEHICLE_SIZES[entry.size]
+        foot_x, foot_y = (width, length) if turns % 2 == 0 else (length, width)
+        tags = {"cell": f"{i},{j}", "vehicle_size": entry.size,
+                "parked": "true" if entry.parked else "false", "color": entry.color,
+                "facing": ("north", "east", "south", "west")[turns]}
+        if foot_x > xs[j + 1] - xs[j] + 1e-9 or foot_y > ys[i + 1] - ys[i] + 1e-9:
+            tags["overhang"] = "true"
+        vehicles.append(SceneNode(f"veh-{i}-{j}", NodeKind.VEHICLE, box, tags))
+    return SceneGraph(scene.nodes + tuple(vehicles),
+                      fold_bounds([scene.bounds, *(v.box for v in vehicles)]), scene.light_level)
 
 
 # --- sweep/1 text -----------------------------------------------------------------------

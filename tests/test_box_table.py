@@ -1,8 +1,10 @@
-"""The box table behind every scene: what a scene made from its table (an
-imported, merged or re-lit one) gives must be what the same scene made from
-its nodes gives, and the scenario command must not build the imported
-garage's nodes."""
+"""The box table behind every scene: what a scene made from its table (a
+synthesized, populated, imported, merged or re-lit one) gives must be what
+the same scene made from its nodes gives, synthesis and vehicle placement
+must give what their node-building references give, and the scenario and
+generate commands must not build the garage's nodes."""
 
+import json
 import math
 import random
 import sys
@@ -13,9 +15,9 @@ import numpy as np
 import pytest
 
 from garagesim import cli
-from garagesim.classify import classify_all
+from garagesim.classify import ParkSubtype, classify_all
 from garagesim.errors import SchemaError
-from garagesim.grid import CellKind, GarageSpec
+from garagesim.grid import CellKind, CellRef, GarageSpec, emit_garage_spec
 from garagesim.scenario import _scene_from_nodes, build_case1, build_case2
 from garagesim.scene import (
     LightLevel,
@@ -26,15 +28,20 @@ from garagesim.scene import (
     SceneGraph,
     SceneNode,
     SynthOptions,
+    VEHICLE_SIZES,
     apply_light_level,
+    emit_occupancy_plan,
     export_scene,
     import_scene,
     layout_cells,
     populate_vehicles,
     remove_node,
     synthesize,
+    _BoxTable,
 )
-from oracles import import_scene_two_pass
+from garagesim.scene import _table_scene as _scene_of_table
+from conftest import random_spec
+from oracles import import_scene_two_pass, populate_vehicles_nodes, scene_json, synthesize_nodes
 
 
 def _grid(side: int = 6):
@@ -233,3 +240,170 @@ def test_threads_building_nodes_at_once_get_one_tuple():
             assert len(got) == 4 and all(nodes is scene.nodes for nodes in got)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_nodes_another_thread_put_in_place_are_returned():
+    # what a reader meets when its lookup of nodes missed and another thread
+    # then built the nodes and dropped the table before the reader looked
+    scene = import_scene(_garage_text(side=9))
+    nodes = scene.nodes
+    assert "_own_table" not in vars(scene)
+    assert SceneGraph.__getattr__(scene, "nodes") is nodes
+    with pytest.raises(AttributeError):
+        SceneGraph.__getattr__(scene, "no_such_attribute")
+
+
+def test_table_node_lookup_takes_the_first_of_equal_ids():
+    box = build_case1().scene.bounds
+    nodes = [SceneNode(node_id, kind, box, {"n": str(k)}) for k, (node_id, kind) in enumerate(
+        [("dup", NodeKind.COLUMN), ("other", NodeKind.LAMP), ("dup", NodeKind.VEHICLE)])]
+    scene = _scene_of_table(_BoxTable.of_nodes(nodes), box, LightLevel.BRIGHT)
+    assert [scene.node(i).tags["n"] for i in ("dup", "other", "dup")] == ["0", "1", "0"]
+    assert "nodes" not in vars(scene)
+
+
+# --- synthesis and vehicle placement fill the table ----------------------------------
+
+
+def _assert_same_scene(scene: SceneGraph, reference: SceneGraph) -> None:
+    """A table scene gives what the node-built reference gives: scene/1
+    bytes (written from the table, building no node), nodes, bounds and
+    light level."""
+    assert "nodes" not in vars(scene), "synthesis builds no nodes"
+    text = export_scene(scene)
+    assert "nodes" not in vars(scene), "the writer reads the table"
+    assert text == export_scene(reference) == scene_json(reference)
+    assert scene.nodes == reference.nodes
+    assert scene.bounds == reference.bounds
+    assert scene.light_level is reference.light_level
+
+
+def _random_grid(rng: random.Random):
+    return classify_all(random_spec(rng, max_side=9))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_synthesis_matches_the_node_building_reference(seed):
+    rng = random.Random(seed)
+    grid = _random_grid(rng)
+    corners = [(ci, cj) for ci in range(1, grid.spec.m) for cj in range(1, grid.spec.n)]
+    prune = frozenset(rng.sample(corners, len(corners) // 3))
+    for level in LightLevel:
+        options = SynthOptions(light=level, prune_columns=prune)
+        _assert_same_scene(synthesize(grid, options), synthesize_nodes(grid, options))
+
+
+def test_vehicles_match_the_node_building_reference():
+    forced = overhanging = 0
+    for seed in range(25):
+        rng = random.Random(seed)
+        grid = _random_grid(rng)
+        cells = [cell for cell, _ in layout_cells(grid)]
+        entries = []
+        for cell in rng.sample(cells, (len(cells) + 1) // 2):
+            c = grid.cells[cell.i][cell.j]
+            force = c.kind is not CellKind.PARKING or c.park_subtype is ParkSubtype.TYPE4
+            entries.append(PlanEntry(cell, rng.choice(sorted(VEHICLE_SIZES)),
+                                     parked=rng.random() < 0.5,
+                                     color=rng.choice(["white", "red", "gray"]), force=force))
+            forced += force
+        plan = OccupancyPlan(tuple(entries))
+        options = SynthOptions(light=rng.choice(list(LightLevel)))
+        reference = populate_vehicles_nodes(synthesize_nodes(grid, options), grid, plan)
+        scene = populate_vehicles(synthesize(grid, options), grid, plan)
+        _assert_same_scene(scene, reference)
+        overhanging += sum(n.tags.get("overhang") == "true" for n in scene.nodes)
+        # a scene made from nodes gets its vehicles appended to a table too
+        from_nodes = populate_vehicles(synthesize_nodes(grid, options), grid, plan)
+        _assert_same_scene(from_nodes, reference)
+    assert forced > 50 and overhanging > 50
+
+
+def _grid_with_widths(structure, row_widths, col_widths):
+    """A classified grid whose widths are set after classification, as a
+    library caller may set them: validate checks no such grid."""
+    grid = classify_all(GarageSpec(structure, (5.0,) * len(structure),
+                                   (5.0,) * len(structure[0])))
+    return replace(grid, spec=replace(grid.spec, row_widths=row_widths, col_widths=col_widths))
+
+
+def _outcome(make):
+    try:
+        return "scene", export_scene(make())
+    except Exception as exc:  # noqa: BLE001 - the test compares any error
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("grid", [
+    # valid widths, but the second column's edges round to one float
+    pytest.param(classify_all(GarageSpec(((1, 1, 0), (0, 1, 0)), (5.0, 5.0), (1e17, 1.0, 6.0))),
+                 id="absorbed-width-floor"),
+    pytest.param(classify_all(GarageSpec(((1, -1, 0), (1, -1, 0)), (5.0, 5.0), (1e17, 1.0, 6.0))),
+                 id="absorbed-width-wall"),
+    pytest.param(_grid_with_widths(((1, 1), (0, 1)), (5.0, -2.0), (3.0, 3.0)), id="negative-row"),
+    pytest.param(_grid_with_widths(((1, 1), (0, 1)), (5.0, 5.0), (0.0, 3.0)), id="zero-column"),
+    pytest.param(_grid_with_widths(((1, 1), (0, 1)), (5.0, 5.0), (1j, 3.0)), id="complex"),
+    pytest.param(_grid_with_widths(((1, 1), (0, 1)), (5.0, math.nan), (math.inf, 3.0)),
+                 id="non-finite"),
+])
+def test_synthesis_errors_are_the_node_building_references(grid):
+    for level in (LightLevel.BRIGHT, LightLevel.DIM):
+        options = SynthOptions(light=level)
+        got = _outcome(lambda: synthesize(grid, options))
+        assert got == _outcome(lambda: synthesize_nodes(grid, options))
+        assert got[0] is not SchemaError
+
+
+@pytest.mark.parametrize("entries", [
+    [PlanEntry(CellRef(1, 0), "small"), PlanEntry(CellRef(1, 0), "large")],
+    [PlanEntry(CellRef(1, 0), "small"), PlanEntry(CellRef(2, 0), "small")],
+    [PlanEntry(CellRef(-1, 0), "small")],
+    [PlanEntry(CellRef(1, 1), "huge")],
+    [PlanEntry(CellRef(1, 0), "small"), PlanEntry(CellRef(0, 0), "small")],
+    [PlanEntry(CellRef(1, 2), "small")],
+    [PlanEntry(CellRef(1, 2), "large", force=True), PlanEntry(CellRef(0, 2), "small", force=True)],
+])
+def test_plan_errors_are_the_node_building_references(entries):
+    grid = classify_all(GarageSpec(((1, 1, -1), (0, 0, 0)), (6.0, 5.0), (3.0, 3.0, 3.0)))
+    plan = OccupancyPlan(tuple(entries))
+    for base in (synthesize(grid), synthesize_nodes(grid)):
+        got = _outcome(lambda: populate_vehicles(base, grid, plan))
+        assert got == _outcome(lambda: populate_vehicles_nodes(synthesize_nodes(grid), grid, plan))
+
+
+@pytest.mark.parametrize("occupancy", [False, True])
+@pytest.mark.parametrize("out", [False, True])
+def test_generate_builds_no_node(tmp_path, monkeypatch, capsys, occupancy, out):
+    """generate writes its scene and counts its nodes from the box table."""
+    structure = [[1 if i % 3 == 0 or j % 3 == 0 else 0 for j in range(9)] for i in range(9)]
+    spec = GarageSpec(tuple(map(tuple, structure)), (5.0,) * 9, (3.0,) * 9)
+    plan = tmp_path / "plan.json"
+    plan.write_text(emit_garage_spec(spec), encoding="utf-8")
+    argv = ["generate", str(plan)]
+    if occupancy:
+        vehicles = tmp_path / "occupancy.json"
+        vehicles.write_text(emit_occupancy_plan(OccupancyPlan(tuple(
+            PlanEntry(CellRef(i, j), "medium") for i in range(9) for j in range(9)
+            if structure[i][j] == 0 and (i + j) % 2))), encoding="utf-8")
+        argv += ["--occupancy", str(vehicles)]
+    if out:
+        argv = ["--format", "json", *argv, "--out", str(tmp_path / "scene.json")]
+    built = []
+    init = SceneNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["id"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SceneNode, "__init__", counting_init)
+    assert cli.main(argv) == 0
+    assert built == []
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    text = (tmp_path / "scene.json").read_text(encoding="utf-8") if out else captured.out
+    nodes = len(import_scene(text).nodes)
+    assert nodes > 100
+    if out:
+        assert json.loads(captured.out)["nodes"] == nodes
+    else:
+        assert captured.err == f"nodes: {nodes}\n"

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -37,6 +38,7 @@ from garagesim.scene import (
     _BoxTable,
     _bounded_scene,
     _fold_bounds,
+    _table_scene,
 )
 from conftest import random_spec
 from oracles import fold_bounds, import_scene_two_pass, scene_json
@@ -481,6 +483,40 @@ class TestSceneDocuments:
         Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), LightLevel.BRIGHT))
     def test_writer_matches_json_oracle(self, scene):
         assert export_scene(scene) == scene_json(scene)
+
+    @given(nodes=st.lists(st.builds(SceneNode, _TEXTS, st.sampled_from(NodeKind),
+                                    _boxes(_FLOATS, _POSITIVE_FLOATS), _TAGS), max_size=8),
+           bounds=_BOXES, level=st.sampled_from(LightLevel))
+    def test_table_writer_matches_json_oracle(self, nodes, bounds, level):
+        scene = SceneGraph(tuple(nodes), bounds, level)
+        table_scene = _table_scene(_BoxTable.of_nodes(nodes), bounds, level)
+        assert export_scene(table_scene) == scene_json(scene)
+        assert "nodes" not in vars(table_scene)
+
+    @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025])
+    def test_table_writer_matches_json_oracle_at_chunk_edges(self, rows):
+        rng = random.Random(rows)
+        numbers = [0.0, 0.0, 1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, -2.5, math.nan, math.inf,
+                   -math.inf]
+        positive = [1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, math.nan, math.inf]
+        # the bytes of -0.0 across two floats: 5e-324's high half, then this one's low half
+        straddle = struct.unpack("<d", b"\x00\x00\x00\x80\x00\x00\xf0\x3f")[0]
+        table, tags = _BoxTable(), {}
+        for k in range(rows):
+            values = [rng.choice(pool) if rng.random() < 0.6 else rng.uniform(0.01, 50.0)
+                      for pool in [numbers] * 3 + [positive] * 3 + [numbers]]
+            if k == 3:
+                values[1] = values[6] = -0.0
+            if k == rows - 1:
+                values[5:7] = [5e-324, straddle]
+            # equal tags on some consecutive rows, as a marking's after its tile's
+            tags = dict(tags) if rng.random() < 0.3 else {
+                f"t{n}": rng.choice(["a", '"\\', "\u00e9"]) for n in range(rng.randrange(4))}
+            table.add(f"n{k}", rng.randrange(len(NodeKind)), tags, values)
+        scene = _table_scene(table, Box3((0.0, -0.0, 1.0), (1.0, 2.0, 3.0)), LightLevel.DIM)
+        text = export_scene(scene)
+        assert "nodes" not in vars(scene) and len(scene.nodes) == rows
+        assert text == scene_json(scene)
 
     @pytest.mark.parametrize("kind", [["column"], {"column": 1}, None, 3, "Column"])
     def test_unknown_or_unhashable_kind_rejected(self, kind):

@@ -283,6 +283,19 @@ class TestVisibleFractionFixtures:
         with pytest.raises(ValueError, match="not a vehicle"):
             visible_fraction(scene, EGO, CFG, "floor")
 
+    @pytest.mark.parametrize("ego", [
+        EgoPose((-math.inf, 0.0), 0.0), EgoPose((0.0, math.nan), 0.0),
+        EgoPose((0.0, math.inf), 0.0), EgoPose((0.0, 0.0), math.nan),
+        EgoPose((0.0, 0.0), math.inf), EgoPose((0.0, 0.0), -math.inf),
+    ])
+    def test_non_finite_pose_is_an_option_error(self, ego):
+        # a non-finite camera once ran into a RuntimeWarning in the facing
+        # test (or math's domain error), which the warning filter fails
+        with pytest.raises(OptionError, match="ego pose must be finite"):
+            visible_fraction(simple_scene(), ego, CFG, "veh-t")
+        with pytest.raises(OptionError, match="ego pose must be finite"):
+            sweep(simple_scene(), [ego], CFG, "veh-t", step=0.5)
+
 
 class TestVisibleFractionProperties:
     def test_convergence_with_sampling_density(self):
