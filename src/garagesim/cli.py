@@ -20,7 +20,7 @@ from .errors import JSON_TOO_DEEP, GarageError, OptionError, SchemaError, SpecPa
 from .grid import load_garage_spec, validate
 
 if TYPE_CHECKING:
-    from .scene import SceneGraph
+    from .scene import LightLevel, SceneGraph
 
 # Each handler imports the machinery it runs, so `validate` and `score` load
 # no numpy and a command pays only for its own modules at start-up.
@@ -234,17 +234,24 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _merge_scene(base: SceneGraph, extra: SceneGraph) -> SceneGraph:
+def _merge_scene(
+    base: SceneGraph, extra: SceneGraph, level: LightLevel | None = None
+) -> SceneGraph:
     """Scenario scene plus extra environment, bounded by both, made from
-    their joined box tables; the caller relights it."""
-    from .scene import _bounded_scene
+    their box tables in one copy: re-lit to level where one is given (the
+    same scene as apply_light_level of the merged one), else as it is and
+    bright."""
+    from .scene import LightLevel, _relit, _table_bounds, _table_scene
 
-    base, extra = base._table_of(), extra._table_of()
-    ids = set(base.ids)
-    if not ids.isdisjoint(extra.ids):
-        first = next(node_id for node_id in extra.ids if node_id in ids)
+    tables = base._table_of(), extra._table_of()
+    ids = set(tables[0].ids)
+    if not ids.isdisjoint(tables[1].ids):
+        first = next(node_id for node_id in tables[1].ids if node_id in ids)
         raise SchemaError(f"--scene node id {first!r} collides with the scenario")
-    return _bounded_scene(base + extra)
+    bounds = _table_bounds(*tables)
+    if level is None:
+        return _table_scene(tables[0] + tables[1], bounds, LightLevel.BRIGHT)
+    return _relit(tables, bounds, level)
 
 
 def _parse_layout(text: str) -> list[tuple[str, str]]:
@@ -289,10 +296,13 @@ def _cmd_scenario(args) -> int:
     else:
         scn = build_case3(_parse_layout(args.layout))
     if args.scene:
-        # held by no name, so the imported table goes once merged
+        # merged and re-lit in one copy; held by no name, so the imported
+        # table goes once merged
         scn = replace(scn, scene=_merge_scene(
-            scn.scene, import_scene(Path(args.scene).read_text(encoding="utf-8"))))
-    scn = relight(scn, LightLevel(args.light))
+            scn.scene, import_scene(Path(args.scene).read_text(encoding="utf-8")),
+            LightLevel(args.light)))
+    else:
+        scn = relight(scn, LightLevel(args.light))
     report = run_scenario(
         scn,
         cfg,

@@ -227,14 +227,22 @@ class _BoxTable:
 
     def take(self, rows: np.ndarray) -> _BoxTable:
         """A table of the rows in a mask, in order."""
+        return _BoxTable.joined(((self, rows),))
+
+    @classmethod
+    def joined(cls, parts) -> _BoxTable:
+        """One table of the rows in a mask of each table, for (table, mask)
+        pairs in order: each kept row is copied once."""
         import numpy as np
 
-        keep = rows.tobytes()
-        codes, values = array("B"), array("d")
-        codes.frombytes(np.frombuffer(self.codes, np.uint8)[rows])
-        values.frombytes(np.frombuffer(self.values).reshape(-1, 7)[rows].view(np.uint8))
-        return _BoxTable(list(compress(self.ids, keep)), codes,
-                         list(compress(self.tags, keep)), values)
+        out = cls()
+        for table, rows in parts:
+            keep = rows.tobytes()
+            out.ids += compress(table.ids, keep)
+            out.codes.frombytes(np.frombuffer(table.codes, np.uint8)[rows])
+            out.tags += compress(table.tags, keep)
+            out.values.frombytes(np.frombuffer(table.values).reshape(-1, 7)[rows].view(np.uint8))
+        return out
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """Centres and half extents (k, 3), cos and sin of yaw (k,) and world
@@ -369,20 +377,20 @@ def _table_scene(table: _BoxTable, bounds: Box3, light_level: LightLevel) -> Sce
     return scene
 
 
-def _bounded_scene(table: _BoxTable) -> SceneGraph:
-    """A bright scene made from a table and bounded by its boxes' AABBs, as
-    scenario._scene_from_nodes bounds one made from nodes.  The fold of one
-    bound ends on the first row, in order, holding that bound's extreme (a
-    NaN never wins), and no row before it holds the extreme; so folding
-    just those rows, at most six and kept in order, gives the same box."""
+def _table_bounds(*tables: _BoxTable) -> Box3:
+    """_fold_bounds of the AABBs of the tables' rows, in order, as
+    scenario._scene_from_nodes bounds the nodes of a scene.  The fold
+    of one bound ends on the first row holding that bound's extreme (a NaN
+    never wins), and no row before it holds the extreme; so folding just
+    those rows, at most six and kept in order, gives the same box."""
     import numpy as np
 
-    aabbs = table.columns()[4]
+    aabbs = np.concatenate([table.columns()[4] for table in tables])
     lo, hi = aabbs[:, :3], aabbs[:, 3:]
     hits = np.hstack([lo == np.fmin.reduce(lo, axis=0, initial=math.inf),
                       hi == np.fmax.reduce(hi, axis=0, initial=-math.inf)])
     rows = np.unique(hits.argmax(axis=0)[hits.any(axis=0)]) if len(hits) else []
-    return _table_scene(table, _fold_bounds(aabbs[rows].tolist()), LightLevel.BRIGHT)
+    return _fold_bounds(aabbs[rows].tolist())
 
 
 @dataclass(frozen=True)
@@ -622,17 +630,25 @@ def apply_light_level(scene: SceneGraph, level: LightLevel) -> SceneGraph:
     Applying a level always overrides the previous one.  The scene is read
     from its box table, and the new one is made from a table.
     """
-    table = scene._table_of()
-    floors = table.kind_mask({NodeKind.FLOOR_TILE}).nonzero()[0].tolist()
-    sites = _lamp_sites((table.tags[k], table.values[7 * k], table.values[7 * k + 1])
-                        for k in floors)
-    relit = table.take(table.kind_mask(set(NodeKind) - {NodeKind.LAMP}))
-    lamps, lamp_z, half = _lamps(sites, level, scene.bounds.center[2]
-                                 + scene.bounds.half_extents[2])
+    return _relit((scene._table_of(),), scene.bounds, level)
+
+
+def _relit(tables, bounds: Box3, level: LightLevel) -> SceneGraph:
+    """A scene of the rows of the tables, in order, less their lamps, then
+    the lamps the level places over their drivable floor tiles below the
+    top of bounds; bounded by bounds.  Each kept row is copied once."""
+    sites = []
+    for table in tables:
+        floors = table.kind_mask({NodeKind.FLOOR_TILE}).nonzero()[0].tolist()
+        sites += _lamp_sites((table.tags[k], table.values[7 * k], table.values[7 * k + 1])
+                             for k in floors)
+    unlit = set(NodeKind) - {NodeKind.LAMP}
+    relit = _BoxTable.joined((table, table.kind_mask(unlit)) for table in tables)
+    lamps, lamp_z, half = _lamps(sites, level, bounds.center[2] + bounds.half_extents[2])
     lamp = _KIND_CODES[NodeKind.LAMP]
     for lamp_id, tags, x, y in lamps:
         relit.add(lamp_id, lamp, tags, (x, y, lamp_z, *half, 0.0))
-    return _table_scene(relit, scene.bounds, level)
+    return _table_scene(relit, bounds, level)
 
 
 def remove_node(scene: SceneGraph, node_id: str) -> SceneGraph:

@@ -31,6 +31,8 @@ DEFAULT_SAMPLES_PER_EDGE = 24
 #: list that grows until memory runs out
 MAX_SWEEP_SAMPLES = 1_000_000
 _EPS_REL = 1e-9
+#: a coordinate sum past which _frustum_verdict decides nothing
+_REACH = 1e300
 #: consecutive samples that share one grid query of the broadphase
 _STRETCH = 32
 
@@ -375,38 +377,109 @@ def _meets(boxes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 # --- target sampling ----------------------------------------------------------
 
 
-def _face_grids(box: Box3, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outward normals (6, 3), centres (6, 3) and sample points (6, s * s, 3)
-    of the box's six faces, in the order +u, -u, +v, -v, +w, -w (u and v
-    the yawed x and y axes, w up).  Each face carries an s x s grid at cell
-    centers, so boundary samples never sit exactly on edges.  An infinite
-    box gets NaN points, quietly, and the frustum test rejects them."""
-    c, sn = math.cos(box.yaw), math.sin(box.yaw)
+def _face_shape(yaw: float, half_extents, s: int) -> tuple[np.ndarray, ...]:
+    """What a box's face grids take from its yaw and half extents alone:
+    the outward normals (6, 3), the offsets of the face centres from the
+    box centre (6, 3), and the two grid terms of each face's sample points
+    as coordinate columns, (3, 6, s, 1) and (3, 6, 1, s)."""
+    c, sn = math.cos(yaw), math.sin(yaw)
     axes = np.array([[c, sn, 0.0], [-sn, c, 0.0], [0.0, 0.0, 1.0]])
-    half = np.asarray(box.half_extents, dtype=float)
+    half = np.asarray(half_extents, dtype=float)
     ticks = (np.arange(s) + 0.5) / s * 2.0 - 1.0  # cell centers in [-1, 1]
     axis = np.repeat(np.arange(3), 2)
     normals = axes[axis] * np.tile([1.0, -1.0], 3)[:, None]
     with np.errstate(invalid="ignore"):
-        centers = np.asarray(box.center) + normals * half[axis, None]
+        offsets = normals * half[axis, None]
         # the face spans its other two axes; grid point (i, j) is
         # (centre + ticks[i] * h1 * a1) + ticks[j] * h2 * a2
         a1, a2 = (axis + 1) % 3, (axis + 2) % 3
-        g1 = (ticks * half[a1, None])[:, :, None, None] * axes[a1][:, None, None, :]
-        g2 = (ticks * half[a2, None])[:, None, :, None] * axes[a2][:, None, None, :]
-        points = centers[:, None, None, :] + g1 + g2
-    return normals, centers, points.reshape(6, s * s, 3)
+        g1 = (ticks * half[a1, None])[None, :, :, None] * axes[a1].T[:, :, None, None]
+        g2 = (ticks * half[a2, None])[None, :, None, :] * axes[a2].T[:, :, None, None]
+    return normals, offsets, g1, g2
 
 
-def _facing_points(
-    grids: tuple[np.ndarray, np.ndarray, np.ndarray], apex: np.ndarray
-) -> np.ndarray:
-    """The sample points, (P, 3), of the faces in _face_grids' order that
-    face the apex: all but those whose outward normal has a dot product
-    <= 0 with the apex seen from the face centre (a NaN keeps its face)."""
-    normals, centers, points = grids
-    facing = [f for f in range(6) if not float(np.dot(normals[f], apex - centers[f])) <= 0.0]
-    return points[facing].reshape(-1, 3)
+def _face_columns(center, shape: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Outward normals (6, 3), centres (6, 3) and sample points of the six
+    faces of a box with the given centre and _face_shape, the points as
+    three coordinate columns (3, 6, s * s).  The faces come in the order
+    +u, -u, +v, -v, +w, -w (u and v the yawed x and y axes, w up), each
+    with an s x s grid at cell centers, so boundary samples never sit
+    exactly on edges.  An infinite box gets NaN points, quietly, and the
+    frustum test rejects them."""
+    normals, offsets, g1, g2 = shape
+    with np.errstate(invalid="ignore"):
+        centers = np.asarray(center) + offsets
+        cols = centers.T[:, :, None, None] + g1 + g2
+    return normals, centers, cols.reshape(3, 6, -1)
+
+
+def _point_rows(cols: np.ndarray) -> np.ndarray:
+    """Face sample points (3, 6, n) as rows (6, n, 3), C-contiguous."""
+    return np.ascontiguousarray(cols.transpose(1, 2, 0))
+
+
+def _facing(
+    normals: np.ndarray, centers: np.ndarray, apex: np.ndarray, margin: float = math.inf
+) -> list[int]:
+    """The faces, in _face_columns' order, that face the apex: all but
+    those whose outward normal has a dot product <= 0 with the apex seen
+    from the face centre (a NaN keeps its face).  The dot product is taken
+    from Python floats, and again with np.dot where it falls within margin
+    of 0 (or is NaN); a margin that bounds the two sums' rounding, as
+    _frustum_verdict's does, gives every face the side np.dot gives it."""
+    ax, ay, az = apex.tolist()
+    facing = []
+    for f, ((nx, ny, nz), (cx, cy, cz)) in enumerate(zip(normals.tolist(), centers.tolist())):
+        dot = nx * (ax - cx) + ny * (ay - cy) + nz * (az - cz)
+        if not abs(dot) > margin:
+            dot = float(np.dot(normals[f], apex - centers[f]))
+        if not dot <= 0.0:
+            facing.append(f)
+    return facing
+
+
+def _frustum_verdict(frustum: Frustum, aabb) -> tuple[bool | None, float]:
+    """Whether the frustum holds every point of a box's AABB (x0, y0, z0,
+    x1, y1, z1) by a margin (True), or one of its five planes has every
+    point outside by the margin (False); None where neither holds.  Also
+    the margin, which _facing can use.
+
+    Each plane is a linear function of the point, fwd or fwd * tan -+ lat
+    or fwd * tan -+ ver, that is positive inside, so its least and
+    greatest values over the AABB are at two corners, chosen axis by axis
+    by the sign of the plane normal (Assarsson and Moeller's n- and
+    p-vertices).  The margin, _EPS_REL times the sum of every coordinate's
+    magnitude and the slopes, bounds many times over what rounding moves a
+    face point off its box and Frustum.view's values off these exact ones,
+    so Frustum.view puts every face point of a settled box on the side the
+    verdict gives.  A sum of _REACH or more, NaN or infinite, gets None
+    and an infinite margin, so nothing here can overflow."""
+    ax, ay, az = frustum.apex
+    th, tv = frustum.tan_half_h, frustum.tan_half_v
+    reach = (1.0 + sum(map(abs, aabb)) + abs(ax) + abs(ay) + abs(az)) * (1.0 + th + tv)
+    if not reach < _REACH:
+        return None, math.inf
+    margin = _EPS_REL * reach
+    x0, y0, z0, x1, y1, z1 = aabb
+    x0, y0, z0, x1, y1, z1 = x0 - ax, y0 - ay, z0 - az, x1 - ax, y1 - ay, z1 - az
+    (fx, fy, fz), (rx, ry, rz), (ux, uy, uz) = frustum.forward, frustum.right, frustum.up
+    inside = True
+    for nx, ny, nz in ((fx, fy, fz),
+                       (fx * th - rx, fy * th - ry, fz * th - rz),
+                       (fx * th + rx, fy * th + ry, fz * th + rz),
+                       (fx * tv - ux, fy * tv - uy, fz * tv - uz),
+                       (fx * tv + ux, fy * tv + uy, fz * tv + uz)):
+        a, b, c, d, e, f = nx * x0, nx * x1, ny * y0, ny * y1, nz * z0, nz * z1
+        if a > b:
+            a, b = b, a
+        if c > d:
+            c, d = d, c
+        if e > f:
+            e, f = f, e
+        if b + d + f < -margin:
+            return False, margin
+        inside = inside and a + c + e > margin
+    return (True if inside else None), margin
 
 
 def visible_fraction(
@@ -442,10 +515,15 @@ def _sample_pairs(
 
     The scene's index is built once per scene and kept with it.  A moved
     target keeps its id, so the index skips it as an occluder wherever the
-    pair puts it.  A node's face grids are built when it first appears, so
-    a target that stays put (a sweep) has them built once.  The pairs are
-    taken in stretches of _STRETCH, and the samples of a stretch share one
-    grid query of the broadphase.
+    pair puts it.  Per sample, _frustum_verdict settles from the target's
+    AABB whether all of its face points are in view, none is, or
+    Frustum.view must sort them point by point; a sample out of view takes
+    no face points at all.  A node's face grids are built when a sample
+    first needs them, so a target that stays put (a sweep) has them built
+    once, and a moved target that keeps its yaw and half extents only adds
+    its new centre to the face offsets and grid terms it had.  The pairs
+    are taken in stretches of _STRETCH, and the samples of a stretch share
+    one grid query of the broadphase.
     """
     if not (isinstance(samples_per_edge, numbers.Integral) and samples_per_edge >= 1):
         raise OptionError(f"samples per edge must be a positive integer, got {samples_per_edge!r}")
@@ -455,7 +533,7 @@ def _sample_pairs(
     index = scene.index
     skip = {index.index_of[i] for i in (set(ignore_ids) | {target_id}) if i in index.index_of}
     samples = []
-    node_seen = grids = bounds = None
+    node_seen = shape = shape_key = None
     stream = iter(pairs(target))
     while stretch := list(islice(stream, _STRETCH)):
         # per sample: ego, target node, its AABB, camera apex and the
@@ -463,13 +541,36 @@ def _sample_pairs(
         views = []
         for ego, node in stretch:
             if node is not node_seen:
-                node_seen, grids = node, _face_grids(node.box, samples_per_edge)
-                bounds = node.box.aabb
+                node_seen, bounds, faces, rows, taken = node, node.box.aabb, None, None, None
             frustum = make_camera(ego, cfg)
             apex = np.asarray(frustum.apex)
-            rays, inside = frustum.view(_facing_points(grids, apex))
-            # the rays in view, (R, 3) over three contiguous coordinate columns
-            rays = rays.T.take(np.flatnonzero(inside), axis=1).T
+            verdict, margin = _frustum_verdict(frustum, bounds)
+            rays = ()
+            if verdict is not False:
+                if faces is None:
+                    box = node.box
+                    # a moved target that keeps its yaw (and the sign of a
+                    # zero yaw) and half extents keeps its face offsets and
+                    # grid terms
+                    key = (box.yaw, math.copysign(1.0, box.yaw), box.half_extents)
+                    if key != shape_key:
+                        shape_key = key
+                        shape = _face_shape(box.yaw, box.half_extents, samples_per_edge)
+                    faces = _face_columns(box.center, shape)
+                normals, centers, cols = faces
+                facing = _facing(normals, centers, apex, margin)
+                if verdict:
+                    # every point in view: the rays, (R, 3) over three
+                    # contiguous coordinate columns, with no mask to take;
+                    # the facing points' columns are kept while the faces are
+                    if facing != taken:
+                        taken, points = facing, cols.take(facing, axis=1).reshape(3, -1)
+                    rays = np.subtract(points, apex[:, None]).T
+                else:
+                    if rows is None:
+                        rows = _point_rows(cols)
+                    rays, inside = frustum.view(rows[facing].reshape(-1, 3))
+                    rays = rays.T.take(np.flatnonzero(inside), axis=1).T
             views.append((ego, node, bounds, apex, rays))
         # the broadphase of the samples in view: each gets the candidates
         # of the box spanned by its camera and its target

@@ -174,15 +174,35 @@ def test_relit_table_scene_keeps_its_rows_and_lamps_as_synthesis_places_them(lev
     assert relit.nodes == (*others, *lamps)
 
 
+@pytest.mark.parametrize("level", list(LightLevel))
+def test_merge_with_a_level_relights_in_the_one_copy(level, monkeypatch):
+    # the scene apply_light_level makes of the merged one, from one pass
+    # over the two tables: no joined table is copied again to re-light it
+    base, extra = build_case1().scene, import_scene(_garage_text())
+    want = apply_light_level(cli._merge_scene(base, extra), level)
+    passes = []
+    joined = _BoxTable.joined.__func__
+    monkeypatch.setattr(_BoxTable, "joined", classmethod(
+        lambda cls, parts: passes.append(1) or joined(cls, parts)))
+    monkeypatch.setattr(_BoxTable, "__add__", None)
+    got = cli._merge_scene(base, extra, level)
+    assert passes == [1]
+    assert "nodes" not in vars(got)
+    assert got.bounds == want.bounds and got.light_level is want.light_level is level
+    assert export_scene(got) == export_scene(want)
+    assert got.nodes == want.nodes
+
+
 def test_merge_collision_names_the_first_colliding_id():
     base = build_case1().scene
     extra = SceneGraph(tuple(SceneNode(node_id, NodeKind.COLUMN, base.bounds)
                              for node_id in ("fresh", "col-corner", "floor", "veh-target")),
                        base.bounds, LightLevel.BRIGHT)
     for other in (extra, import_scene(export_scene(extra))):
-        with pytest.raises(SchemaError) as err:
-            cli._merge_scene(base, other)
-        assert str(err.value) == "--scene node id 'col-corner' collides with the scenario"
+        for level in (None, LightLevel.DIM):
+            with pytest.raises(SchemaError) as err:
+                cli._merge_scene(base, other, level)
+            assert str(err.value) == "--scene node id 'col-corner' collides with the scenario"
 
 
 def test_scenario_with_scene_builds_no_imported_node(tmp_path, monkeypatch):

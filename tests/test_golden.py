@@ -46,6 +46,8 @@ SCENARIOS = {
     "case1": ["--case", "1"],
     "case1-dim": ["--case", "1", "--light", "dim"],
     "case1-step": ["--case", "1", "--step", "0.3", "--target-distance", "20"],
+    # drives past its target: samples in view, straddling the frustum and out of it
+    "case1-past": ["--case", "1", "--column-setback", "20", "--target-distance", "10"],
     "case2": ["--case", "2"],
     "case2-step": ["--case", "2", "--step", "0.3", "--column-offset", "3"],
     "case2-scene": ["--case", "2", "--scene", "{scene}"],
@@ -60,6 +62,7 @@ GOLDEN = {
     "case1": "bd84eda45890dafc16ef7f1cbd51a0f8e0a42a9a003d9790ae9a00c48cddb86d",
     "case1-dim": "213900b9a90716eb395eba70291759d129eed79104c313d03ab68c6dfd25cf4a",
     "case1-step": "6298a67e8d607e1b4fd3724bded5874cc83b749a13788787b82485eea4f8609a",
+    "case1-past": "7008fbcd4c37908757c72565544c1ea2a21ecf9d7342a2bed79a656005a98f40",
     "case2": "d4e8ba354e9f02e8404fab00fcbd48989c2f2b078a610facc0d75417021dc919",
     "case2-step": "d7033de6c53bf30b265b260ba112c4267c0a0ce78c9b98091fa03a03a61e282f",
     "case2-scene": "998ba09d093b191f5e961361fe52bf2778a9efc62ed0212a7cb544d3f2ded7d1",

@@ -123,6 +123,62 @@ def test_moving_target_matches_per_sample_loop():
     assert 0 < seen["in_view"] < seen["samples"] and seen["occluded"] > 20, seen
 
 
+def _across(rng: random.Random, toward: Box3) -> list[tuple[float, float]]:
+    """A straight drive that passes the target a few metres to one side,
+    from well before it to well past it, so the target goes from wholly
+    in view through the edge of the frustum to wholly out of it."""
+    heading = rng.uniform(-math.pi, math.pi)
+    side = rng.choice([-1.0, 1.0]) * rng.uniform(1.5, 6.0)
+    cx, cy = toward.center[:2]
+    ox, oy = cx - side * math.sin(heading), cy + side * math.cos(heading)
+    before, past = rng.uniform(12.0, 30.0), rng.uniform(3.0, 12.0)
+    return [(ox - before * math.cos(heading), oy - before * math.sin(heading)),
+            (ox + past * math.cos(heading), oy + past * math.sin(heading))]
+
+
+def _counting_verdicts(patch) -> dict:
+    """Counts of each _frustum_verdict outcome the engine reaches."""
+    seen = {True: 0, False: 0, None: 0}
+    verdict = visibility._frustum_verdict
+
+    def counted(frustum, aabb):
+        got = verdict(frustum, aabb)
+        seen[got[0]] += 1
+        return got
+
+    patch.setattr(visibility, "_frustum_verdict", counted)
+    return seen
+
+
+def test_paths_across_the_frustum_edge_match_per_sample_loop():
+    # the target wholly in view, straddling the frustum and wholly out of
+    # it, for a driving ego and for a moving target crossing a parked
+    # camera's view: every verdict's shortcut is checked against the
+    # reference, which tests each face point
+    rng = random.Random(31)
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _counting_verdicts(patch)
+        for trial in range(16):
+            scene = _scene(rng, rng.choice([5, 40, 300]))
+            target = f"t-{rng.randrange(3)}"
+            box = scene.node(target).box
+            if not all(map(math.isfinite, box.center)):
+                continue
+            if trial % 2:
+                path = visibility._as_poses(_across(rng, box))
+                start = path[0]
+                ego = EgoPose((start.position[0] - 6.0 * math.cos(start.heading),
+                               start.position[1] - 6.0 * math.sin(start.heading)),
+                              start.heading + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.2))
+                _assert_same_as_reference(scenario, lambda: target_sweep(
+                    scene, ego, path, CFG, target, 0.5, samples_per_edge=4))
+            else:
+                path, grid = _across(rng, box), rng.choice([3, 5])
+                _assert_same_as_reference(visibility, lambda: sweep(
+                    scene, path, CFG, target, 0.5, samples_per_edge=grid))
+    assert min(seen.values()) > 50, seen
+
+
 def test_coincident_occluders_name_the_first():
     # two equal boxes between camera and target tie on every ray: the tie
     # goes to the first in index order, here the one whose id sorts last

@@ -36,8 +36,8 @@ from garagesim.scene import (
     remove_node,
     synthesize,
     _BoxTable,
-    _bounded_scene,
     _fold_bounds,
+    _table_bounds,
     _table_scene,
 )
 from conftest import random_spec
@@ -853,7 +853,7 @@ class TestFoldBounds:
         that hold an extreme, and gets the per-box fold's floats."""
         def fold(boxes):
             nodes = [SceneNode(f"n{k}", NodeKind.COLUMN, b) for k, b in enumerate(boxes)]
-            return _bounded_scene(_BoxTable.of_nodes(nodes)).bounds
+            return _table_bounds(_BoxTable.of_nodes(nodes))
 
         assert _outcome(fold, boxes) == _outcome(fold_bounds, boxes)
 

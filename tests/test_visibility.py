@@ -16,7 +16,7 @@ from garagesim.scene import (
     SceneNode,
     vehicle_box,
 )
-from garagesim.scenario import _scene_from_nodes
+from garagesim.scenario import _scene_from_nodes, target_sweep
 from garagesim.visibility import (
     CameraConfig,
     EgoPose,
@@ -29,8 +29,10 @@ from garagesim.visibility import (
     sweep_csv,
     sweep_document,
     visible_fraction,
-    _face_grids,
-    _facing_points,
+    _face_columns,
+    _face_shape,
+    _facing,
+    _point_rows,
 )
 from fixtures_visibility import CFG, EGO, _slab, build_fixtures
 from oracles import (
@@ -39,6 +41,11 @@ from oracles import (
 )
 
 FIXTURES = build_fixtures()
+
+
+def _faces(box: Box3, s: int) -> tuple[np.ndarray, ...]:
+    """Normals, centres and point columns of the box's face grids."""
+    return _face_columns(box.center, _face_shape(box.yaw, box.half_extents, s))
 
 
 def simple_scene(extra=()):
@@ -234,7 +241,7 @@ def _box_and_apex(draw):
     if draw(st.booleans()):
         apex = draw(st.tuples(_COORDS, _COORDS, _COORDS).map(np.array))
         return box, apex
-    normals, centers, _ = _face_grids(box, 1)
+    normals, centers, _ = _faces(box, 1)
     face = draw(st.integers(0, 5))
     along = np.cross(normals[face], [0.0, 0.0, 1.0] if face < 4 else [1.0, 0.0, 0.0])
     return box, centers[face] + along * draw(st.sampled_from([0.0, 1.0, 3.5, -20.0]))
@@ -250,10 +257,181 @@ class TestFacePoints:
         # grids built once per box, then filtered per apex, give the points
         # that sampling only the facing faces per apex gave, bit for bit
         box, apex = box_apex
-        got = _facing_points(_face_grids(box, s), apex)
+        normals, centers, cols = _faces(box, s)
+        got = _point_rows(cols)[_facing(normals, centers, apex)].reshape(-1, 3)
         want = face_points(SceneNode("t", NodeKind.VEHICLE, box), apex, s)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def _planes(fr: Frustum) -> list[np.ndarray]:
+    """The normals of the frustum's five planes, fwd and fwd * tan -+ lat
+    or ver, each positive inside."""
+    f, r, u = (np.asarray(v) for v in (fr.forward, fr.right, fr.up))
+    th, tv = fr.tan_half_h, fr.tan_half_v
+    return [f, f * th - r, f * th + r, f * tv - u, f * tv + u]
+
+
+def _corners(aabb) -> np.ndarray:
+    x0, y0, z0, x1, y1, z1 = aabb
+    return np.array([(x, y, z) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)])
+
+
+def _all_face_points(box: Box3, s: int = 24) -> np.ndarray:
+    return _point_rows(_faces(box, s)[2]).reshape(-1, 3)
+
+
+class TestSettledPerBox:
+    """The sample loop settles three things once per target box, not once
+    per point: the frustum verdict from the target's AABB, the facing faces
+    from Python floats, and the face offsets of a moved target.  Each must
+    agree with the per-point code it skips."""
+
+    @staticmethod
+    def _check(fr: Frustum, box: Box3):
+        verdict, margin = visibility._frustum_verdict(fr, box.aabb)
+        inside = fr.contains(_all_face_points(box))
+        if verdict is not None:
+            assert inside.all() if verdict else not inside.any(), (fr, box, verdict)
+            assert 0.0 < margin < math.inf
+        return verdict
+
+    def test_verdict_agrees_with_view_near_each_plane(self):
+        # boxes placed 1e-12 .. 1e-1 inside or outside one of the five
+        # planes, near the origin and about 1e6 m out; yaw 0 boxes with a
+        # heading that makes a side plane meet the box's x faces head on
+        # put whole faces of sample points at the gap
+        rng = random.Random(61)
+        alpha = math.radians(CFG.horizontal_fov_deg) / 2.0
+        aligned = {0: 0.0, 1: math.pi / 2.0 - alpha, 2: alpha - math.pi / 2.0}
+        seen = {True: 0, False: 0, None: 0}
+        close = {True: 0, False: 0}
+        for trial in range(1500):
+            plane = rng.randrange(5)
+            far_out = trial % 3 == 0
+            origin = (1.0e6 + rng.uniform(-5, 5), -1.0e6 + rng.uniform(-5, 5)) if far_out \
+                else (rng.uniform(-5, 5), rng.uniform(-5, 5))
+            line_up = plane in aligned and rng.random() < 0.5
+            heading = aligned[plane] if line_up else rng.uniform(-math.pi, math.pi)
+            fr = make_camera(EgoPose(origin, heading), CFG)
+            reach = rng.uniform(3.0, 30.0)
+            start = np.array(fr.apex) + reach * np.array(fr.forward)
+            box = Box3(tuple(start), (rng.uniform(0.2, 2.5), rng.uniform(0.2, 2.5),
+                                      rng.uniform(0.2, 1.0)),
+                       0.0 if line_up else rng.choice([0.0, math.pi / 2, rng.uniform(-4, 4)]))
+            n = _planes(fr)[plane]
+            values = (_corners(box.aabb) - np.array(fr.apex)) @ n
+            gap = 10.0 ** -rng.randint(1, 12)
+            # slide the box along the plane normal: its least value to +gap,
+            # or its greatest to -gap
+            shift = gap - values.min() if rng.random() < 0.5 else -gap - values.max()
+            center = tuple(np.array(box.center) + shift * n / (n @ n))
+            moved = Box3(center, box.half_extents, box.yaw)
+            verdict = self._check(fr, moved)
+            seen[verdict] += 1
+            if verdict is not None and gap <= 1e-3:
+                close[verdict] += 1
+        assert min(seen.values()) > 100 and min(close.values()) > 20, (seen, close)
+
+    def test_apex_inside_the_box_is_undecided(self):
+        rng = random.Random(67)
+        for trial in range(200):
+            origin = (rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6))
+            fr = make_camera(EgoPose(origin, rng.uniform(-4, 4)), CFG)
+            box = Box3(tuple(np.array(fr.apex) + [rng.uniform(-0.5, 0.5) for _ in range(3)]),
+                       (rng.uniform(0.6, 3), rng.uniform(0.6, 3), rng.uniform(0.6, 3)),
+                       rng.uniform(-4, 4))
+            assert self._check(fr, box) is None
+
+    @pytest.mark.parametrize("aabb", [
+        (math.nan, 0.0, 0.0, 1.0, 1.0, 1.0),
+        (0.0, 0.0, 0.0, 1.0, math.nan, 1.0),
+        (5.0, -1.0, 0.0, math.inf, 1.0, 1.0),
+        (-math.inf, -1.0, 0.0, 5.0, 1.0, 1.0),
+        (5.0, -math.inf, 0.0, 6.0, math.inf, 1.0),
+        # finite corners whose sum, or whose offsets from the apex, overflow
+        (1e308, -1.0, 0.0, 1.7e308, 1.0, 1.0),
+        Box3((1e308, 0.0, 0.0), (1e308, 1.0, 1.0)).aabb,
+    ])
+    def test_non_finite_and_overflowing_corners_stay_undecided(self, aabb):
+        for position in ((0.0, 0.0), (-1e308, 0.0), (1e300, -1e300)):
+            fr = make_camera(EgoPose(position, 0.0), CFG)
+            assert visibility._frustum_verdict(fr, aabb) == (None, math.inf)
+
+    def test_facing_agrees_with_np_dot_near_each_face_plane(self):
+        # apexes on a face's plane or within 1e-12 of it, along the face
+        # and off it; margins as the verdict gives them and infinite (every
+        # face to np.dot)
+        rng = random.Random(71)
+        near = decided = 0
+        for trial in range(600):
+            far_out = trial % 2 == 0
+            center = (rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6), rng.uniform(-2, 2)) \
+                if far_out else (rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-2, 2))
+            box = Box3(center, (rng.uniform(0.1, 3), rng.uniform(0.1, 3), rng.uniform(0.1, 2)),
+                       rng.choice([0.0, -0.0, math.pi / 2, rng.uniform(-7, 7)]))
+            normals, centers, _ = _faces(box, 1)
+            face = rng.randrange(6)
+            along = np.cross(normals[face], [0.0, 0.0, 1.0] if face < 4 else [1.0, 0.0, 0.0])
+            off = rng.choice([0.0, 1e-12, -1e-12, 3e-13, -5e-16])
+            apex = centers[face] + along * rng.uniform(-30, 30) + normals[face] * off
+            want = [f for f in range(6)
+                    if not float(np.dot(normals[f], apex - centers[f])) <= 0.0]
+            fr = Frustum(tuple(apex.tolist()), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                         math.tan(math.radians(30.0)), 0.3)
+            margin = visibility._frustum_verdict(fr, box.aabb)[1]
+            dots = np.abs(np.einsum("fk,fk->f", normals, apex - centers))
+            near += bool(dots[face] <= margin)
+            decided += int((dots > margin).sum())
+            for m in (margin, math.inf):
+                assert _facing(normals, centers, apex, m) == want, (box, apex, m)
+        # the face on whose plane the apex sits goes to np.dot, the others
+        # are mostly settled from Python floats
+        assert near == 600 and decided > 2000, (near, decided)
+
+    def test_cached_offsets_give_fresh_grids_along_bent_paths(self):
+        # the moved target's boxes, as target_sweep makes them along bent
+        # paths: a shape kept from the last box of the same yaw and half
+        # extents gives every face array bit for bit, and the facing points
+        # equal the per-sample sampler's
+        rng = random.Random(73)
+        for trial in range(12):
+            half = (rng.uniform(0.8, 1.0), rng.uniform(1.8, 2.6), 0.75)
+            corners = [(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(4)]
+            path = visibility._as_poses(corners)
+            s = rng.choice([1, 3, 24])
+            key = shape = None
+            shapes = 0
+            for arc in sample_arclengths(visibility.path_length(path), 7.5):
+                pose = pose_at(path, arc)
+                box = Box3((*pose.position, 0.75), half, pose.heading + math.pi / 2.0)
+                if (box.yaw, math.copysign(1.0, box.yaw), box.half_extents) != key:
+                    key = (box.yaw, math.copysign(1.0, box.yaw), box.half_extents)
+                    shape, shapes = _face_shape(box.yaw, box.half_extents, s), shapes + 1
+                got, fresh = _face_columns(box.center, shape), _faces(box, s)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh]
+                apex = np.array([pose.position[0] + 9.0, pose.position[1] - 4.0, 1.65])
+                normals, centers, cols = got
+                points = _point_rows(cols)[_facing(normals, centers, apex)].reshape(-1, 3)
+                want = face_points(SceneNode("t", NodeKind.VEHICLE, box), apex, s)
+                assert points.tobytes() == want.tobytes()
+            assert shapes <= 3  # one per straight piece of the path
+        # the shape key tells a zero yaw's sign: the two zeros' shapes differ
+        # in the sign of zero offsets, which reaches a centre at -0.0
+        box = Box3((-0.0, -0.0, 0.75), (0.9, 2.2, 0.75), -0.0)
+        kept = _face_shape(0.0, box.half_extents, 2)
+        assert _face_columns(box.center, kept)[1].tobytes() != _faces(box, 2)[1].tobytes()
+
+    def test_moved_target_builds_its_shape_once_per_straight_piece(self, monkeypatch):
+        made = []
+        face_shape = visibility._face_shape
+        monkeypatch.setattr(visibility, "_face_shape",
+                            lambda *args: made.append(args) or face_shape(*args))
+        scene = simple_scene()
+        path = visibility._as_poses([(12.0, -4.0), (12.0, 0.0), (14.0, 3.0)])
+        got = target_sweep(scene, EgoPose((0.0, 0.0), 0.0), path, CFG, "veh-t", 0.5)
+        assert all(s.in_frustum for s in got.samples) and len(got.samples) > 10
+        assert len(made) == 2
 
 
 class TestVisibleFractionFixtures:
