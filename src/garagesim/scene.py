@@ -639,9 +639,9 @@ def _relit(tables, bounds: Box3, level: LightLevel) -> SceneGraph:
     top of bounds; bounded by bounds.  Each kept row is copied once."""
     sites = []
     for table in tables:
-        floors = table.kind_mask({NodeKind.FLOOR_TILE}).nonzero()[0].tolist()
-        sites += _lamp_sites((table.tags[k], table.values[7 * k], table.values[7 * k + 1])
-                             for k in floors)
+        floors = table.kind_mask({NodeKind.FLOOR_TILE}).tobytes()
+        sites += _lamp_sites(compress(zip(table.tags, table.values[0::7], table.values[1::7]),
+                                      floors))
     unlit = set(NodeKind) - {NodeKind.LAMP}
     relit = _BoxTable.joined((table, table.kind_mask(unlit)) for table in tables)
     lamps, lamp_z, half = _lamps(sites, level, bounds.center[2] + bounds.half_extents[2])
@@ -1024,10 +1024,11 @@ class _Floats(dict):
 
 
 def _node_row(raw: dict) -> tuple[str, int, dict[str, str], tuple[float, ...]]:
-    """The one check of a node object: id, kind, tags, the cell tag of a
-    drivable floor tile, then the box.  A node that passes gives its table
-    row.  The duplicate-id check is the caller's, between the id and the
-    rest."""
+    """The check of one node object, as the node-by-node reading makes it:
+    id, kind, tags, the cell tag of a drivable floor tile, then the box.  A
+    node that passes gives its table row.  The duplicate-id check is the
+    caller's, between the id and the rest.  _columns_pass makes the same
+    checks in bulk."""
     node_id = raw.get("id")
     if not isinstance(node_id, str) or not node_id:
         raise SchemaError("node without a string id")
@@ -1048,30 +1049,72 @@ def _node_row(raw: dict) -> tuple[str, int, dict[str, str], tuple[float, ...]]:
     return node_id, code, tags, _box_values(raw)
 
 
-#: what the import hook leaves in the document for a node it has tabled
+#: what the import hook leaves in the document for a node it has collected
 _ROW = object()
+#: kind code -> 1 for a floor tile, else 0, as a bytes.translate table
+_FLOOR_BYTES = bytes(code == _FLOOR_CODE for code in range(256))
 
 
-def _node_hook(table: _BoxTable):
-    """A json object_hook that checks each node into the table as the
-    parser closes it, so that neither the document tree nor a node object
-    stands beside the table.  An object with a "kind" key is taken for a
-    node (one with a "schema" key may be the document); one that fails the
-    check is left as it was parsed."""
-
-    add = table.add
+def _column_hook(table: _BoxTable):
+    """A json object_hook that only collects each node's raw values into
+    the table's columns as the parser closes it, so that neither the
+    document tree nor a node object stands beside the table.  An object
+    with a "kind" key and no "schema" key is taken for a node.  One that
+    lacks a node key or names no kind is left as parsed (it may be a tags
+    object with a "kind" tag).  A node whose values do not fit the columns
+    (a centre or half extent of other than three values, a value array('d')
+    takes no float from) raises, and ends the parse; _columns_pass checks
+    the rest once the parse is done."""
+    add_id, add_code, add_tags = table.ids.append, table.codes.append, table.tags.append
+    extend = table.values.extend
 
     def hook(obj: dict):
         if "kind" not in obj or "schema" in obj:
             return obj
         try:
-            row = _node_row(obj)
-        except SchemaError:
+            # every lookup before the first append, so that a row is
+            # appended whole or not at all
+            center, half = obj["center"], obj["half_extents"]
+            code, node_id, yaw = _NODE_CODES[obj["kind"]], obj["id"], obj["yaw"]
+        except KeyError:
             return obj
-        add(*row)
+        # unpacking checks each vector per node: a 4-value centre beside a
+        # 2-value half extent would fill seven values too
+        cx, cy, cz = center
+        hx, hy, hz = half
+        add_code(code)
+        add_id(node_id)
+        add_tags(obj.get("tags", {}))
+        extend((cx, cy, cz, hx, hy, hz, yaw))
         return _ROW
 
     return hook
+
+
+def _columns_pass(table: _BoxTable) -> bool:
+    """Whether every row the import hook collected passes _node_row's
+    checks, made column by column: string ids, none empty and none twice;
+    tags that map strings to strings; a cell tag on every drivable floor
+    tile; seven finite values a row, with positive half extents.  Rows that
+    pass hold the floats _node_row gives."""
+    ids, tags, values = table.ids, table.tags, table.values
+    n = len(ids)
+    try:
+        unique = set(ids)
+        # JSON object keys are always strings, so only the tag values need a
+        # look; dict.values raises TypeError on tags that are no dict
+        tags_pass = _STR.issuperset(map(type, chain.from_iterable(map(dict.values, tags))))
+    except TypeError:  # or an unhashable id
+        return False
+    # a finite sum has only finite terms
+    if not (len(unique) == n and "" not in unique and _STR.issuperset(map(type, ids))
+            and tags_pass and len(values) == 7 * n and math.isfinite(sum(values))):
+        return False
+    with memoryview(values) as box:
+        if n and not (min(box[3::7]) > 0.0 and min(box[4::7]) > 0.0 and min(box[5::7]) > 0.0):
+            return False
+    floors = compress(tags, table.codes.tobytes().translate(_FLOOR_BYTES))
+    return not any(t.get("cell_kind") in _DRIVABLE_NAMES and "cell" not in t for t in floors)
 
 
 def import_scene(text: str) -> SceneGraph:
@@ -1080,30 +1123,37 @@ def import_scene(text: str) -> SceneGraph:
     or an overflowing literal) is a SchemaError, as is an input that is not
     made of JSON objects where the schema has them.
 
-    Where the hook has tabled every node and nothing else, with no id
-    twice, the rest of the document stands as parsed and is checked as it
-    is.  Otherwise (a node failed its check, an id came twice, or an object
-    taken for a node stands where no node does) the text is parsed again
-    without the hook and checked node by node, so that the first error in
-    document order is raised, worded from the document as parsed."""
+    The parse collects every node into the table's columns, which are then
+    checked in bulk; where every node passes and the hook took nothing else
+    for a node, the rest of the document stands as parsed and is checked as
+    it is.  Any other outcome (a node the hook could not collect, a row that
+    fails the bulk checks, an object taken for a node where no node stands,
+    or a text that is no JSON) parses the text again without the hook and
+    checks it node by node, so that the first error in document order is
+    raised, worded from the document as parsed."""
     table = _BoxTable()
     try:
-        doc = json.loads(text, object_hook=_node_hook(table))
+        doc = json.loads(text, object_hook=_column_hook(table))
+    except (TypeError, ValueError, OverflowError, RecursionError):
+        pass  # JSONDecodeError is a ValueError: the reading below words it
+    else:
+        nodes = doc.get("nodes", []) if type(doc) is dict else None
+        if (type(nodes) is list and len(nodes) == len(table) == nodes.count(_ROW)
+                and _columns_pass(table)):
+            return _scene_from_document(doc, table)
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid scene JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise SchemaError(f"invalid scene JSON: {JSON_TOO_DEEP}") from exc
-    nodes = doc.get("nodes", []) if type(doc) is dict else None
-    if (type(nodes) is list and nodes.count(_ROW) == len(nodes) == len(table)
-            and len(set(table.ids)) == len(table)):
-        return _scene_from_document(doc, table)
-    return _scene_from_document(json.loads(text))
+    return _scene_from_document(doc)
 
 
 def _scene_from_document(doc, table: _BoxTable | None = None) -> SceneGraph:
     """The scene of a parsed scene/1 document, checked in document order.
     Without a table, each node is checked and tabled here; with one, the
-    import hook has tabled every node already."""
+    import hook has collected every node already, and they passed."""
     schema = doc.get("schema") if type(doc) is dict else None
     if schema != SCENE_SCHEMA:
         raise SchemaError(f"expected schema {SCENE_SCHEMA!r}, got {schema!r}")

@@ -521,7 +521,8 @@ def _sample_pairs(
     no face points at all.  A node's face grids are built when a sample
     first needs them, so a target that stays put (a sweep) has them built
     once, and a moved target that keeps its yaw and half extents only adds
-    its new centre to the face offsets and grid terms it had.  The pairs
+    its new centre to the face offsets and grid terms it had; an ego that
+    stays the same object (a target sweep's) keeps its frustum.  The pairs
     are taken in stretches of _STRETCH, and the samples of a stretch share
     one grid query of the broadphase.
     """
@@ -533,7 +534,7 @@ def _sample_pairs(
     index = scene.index
     skip = {index.index_of[i] for i in (set(ignore_ids) | {target_id}) if i in index.index_of}
     samples = []
-    node_seen = shape = shape_key = None
+    node_seen = ego_seen = shape = shape_key = None
     stream = iter(pairs(target))
     while stretch := list(islice(stream, _STRETCH)):
         # per sample: ego, target node, its AABB, camera apex and the
@@ -542,8 +543,9 @@ def _sample_pairs(
         for ego, node in stretch:
             if node is not node_seen:
                 node_seen, bounds, faces, rows, taken = node, node.box.aabb, None, None, None
-            frustum = make_camera(ego, cfg)
-            apex = np.asarray(frustum.apex)
+            if ego is not ego_seen:  # a target sweep yields one ego for every sample
+                ego_seen, frustum = ego, make_camera(ego, cfg)
+                apex = np.asarray(frustum.apex)
             verdict, margin = _frustum_verdict(frustum, bounds)
             rays = ()
             if verdict is not False:
@@ -755,7 +757,8 @@ def sweep_csv(sw: OcclusionSweep) -> str:
     lines = [SWEEP_CSV_HEADER]
     for k, sample in enumerate(sw.samples):
         s = k * sw.step
-        pose = pose_at(sw.path, s)
+        # sweep made each sample's ego as pose_at(path, k * step)
+        pose = sample.ego if sw.swept == "ego" else pose_at(sw.path, s)
         lines.append(
             f"{s!r},{pose.position[0]!r},{pose.position[1]!r},{pose.heading!r},"
             f"{'true' if sample.in_frustum else 'false'},{sample.visible_fraction!r},"

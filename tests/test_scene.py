@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from garagesim import scene as scene_module
 from garagesim.classify import classify_all
 from garagesim.errors import PlanError, SchemaError
 from garagesim.grid import CellKind, CellRef, GarageSpec
@@ -729,6 +730,18 @@ class TestOnePassImport:
     @example(text=_column_document({"id": "a", "yaw": _VALID_NODE}))
     @example(text=_column_document({"id": "a", "tags": {"x": _VALID_NODE}}))
     @example(text=_column_document({"id": "a"}, {"id": "a", "kind": _VALID_NODE}))
+    # the seam between the column hook with its bulk checks and the
+    # node-by-node reading it falls back to
+    @example(text=_column_document({"id": "a", "center": [0, 1, 2, 3], "half_extents": [1, 1]}))
+    @example(text=_column_document({"id": "a"}, {"id": "b"}, {"id": "c", "half_extents": [1, 0, 1]}))
+    @example(text=_column_document({"id": "a"}, {"id": "b"}, {"id": "a"}))
+    @example(text=_column_document({"id": "a"}, {"id": ""}))
+    @example(text=_column_document({"id": "a", "center": [True, 2**53 + 1, 0.5], "yaw": False}))
+    @example(text=_column_document({"id": "a", "center": [True, 2**53 + 1, "2.5"]}))
+    @example(text=_column_document({"id": "a"}, {"id": "b", "tags": {"x": dict(_VALID_NODE,
+                                                                                 id="c")}}))
+    @example(text=_column_document({"id": "a"}, bounds=dict(_VALID_NODE, id="c")))
+    @example(text=_column_document())
     def test_one_pass_reader_matches_the_two_pass_oracle(self, text):
         old = _read_outcome(import_scene_two_pass, text)
         new = _read_outcome(import_scene, text)
@@ -742,6 +755,29 @@ class TestOnePassImport:
             assert new[0] == "error", (old, new)
         else:
             assert new == old
+
+    def test_exported_scenes_take_the_column_path(self, monkeypatch):
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return node_row(raw)
+
+        node_row = scene_module._node_row
+        monkeypatch.setattr(scene_module, "_node_row", counted)
+        # a lane row over a parking row, with two vehicles parked
+        grid = classify_all(GarageSpec(((1, 1, 1), (0, 0, 0)), (6.0, 5.0), (3.0, 3.0, 3.0)))
+        text = export_scene(populate_vehicles(synthesize(grid), grid, OccupancyPlan(
+            (PlanEntry(CellRef(1, 0), "small"), PlanEntry(CellRef(1, 2), "large")))))
+        assert export_scene(import_scene(text)) == text
+        # a tags object with a "kind" tag is no node
+        tagged = import_scene(_column_document({"id": "a", "tags": {"kind": "pillar"}}))
+        assert tagged.node("a").tags == {"kind": "pillar"}
+        assert calls == []
+        # a flawed copy is read node by node, through the counted check
+        with pytest.raises(SchemaError, match="duplicate node id"):
+            import_scene(text.replace('"id": "floor-0-1"', '"id": "floor-0-0"'))
+        assert calls
 
     def test_nodes_share_equal_floats_but_keep_signed_zeros(self):
         scene = import_scene(_column_document({"id": "a", "center": [2.5, 1, -0.0]},
