@@ -240,7 +240,8 @@ def _merge_scene(
     """Scenario scene plus extra environment, bounded by both, made from
     their box tables in one copy: re-lit to level where one is given (the
     same scene as apply_light_level of the merged one), else as it is and
-    bright."""
+    bright.  Boxes whose bounds, or lamps over them, would lie past BOX_MAX
+    are a SchemaError."""
     from .scene import LightLevel, _relit, _table_bounds, _table_scene
 
     tables = base._table_of(), extra._table_of()
@@ -248,10 +249,13 @@ def _merge_scene(
     if not ids.isdisjoint(tables[1].ids):
         first = next(node_id for node_id in tables[1].ids if node_id in ids)
         raise SchemaError(f"--scene node id {first!r} collides with the scenario")
-    bounds = _table_bounds(*tables)
-    if level is None:
-        return _table_scene(tables[0] + tables[1], bounds, LightLevel.BRIGHT)
-    return _relit(tables, bounds, level)
+    try:
+        bounds = _table_bounds(*tables)
+        if level is None:
+            return _table_scene(tables[0] + tables[1], bounds, LightLevel.BRIGHT)
+        return _relit(tables, bounds, level)
+    except ValueError as exc:  # Box3's check, of the bounds or a lamp
+        raise SchemaError(f"--scene boxes reach too far: {exc}") from exc
 
 
 def _parse_layout(text: str) -> list[tuple[str, str]]:

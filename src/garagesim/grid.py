@@ -22,6 +22,11 @@ from .errors import JSON_TOO_DEEP, SchemaError, SpecParseError
 
 SPEC_SCHEMA = "garage-spec/1"
 
+#: the largest magnitude of a box value or a plan's envelope, the largest
+#: float below 2**129 (about 6.8e38): far past any garage, and too small for
+#: an AABB, face point, slab offset or frustum sum made from it to overflow
+BOX_MAX = math.nextafter(2.0 ** 129, 0.0)
+
 
 class CellKind(IntEnum):
     """Area codes of the structure matrix.
@@ -306,7 +311,8 @@ def validate(spec: GarageSpec) -> ValidationReport:
     Rules: row/col width vectors must match the matrix dimensions, every
     code must lie in [-1, 3], every width must be positive and finite, the
     running total of finite widths (the envelope's cell edges) must stay
-    finite, and a garage without a single drivable square is unusable.
+    within BOX_MAX, and a garage without a single drivable square is
+    unusable.
     """
     violations: list[Violation] = []
     m, n = spec.m, spec.n
@@ -348,12 +354,12 @@ def validate(spec: GarageSpec) -> ValidationReport:
                     )
                 )
         edge = _prefix(widths)[-1]
-        if all(map(math.isfinite, widths)) and not math.isfinite(edge):
+        if all(map(math.isfinite, widths)) and not edge <= BOX_MAX:
             violations.append(
                 Violation(
                     RULE_ENVELOPE_FINITE,
                     name,
-                    f"widths add up to {edge!r}, past the float range",
+                    f"widths add up to {edge!r}, past 2**129",
                 )
             )
     if not any(is_drivable(code) for row in spec.structure for code in row):

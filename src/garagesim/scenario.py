@@ -27,6 +27,7 @@ from .scene import (
     SceneGraph,
     SceneNode,
     VEHICLE_SIZES,
+    _bounded,
     _fold_bounds,
     _footprint,
     apply_light_level,
@@ -128,10 +129,12 @@ def _boxes_overlap(a: Box3, b: Box3) -> bool:
 
 
 def _check_dimensions(case: int, *dims: float) -> None:
-    """A non-finite dimension is a bad option (OptionError); a finite one
-    that is not positive is impossible geometry (ConstructionError)."""
-    if not all(map(math.isfinite, dims)):
-        raise OptionError(f"case {case} needs finite dimensions, got {', '.join(map(str, dims))}")
+    """A dimension that is not finite or lies past BOX_MAX is a bad option
+    (OptionError); one within that is not positive is impossible geometry
+    (ConstructionError)."""
+    if not _bounded(dims):
+        raise OptionError(f"case {case} needs finite dimensions below 2**129,"
+                          f" got {', '.join(map(str, dims))}")
     if min(dims) <= 0.0:
         raise ConstructionError(f"case {case} needs positive dimensions")
 
@@ -167,6 +170,8 @@ def build_case1(
     ]
     mid = (min(bearings) + max(bearings)) / 2.0
     col_y = apex[1] + column_setback * math.tan(mid)
+    if not _bounded((col_y,)):  # a bearing near a right angle
+        raise ConstructionError("column placement falls past 2**129")
     column = SceneNode(
         "col-corner",
         NodeKind.COLUMN,

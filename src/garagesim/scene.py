@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import JSON_TOO_DEEP, PlanError, SchemaError
 from .classify import ClassifiedGrid
-from .grid import CellKind, CellRef, _prefix
+from .grid import BOX_MAX, CellKind, CellRef, _prefix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,7 +104,7 @@ class Box3:
     def __post_init__(self):
         if len(self.center) != 3:
             raise ValueError(f"center needs three coordinates, got {self.center}")
-        _check_half(self.half_extents)
+        _check_box(self.center, self.half_extents, self.yaw)
 
     @property
     def aabb(self) -> tuple[float, float, float, float, float, float]:
@@ -112,12 +112,53 @@ class Box3:
         return _aabb(self.center, self.half_extents, math.cos(self.yaw), math.sin(self.yaw))
 
 
-def _check_half(half) -> None:
-    """Box3's check of its half extents, which every row that synthesis
-    and vehicle placement add to a box table gets too."""
+def _bounded(values) -> bool:
+    """Whether every value is a real number of magnitude at most BOX_MAX,
+    so finite too."""
+    try:
+        return all(-BOX_MAX <= v <= BOX_MAX for v in values)
+    except TypeError:  # a value that is no real number
+        return False
+
+
+def _check_box(center, half, yaw) -> None:
+    """The one check of a box's values, which Box3 makes and every row that
+    synthesis, vehicle placement, re-lighting and of_nodes put in a box
+    table gets (_BoxTable.check): ValueError unless all seven are real
+    numbers of magnitude at most BOX_MAX and the half extents are
+    positive."""
+    cx, cy, cz = center
     hx, hy, hz = half
-    if hx <= 0.0 or hy <= 0.0 or hz <= 0.0:
-        raise ValueError(f"half extents must be positive, got {half}")
+    try:  # one expression for the common box: a table builds a Box3 per node
+        if (-BOX_MAX <= cx <= BOX_MAX and -BOX_MAX <= cy <= BOX_MAX and -BOX_MAX <= cz <= BOX_MAX
+                and 0.0 < hx <= BOX_MAX and 0.0 < hy <= BOX_MAX and 0.0 < hz <= BOX_MAX
+                and -BOX_MAX <= yaw <= BOX_MAX):
+            return
+    except TypeError:  # no real number, which _bounded tells below
+        pass
+    if _bounded((cx, cy, cz, hx, hy, hz, yaw)):
+        raise ValueError(f"half extents must be positive, got {tuple(half)}")
+    raise ValueError(f"box values must be finite real numbers below 2**129 in magnitude, got"
+                     f" center {tuple(center)}, half extents {tuple(half)} and yaw {yaw}")
+
+
+#: where a float64's high byte (sign and top seven exponent bits) sits in
+#: its bytes: -0.0 has its one set bit there
+_HIGH = array("d", [-0.0]).tobytes().index(0x80)
+#: high byte -> 1 where the float is NaN, infinite or past BOX_MAX (2**129
+#: or more in magnitude); and where a half extent may be no positive one
+_PAST_MAX = bytes(b & 0x7F >= 0x48 for b in range(256))
+_NOT_HALF = bytes(not 0 < b < 0x48 for b in range(256))
+
+
+def _rows_pass(values: array) -> bool:
+    """Whether every row of seven box values surely passes _check_box, read
+    off each float's high byte.  A row this fails may still pass (a half
+    extent below 2**-1007)."""
+    with memoryview(values) as view, view.cast("B") as data:
+        high = data[_HIGH::8].tobytes()
+    halves = high[3::7] + high[4::7] + high[5::7]
+    return not (1 in high.translate(_PAST_MAX) or 1 in halves.translate(_NOT_HALF))
 
 
 def _box(values) -> Box3:
@@ -140,11 +181,14 @@ def _aabb(center, half, cos_yaw, sin_yaw):
 def _fold_bounds(aabbs) -> Box3:
     """Axis-aligned box around world AABBs, given as rows of (min x, min y,
     min z, max x, max y, max z): the one fold for loose boxes (their
-    Box3.aabb) and box table rows alike.  Each bound is folded in order from
-    an infinity with min or max, which keep the running bound over a NaN."""
-    columns = list(zip(*aabbs)) or [()] * 6
-    lo = [min(chain((math.inf,), columns[k])) for k in range(3)]
-    hi = [max(chain((-math.inf,), columns[k + 3])) for k in range(3)]
+    Box3.aabb) and box table rows alike.  Each bound is folded in order with
+    min or max, which keep the first of equal values (0.0 or -0.0).  No
+    AABB at all is a ValueError, as are bounds past BOX_MAX (Box3's check)."""
+    columns = list(zip(*aabbs))
+    if not columns:
+        raise ValueError("no boxes to bound")
+    lo = [min(columns[k]) for k in range(3)]
+    hi = [max(columns[k + 3]) for k in range(3)]
     return Box3(
         center=tuple((lo[k] + hi[k]) / 2.0 for k in range(3)),
         half_extents=tuple(max((hi[k] - lo[k]) / 2.0, 1e-9) for k in range(3)),
@@ -185,32 +229,39 @@ class _BoxTable:
 
     @classmethod
     def of_nodes(cls, nodes) -> _BoxTable:
-        """The table of the given nodes (a box value that is no float, an
-        int say, is stored as the float it converts to)."""
-        import numpy as np
-
-        boxes = [n.box for n in nodes]
-        k = len(boxes)
-        values = array("d", [0.0]) * (7 * k)
-        box = np.frombuffer(values).reshape(k, 7)  # written through, in place
-        box[:, :3] = np.fromiter(chain.from_iterable(b.center for b in boxes), float, 3 * k
-                                 ).reshape(k, 3)
-        box[:, 3:6] = np.fromiter(chain.from_iterable(b.half_extents for b in boxes), float,
-                                  3 * k).reshape(k, 3)
-        box[:, 6] = np.fromiter((b.yaw for b in boxes), float, k)
-        del box  # a view holds the array's buffer, which then could not grow
-        return cls([n.id for n in nodes], array("B", [_KIND_CODES[n.kind] for n in nodes]),
-                   [n.tags for n in nodes], values)
+        """The table of the given nodes, checked (a box value that is no
+        float, an int say, is stored as the float it converts to)."""
+        table = cls([n.id for n in nodes], array("B", [_KIND_CODES[n.kind] for n in nodes]),
+                    [n.tags for n in nodes], array("d", chain.from_iterable(
+                        (*n.box.center, *n.box.half_extents, n.box.yaw) for n in nodes)))
+        table.check()
+        return table
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def add(self, node_id: str, code: int, tags: dict[str, str], values) -> None:
-        """Append one row."""
+        """Append one row.  A value that is no real number raises the error
+        of the first bad row; check() finds the other bad rows, once the
+        table is filled."""
+        try:
+            self.values.extend(values)
+        except TypeError:
+            del self.values[7 * len(self.ids):]  # what extend took of the row
+            self.check()
+            _check_box(values[:3], values[3:6], values[6])
+            raise
         self.ids.append(node_id)
         self.codes.append(code)
         self.tags.append(tags)
-        self.values.extend(values)
+
+    def check(self) -> None:
+        """_check_box of every row, in bulk (_rows_pass), and row by row
+        where that fails, so that the first bad row's error is raised."""
+        if not _rows_pass(self.values):
+            for k in range(0, len(self.values), 7):
+                row = self.values[k:k + 7]
+                _check_box(row[:3], row[3:6], row[6])
 
     def __add__(self, other: _BoxTable) -> _BoxTable:
         """This table's rows, then other's."""
@@ -256,9 +307,7 @@ class _BoxTable:
         yaw = self.values[6::7]
         cos_yaw = np.fromiter(map(math.cos, yaw), float, len(yaw))
         sin_yaw = np.fromiter(map(math.sin, yaw), float, len(yaw))
-        # inf * 0 on infinite boxes and overflow on huge ones, quiet as in Box3.aabb
-        with np.errstate(invalid="ignore", over="ignore"):
-            aabbs = np.stack(_aabb(centers.T, halves.T, cos_yaw, sin_yaw), axis=1)
+        aabbs = np.stack(_aabb(centers.T, halves.T, cos_yaw, sin_yaw), axis=1)
         return centers, halves, cos_yaw, sin_yaw, aabbs
 
     def row(self, node_id: str) -> int:
@@ -379,17 +428,16 @@ def _table_scene(table: _BoxTable, bounds: Box3, light_level: LightLevel) -> Sce
 
 def _table_bounds(*tables: _BoxTable) -> Box3:
     """_fold_bounds of the AABBs of the tables' rows, in order, as
-    scenario._scene_from_nodes bounds the nodes of a scene.  The fold
-    of one bound ends on the first row holding that bound's extreme (a NaN
-    never wins), and no row before it holds the extreme; so folding just
-    those rows, at most six and kept in order, gives the same box."""
+    scenario._scene_from_nodes bounds the nodes of a scene.  The fold of
+    one bound ends on the first row holding that bound's extreme, the row
+    argmin or argmax names, and no row before it holds the extreme; so
+    folding just those rows, at most six and kept in order, gives the same
+    box."""
     import numpy as np
 
     aabbs = np.concatenate([table.columns()[4] for table in tables])
-    lo, hi = aabbs[:, :3], aabbs[:, 3:]
-    hits = np.hstack([lo == np.fmin.reduce(lo, axis=0, initial=math.inf),
-                      hi == np.fmax.reduce(hi, axis=0, initial=-math.inf)])
-    rows = np.unique(hits.argmax(axis=0)[hits.any(axis=0)]) if len(hits) else []
+    rows = (np.unique(np.concatenate([aabbs[:, :3].argmin(axis=0), aabbs[:, 3:].argmax(axis=0)]))
+            if len(aabbs) else [])
     return _fold_bounds(aabbs[rows].tolist())
 
 
@@ -482,24 +530,19 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
     pruned; ceiling panels cover the envelope per row; lamps populate
     drivable-cell centers per the light preset, row-major.
 
-    The scene is made from its box table, filled row by row; every row
-    gets Box3's checks before it is added.
+    The scene is made from its box table, filled row by row; its rows are
+    checked as Box3 checks a box, in bulk once they are all in
+    (_BoxTable.check), so a grid whose boxes would hold a value that is not
+    finite or past BOX_MAX raises the first such box's ValueError.
     """
     spec = grid.spec
     h = CEILING_HEIGHT
     xs = _prefix(spec.col_widths)
     ys = _prefix(spec.row_widths)
-    ids: list[str] = []
-    codes = array("B")
-    tags_of: list[dict[str, str]] = []
-    values = array("d")
+    table = _BoxTable()
 
     def add(node_id: str, kind: NodeKind, tags: dict[str, str], box: tuple) -> None:
-        _check_half(box[3:6])
-        ids.append(node_id)
-        codes.append(_KIND_CODES[kind])
-        tags_of.append(tags)
-        values.extend(box)
+        table.add(node_id, _KIND_CODES[kind], tags, box)
 
     # floor tiles and markings, row-major
     inset_scale = 1.0 - 2.0 * MARKING_INSET
@@ -590,11 +633,12 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
     for lamp_id, tags, x, y in lamps:
         add(lamp_id, NodeKind.LAMP, tags, (x, y, lamp_z, *half, 0.0))
 
+    table.check()
     bounds = Box3(
         center=(xs[-1] / 2.0, ys[-1] / 2.0, h / 2.0),
         half_extents=(xs[-1] / 2.0, ys[-1] / 2.0, h / 2.0),
     )
-    return _table_scene(_BoxTable(ids, codes, tags_of, values), bounds, options.light)
+    return _table_scene(table, bounds, options.light)
 
 
 def _lamps(sites: list[tuple[float, float, str]], level: LightLevel, ceiling_h: float):
@@ -636,7 +680,9 @@ def apply_light_level(scene: SceneGraph, level: LightLevel) -> SceneGraph:
 def _relit(tables, bounds: Box3, level: LightLevel) -> SceneGraph:
     """A scene of the rows of the tables, in order, less their lamps, then
     the lamps the level places over their drivable floor tiles below the
-    top of bounds; bounded by bounds.  Each kept row is copied once."""
+    top of bounds; bounded by bounds.  Each kept row is copied once.  The
+    table is checked as synthesis checks its rows, so bounds whose top lies
+    past BOX_MAX, where the lamps hang, are a ValueError."""
     sites = []
     for table in tables:
         floors = table.kind_mask({NodeKind.FLOOR_TILE}).tobytes()
@@ -648,6 +694,7 @@ def _relit(tables, bounds: Box3, level: LightLevel) -> SceneGraph:
     lamp = _KIND_CODES[NodeKind.LAMP]
     for lamp_id, tags, x, y in lamps:
         relit.add(lamp_id, lamp, tags, (x, y, lamp_z, *half, 0.0))
+    relit.check()
     return _table_scene(relit, bounds, level)
 
 
@@ -680,7 +727,9 @@ def populate_vehicles(
     """Place one vehicle per plan entry, centered in its cell and yawed to
     face the cell's lane.  Entries on non-parking cells or Type4 spaces
     need the force flag.  Returns a new graph, made from the scene's box
-    table with a row per vehicle appended; the input is unchanged."""
+    table with a row per vehicle appended; the input is unchanged.  The
+    vehicle rows are checked as synthesis checks its rows, once the plan's
+    entries have passed their own checks."""
     from .classify import ParkSubtype
 
     spec = grid.spec
@@ -711,7 +760,6 @@ def populate_vehicles(
         rect = Rect(xs[j], ys[i], xs[j + 1], ys[i + 1])
         turns = c.rotation.quarter_turns
         box = _vehicle(rect.center, entry.size, turns)
-        _check_half(box[3:6])
         length, width, _ = VEHICLE_SIZES[entry.size]
         foot_x, foot_y = (width, length) if turns % 2 == 0 else (length, width)
         tags = {
@@ -725,6 +773,7 @@ def populate_vehicles(
             tags["overhang"] = "true"
         vehicles.add(f"veh-{entry.cell.i}-{entry.cell.j}", vehicle, tags, box)
         aabbs.append(_aabb(box[:3], box[3:6], math.cos(box[6]), math.sin(box[6])))
+    vehicles.check()
     return _table_scene(scene._table_of() + vehicles, _fold_bounds(aabbs), scene.light_level)
 
 
@@ -792,23 +841,8 @@ def emit_occupancy_plan(plan: OccupancyPlan) -> str:
 
 def _box_values(doc: dict) -> tuple[float, ...]:
     """Centre, half extents and yaw of a node or bounds object as seven
-    floats, with every check Box3 makes, and all finite.
-
-    The common box, three centre and three half-extent values that convert
-    to finite floats with positive half extents, passes the first block,
-    which takes what the full check below takes and gives the same floats;
-    anything else goes through the full check, which raises its errors in
-    their order."""
-    try:
-        cx, cy, cz = doc["center"]
-        hx, hy, hz = doc["half_extents"]
-        values = (float(cx), float(cy), float(cz), float(hx), float(hy), float(hz),
-                  float(doc["yaw"]))
-        # a finite sum has only finite terms
-        if math.isfinite(sum(values)) and values[3] > 0.0 and values[4] > 0.0 and values[5] > 0.0:
-            return values
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
+    floats, with every check Box3 makes; a value that is not finite has a
+    SchemaError of its own."""
     try:
         center = tuple(map(float, doc["center"]))
         half = tuple(map(float, doc["half_extents"]))
@@ -821,12 +855,6 @@ def _box_values(doc: dict) -> tuple[float, ...]:
         return values
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad box: {exc}") from exc
-
-
-def _box_from_document(doc: dict) -> Box3:
-    """The box of a bounds object."""
-    values = _box_values(doc)
-    return Box3(values[:3], values[3:6], values[6])
 
 
 # scene/1 text is exactly what json.dumps(document, indent=2, sort_keys=True)
@@ -883,7 +911,7 @@ _as_float = float.__float__
 
 
 class _FloatTexts(dict):
-    """float -> its JSON text (float.__repr__, or NaN, Infinity, -Infinity),
+    """float -> its JSON text, float.__repr__ (a box value is finite),
     filled while one scene is written.  0.0 and -0.0 are one key, which
     holds "0.0"; _number_texts spells -0.0 itself."""
 
@@ -891,10 +919,6 @@ class _FloatTexts(dict):
         super().__init__({0.0: "0.0"})
 
     def __missing__(self, value: float) -> str:
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
         text = self[value] = float.__repr__(value)
         return text
 
@@ -912,21 +936,14 @@ def _number_texts(numbers: array, floats: _FloatTexts) -> list[str]:
     return texts
 
 
-def _scalar(value) -> str:
-    """A box value of any type as json writes it; a container is no number."""
-    if isinstance(value, (list, tuple, dict)):
-        raise TypeError(f"a box value must be a number, got {value!r}")
-    return json.dumps(value)
-
-
 def _value_texts(values, floats: _FloatTexts) -> list[str]:
     """Box values of any type as JSON number texts."""
     try:
         # float.__float__ turns float subclasses into plain floats and
         # rejects ints, which must not meet an equal float's cached text
         return _number_texts(array("d", map(_as_float, values)), floats)
-    except TypeError:  # json spells a float as the cache does
-        return list(map(_scalar, values))
+    except TypeError:  # an int, say; json spells a float as the cache does
+        return list(map(json.dumps, values))
 
 
 def _tags_text(tags: dict[str, str]) -> str:
@@ -1095,8 +1112,8 @@ def _columns_pass(table: _BoxTable) -> bool:
     """Whether every row the import hook collected passes _node_row's
     checks, made column by column: string ids, none empty and none twice;
     tags that map strings to strings; a cell tag on every drivable floor
-    tile; seven finite values a row, with positive half extents.  Rows that
-    pass hold the floats _node_row gives."""
+    tile; seven values a row that pass _rows_pass.  Rows that pass hold the
+    floats _node_row gives."""
     ids, tags, values = table.ids, table.tags, table.values
     n = len(ids)
     try:
@@ -1106,13 +1123,9 @@ def _columns_pass(table: _BoxTable) -> bool:
         tags_pass = _STR.issuperset(map(type, chain.from_iterable(map(dict.values, tags))))
     except TypeError:  # or an unhashable id
         return False
-    # a finite sum has only finite terms
     if not (len(unique) == n and "" not in unique and _STR.issuperset(map(type, ids))
-            and tags_pass and len(values) == 7 * n and math.isfinite(sum(values))):
+            and tags_pass and len(values) == 7 * n and _rows_pass(values)):
         return False
-    with memoryview(values) as box:
-        if n and not (min(box[3::7]) > 0.0 and min(box[4::7]) > 0.0 and min(box[5::7]) > 0.0):
-            return False
     floors = compress(tags, table.codes.tobytes().translate(_FLOOR_BYTES))
     return not any(t.get("cell_kind") in _DRIVABLE_NAMES and "cell" not in t for t in floors)
 
@@ -1120,8 +1133,8 @@ def _columns_pass(table: _BoxTable) -> bool:
 def import_scene(text: str) -> SceneGraph:
     """Parse a scene/1 document in one pass into a scene made from its box
     table; a box with a non-finite number (JSON's NaN and Infinity tokens,
-    or an overflowing literal) is a SchemaError, as is an input that is not
-    made of JSON objects where the schema has them.
+    or an overflowing literal) or one past BOX_MAX is a SchemaError, as is
+    an input that is not made of JSON objects where the schema has them.
 
     The parse collects every node into the table's columns, which are then
     checked in bulk; where every node passes and the hook took nothing else
@@ -1178,7 +1191,7 @@ def _scene_from_document(doc, table: _BoxTable | None = None) -> SceneGraph:
     bounds = doc.get("bounds")
     if not isinstance(bounds, dict):
         raise SchemaError("scene document is missing its bounds box")
-    return _table_scene(table, _box_from_document(bounds), level)
+    return _table_scene(table, _box(_box_values(bounds)), level)
 
 
 _BOX_FACES = (

@@ -21,7 +21,9 @@ from itertools import islice
 import numpy as np
 
 from .errors import OptionError
-from .scene import FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, Box3, SceneGraph, SceneNode
+from .scene import (
+    FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, Box3, SceneGraph, SceneNode, _bounded,
+)
 
 SWEEP_SCHEMA = "sweep/1"
 
@@ -31,8 +33,6 @@ DEFAULT_SAMPLES_PER_EDGE = 24
 #: list that grows until memory runs out
 MAX_SWEEP_SAMPLES = 1_000_000
 _EPS_REL = 1e-9
-#: a coordinate sum past which _frustum_verdict decides nothing
-_REACH = 1e300
 #: consecutive samples that share one grid query of the broadphase
 _STRETCH = 32
 
@@ -93,16 +93,14 @@ class Frustum:
 
     def view(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The points (N, 3) seen from the apex, points - apex, and the
-        boolean mask of those inside the frustum; a point with a NaN or
-        infinite coordinate may come out NaN, and is outside."""
-        with np.errstate(invalid="ignore"):
-            d = points - np.asarray(self.apex)
-            fwd = d @ np.asarray(self.forward)
-            lat = d @ np.asarray(self.right)
-            ver = d @ np.asarray(self.up)
-            ok = (fwd > 0.0) & (np.abs(lat) <= fwd * self.tan_half_h) & (
-                np.abs(ver) <= fwd * self.tan_half_v
-            )
+        boolean mask of those inside the frustum."""
+        d = points - np.asarray(self.apex)
+        fwd = d @ np.asarray(self.forward)
+        lat = d @ np.asarray(self.right)
+        ver = d @ np.asarray(self.up)
+        ok = (fwd > 0.0) & (np.abs(lat) <= fwd * self.tan_half_h) & (
+            np.abs(ver) <= fwd * self.tan_half_v
+        )
         return d, ok
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -113,19 +111,22 @@ class Frustum:
 def make_camera(ego: EgoPose, cfg: CameraConfig = CameraConfig()) -> Frustum:
     """Frustum for an ego pose: apex raised by the mount height above the
     slab, horizontal half-angle fov/2, vertical half-angle atan(tan(fov/2)/aspect).
-    A pose with a non-finite position or heading is an OptionError."""
-    if not all(map(math.isfinite, (*ego.position, ego.heading))):
-        raise OptionError(f"ego pose must be finite, got position {ego.position}"
-                          f" and heading {ego.heading}")
-    ax, ay = math.cos(ego.heading), math.sin(ego.heading)
+    An apex, heading or vertical slope tan(fov/2)/aspect that is not finite
+    or lies past BOX_MAX is an OptionError."""
     tan_h = math.tan(math.radians(cfg.horizontal_fov_deg) / 2.0)
+    apex, tan_v = (*ego.position, FLOOR_THICKNESS + cfg.mount_height), tan_h / cfg.aspect
+    if not _bounded((*apex, ego.heading, tan_v)):
+        raise OptionError(f"ego pose must be finite and below 2**129 in magnitude, as must the"
+                          f" camera; got position {ego.position}, heading {ego.heading}, mount"
+                          f" height {cfg.mount_height} and aspect {cfg.aspect}")
+    ax, ay = math.cos(ego.heading), math.sin(ego.heading)
     return Frustum(
-        apex=(ego.position[0], ego.position[1], FLOOR_THICKNESS + cfg.mount_height),
+        apex=apex,
         forward=(ax, ay, 0.0),
         right=(-ay, ax, 0.0),
         up=(0.0, 0.0, 1.0),
         tan_half_h=tan_h,
-        tan_half_v=tan_h / cfg.aspect,
+        tan_half_v=tan_v,
     )
 
 
@@ -149,19 +150,19 @@ class OcclusionSweep:
 # --- scene index -----------------------------------------------------------------
 
 
-def _cell_side(x0, y0, x1, y1, finite: np.ndarray) -> float:
-    """Bucket-grid cell side for the finite boxes' xy bounds: twice
-    sqrt(area / count), raised so neither axis has more than sqrt(count) + 1
-    cells; 0 (no grid) where float rounding could move a box by half a cell."""
-    count = int(finite.sum())
+def _cell_side(x0, y0, x1, y1) -> float:
+    """Bucket-grid cell side for the boxes' xy bounds: twice sqrt(area /
+    count), raised so neither axis has more than sqrt(count) + 1 cells; 0
+    (no grid) where float rounding could move a box by half a cell."""
+    count = len(x0)
     if not count:
         return 0.0
-    low = [float(v.min(where=finite, initial=math.inf)) for v in (x0, y0)]
-    high = [float(v.max(where=finite, initial=-math.inf)) for v in (x1, y1)]
+    low = [float(x0.min()), float(y0.min())]
+    high = [float(x1.max()), float(y1.max())]
     width, depth = high[0] - low[0], high[1] - low[1]
     cell = max(2.0 * math.sqrt(width * depth / count), max(width, depth) / math.sqrt(count))
     reach = max(map(abs, low + high))
-    return cell if 0.0 < cell < math.inf and reach <= cell * 2.0**40 else 0.0
+    return cell if 0.0 < cell and reach <= cell * 2.0**40 else 0.0
 
 
 class SceneIndex:
@@ -172,8 +173,9 @@ class SceneIndex:
     CSR-style (box ids sorted by cell key plus each cell's start offset).
     The cell side is twice sqrt(xy area / box count), raised where needed
     so neither axis has more than sqrt(box count) + 1 cells.  Boxes wider
-    than a cell, and non-finite ones, go to a short list that every query
-    tests.  A box no wider than a cell that meets a query range has its
+    than a cell go to a short list that every query tests.  Every box value
+    is finite and at most BOX_MAX (Box3's check), so no bound or cell key
+    overflows.  A box no wider than a cell that meets a query range has its
     centre within half a cell of it, so visiting the cells under the range
     grown by one cell finds it; the grid only narrows which boxes the
     exact AABB test runs on, never its answer.
@@ -191,10 +193,8 @@ class SceneIndex:
 
     def _build_grid(self) -> None:
         x0, y0, _, x1, y1, _ = self.aabbs.T
-        finite = np.isfinite(self.aabbs).all(axis=1)
-        cell = _cell_side(x0, y0, x1, y1, finite)
-        with np.errstate(invalid="ignore"):
-            narrow = finite & (cell > 0.0) & (x1 - x0 <= cell) & (y1 - y0 <= cell)
+        cell = _cell_side(x0, y0, x1, y1)
+        narrow = (cell > 0.0) & (x1 - x0 <= cell) & (y1 - y0 <= cell)
         members = np.flatnonzero(narrow)
         self._wide = np.flatnonzero(~narrow)
         cx, cy = self.centers[members, 0], self.centers[members, 1]
@@ -241,18 +241,16 @@ class SceneIndex:
     def candidates_each(
         self, lo: np.ndarray, hi: np.ndarray, skip: set[int]
     ) -> list[np.ndarray]:
-        """candidates() of each range [lo[r], hi[r]] (rows of (S, 3) arrays),
-        as ascending index arrays, from one grid query.
+        """candidates() of each range [lo[r], hi[r]] (rows of (S, 3) arrays
+        with no NaN), as ascending index arrays, from one grid query.
 
-        The query range is the union of the rows, folded with fmin and fmax
-        so a NaN row cannot empty the others' lists.  Its candidates hold
+        The query range is the union of the rows.  Its candidates hold
         every row's, and each row's own exact test on them keeps exactly
         that row's list, in the same order.
         """
         if not len(lo):
             return []
-        near = np.array(self.candidates(np.fmin.reduce(lo), np.fmax.reduce(hi), skip),
-                        dtype=np.intp)
+        near = np.array(self.candidates(lo.min(axis=0), hi.max(axis=0), skip), dtype=np.intp)
         return [near[hit] for hit in _meets(self.aabbs[near], lo[:, None], hi[:, None])]
 
     def cull_outside_wedge(
@@ -277,10 +275,9 @@ class SceneIndex:
         # most along the normal still falls behind the edge
         nx, ny = -(b[:, 1:] - ay), b[:, :1] - ax
         box = self.aabbs[subset]
-        with np.errstate(invalid="ignore"):
-            best = (np.where(nx > 0, box[:, 3], box[:, 0]) - ax) * nx + (
-                np.where(ny > 0, box[:, 4], box[:, 1]) - ay
-            ) * ny
+        best = (np.where(nx > 0, box[:, 3], box[:, 0]) - ax) * nx + (
+            np.where(ny > 0, box[:, 4], box[:, 1]) - ay
+        ) * ny
         return subset[(best > 0.0).all(axis=0)]
 
     def entry_distances(
@@ -296,10 +293,8 @@ class SceneIndex:
         into that yaw's frame; each group's rows go back in subset order.
         Unrotated boxes (cos 1, sin 0) take the columns as they are, where
         turning them by x * 1 + y * 0 can change only the sign of a zero
-        component, which takes the parallel-ray branch either way, or put a
-        NaN where the other component is NaN, which makes the ray miss
-        either way; so every distance keeps the per-box loop's bits.
-        Non-finite boxes and rays raise no floating-point warnings.
+        component, which takes the parallel-ray branch either way; so every
+        distance keeps the per-box loop's bits.
         """
         k = np.asarray(subset, dtype=np.intp)
         c, s = self.cos_yaw[k], self.sin_yaw[k]
@@ -308,17 +303,16 @@ class SceneIndex:
             groups.setdefault(yaw, []).append(row)
         cols, halves = np.ascontiguousarray(dirs.T), self.halves[k]
         rays = (cols, _parallel(cols))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rel = origin - self.centers[k]
-            rx, ry, c, s = rel[:, :1], rel[:, 1:2], c[:, None], s[:, None]
-            # the origin in each box's local frame: u = (c, s), v = (-s, c), w = z
-            o = np.concatenate((rx * c + ry * s, -rx * s + ry * c, rel[:, 2:]), axis=1)
-            if len(groups) == 1:  # every row in one pass, no gather or scatter
-                (yaw, _), = groups.items()
-                return _slab(o, halves, *_turned(rays, *yaw))
-            entry = np.empty((len(k), len(cols[0])))
-            for yaw, rows in groups.items():
-                entry[rows] = _slab(o[rows], halves[rows], *_turned(rays, *yaw))
+        rel = origin - self.centers[k]
+        rx, ry, c, s = rel[:, :1], rel[:, 1:2], c[:, None], s[:, None]
+        # the origin in each box's local frame: u = (c, s), v = (-s, c), w = z
+        o = np.concatenate((rx * c + ry * s, -rx * s + ry * c, rel[:, 2:]), axis=1)
+        if len(groups) == 1:  # every row in one pass, no gather or scatter
+            (yaw, _), = groups.items()
+            return _slab(o, halves, *_turned(rays, *yaw))
+        entry = np.empty((len(k), len(cols[0])))
+        for yaw, rows in groups.items():
+            entry[rows] = _slab(o[rows], halves[rows], *_turned(rays, *yaw))
         return entry
 
 
@@ -343,14 +337,17 @@ def _slab(o: np.ndarray, halves: np.ndarray, dirs, parallel) -> np.ndarray:
     """Kay-Kajiya slab test of boxes that share one yaw: the ray origin in
     each box's frame and its half extents (n, 3), the ray directions in
     that frame as three coordinate columns and their _parallel masks;
-    entry distances (n, nrays), inf on a miss.  The caller sets the
-    floating-point error state."""
+    entry distances (n, nrays), inf on a miss.  Box values and the ray
+    origin are at most BOX_MAX, so only a division by a direction component
+    under the _parallel mask can overflow, divide by zero or give 0/0; its
+    lanes are replaced, and it raises no floating-point warning."""
     # the offsets of each box's two slab planes along its three axes
     near, far = -halves - o, halves - o
     for axis in range(3):
         d, zero = dirs[axis], parallel[axis]
-        t1 = near[:, axis:axis + 1] / d
-        t2 = far[:, axis:axis + 1] / d
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t1 = near[:, axis:axis + 1] / d
+            t2 = far[:, axis:axis + 1] / d
         lo_a = np.minimum(t1, t2)
         hi_a = np.maximum(t1, t2, out=t1)
         if zero is not None:  # a ray parallel to a slab is inside it everywhere or nowhere
@@ -362,8 +359,8 @@ def _slab(o: np.ndarray, halves: np.ndarray, dirs, parallel) -> np.ndarray:
         else:
             np.maximum(t_lo, lo_a, out=t_lo)
             np.minimum(t_hi, hi_a, out=t_hi)
-    # an empty or NaN slab interval leaves t_hi < entry or a NaN, so the
-    # one comparison below also rejects it
+    # an empty slab interval leaves t_hi < entry, so the one comparison
+    # below also rejects it
     entry = np.maximum(t_lo, 0.0, out=t_lo)
     return np.where(t_hi >= entry, entry, np.inf)
 
@@ -388,13 +385,12 @@ def _face_shape(yaw: float, half_extents, s: int) -> tuple[np.ndarray, ...]:
     ticks = (np.arange(s) + 0.5) / s * 2.0 - 1.0  # cell centers in [-1, 1]
     axis = np.repeat(np.arange(3), 2)
     normals = axes[axis] * np.tile([1.0, -1.0], 3)[:, None]
-    with np.errstate(invalid="ignore"):
-        offsets = normals * half[axis, None]
-        # the face spans its other two axes; grid point (i, j) is
-        # (centre + ticks[i] * h1 * a1) + ticks[j] * h2 * a2
-        a1, a2 = (axis + 1) % 3, (axis + 2) % 3
-        g1 = (ticks * half[a1, None])[None, :, :, None] * axes[a1].T[:, :, None, None]
-        g2 = (ticks * half[a2, None])[None, :, None, :] * axes[a2].T[:, :, None, None]
+    offsets = normals * half[axis, None]
+    # the face spans its other two axes; grid point (i, j) is
+    # (centre + ticks[i] * h1 * a1) + ticks[j] * h2 * a2
+    a1, a2 = (axis + 1) % 3, (axis + 2) % 3
+    g1 = (ticks * half[a1, None])[None, :, :, None] * axes[a1].T[:, :, None, None]
+    g2 = (ticks * half[a2, None])[None, :, None, :] * axes[a2].T[:, :, None, None]
     return normals, offsets, g1, g2
 
 
@@ -404,12 +400,10 @@ def _face_columns(center, shape: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ..
     three coordinate columns (3, 6, s * s).  The faces come in the order
     +u, -u, +v, -v, +w, -w (u and v the yawed x and y axes, w up), each
     with an s x s grid at cell centers, so boundary samples never sit
-    exactly on edges.  An infinite box gets NaN points, quietly, and the
-    frustum test rejects them."""
+    exactly on edges."""
     normals, offsets, g1, g2 = shape
-    with np.errstate(invalid="ignore"):
-        centers = np.asarray(center) + offsets
-        cols = centers.T[:, :, None, None] + g1 + g2
+    centers = np.asarray(center) + offsets
+    cols = centers.T[:, :, None, None] + g1 + g2
     return normals, centers, cols.reshape(3, 6, -1)
 
 
@@ -421,19 +415,19 @@ def _point_rows(cols: np.ndarray) -> np.ndarray:
 def _facing(
     normals: np.ndarray, centers: np.ndarray, apex: np.ndarray, margin: float = math.inf
 ) -> list[int]:
-    """The faces, in _face_columns' order, that face the apex: all but
-    those whose outward normal has a dot product <= 0 with the apex seen
-    from the face centre (a NaN keeps its face).  The dot product is taken
-    from Python floats, and again with np.dot where it falls within margin
-    of 0 (or is NaN); a margin that bounds the two sums' rounding, as
-    _frustum_verdict's does, gives every face the side np.dot gives it."""
+    """The faces, in _face_columns' order, that face the apex: those whose
+    outward normal has a dot product > 0 with the apex seen from the face
+    centre.  The dot product is taken from Python floats, and again with
+    np.dot where it falls within margin of 0; a margin that bounds the two
+    sums' rounding, as _frustum_verdict's does, gives every face the side
+    np.dot gives it."""
     ax, ay, az = apex.tolist()
     facing = []
     for f, ((nx, ny, nz), (cx, cy, cz)) in enumerate(zip(normals.tolist(), centers.tolist())):
         dot = nx * (ax - cx) + ny * (ay - cy) + nz * (az - cz)
-        if not abs(dot) > margin:
+        if abs(dot) <= margin:
             dot = float(np.dot(normals[f], apex - centers[f]))
-        if not dot <= 0.0:
+        if dot > 0.0:
             facing.append(f)
     return facing
 
@@ -452,13 +446,13 @@ def _frustum_verdict(frustum: Frustum, aabb) -> tuple[bool | None, float]:
     magnitude and the slopes, bounds many times over what rounding moves a
     face point off its box and Frustum.view's values off these exact ones,
     so Frustum.view puts every face point of a settled box on the side the
-    verdict gives.  A sum of _REACH or more, NaN or infinite, gets None
-    and an infinite margin, so nothing here can overflow."""
+    verdict gives.  Nothing here can overflow: box values, the apex and the
+    slopes are at most BOX_MAX (about 2**129; Box3's and make_camera's
+    checks), so an AABB value is at most 3 BOX_MAX and the sum is at most
+    (1 + 21 BOX_MAX) (1 + 2 BOX_MAX), below 2**264."""
     ax, ay, az = frustum.apex
     th, tv = frustum.tan_half_h, frustum.tan_half_v
     reach = (1.0 + sum(map(abs, aabb)) + abs(ax) + abs(ay) + abs(az)) * (1.0 + th + tv)
-    if not reach < _REACH:
-        return None, math.inf
     margin = _EPS_REL * reach
     x0, y0, z0, x1, y1, z1 = aabb
     x0, y0, z0, x1, y1, z1 = x0 - ax, y0 - ay, z0 - az, x1 - ax, y1 - ay, z1 - az
@@ -597,18 +591,14 @@ def _lengths(rel: np.ndarray) -> np.ndarray:
 
 def _first_hits(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The row of each column's least entry, first on ties, and that entry
-    (up to the sign of a zero): t.argmin(axis=0) and its gather, from one
-    scan down the rows with a strict <, which costs less than argmin's copy
-    of t.  np.minimum carries a NaN into the running minimum; then argmin
-    answers, as it takes a column's first NaN."""
+    (up to the sign of a zero): t.argmin(axis=0) and its gather, for a t
+    with no NaN (slab distances), from one scan down the rows with a strict
+    <, which costs less than argmin's copy of t."""
     first = np.zeros(t.shape[1], dtype=np.intp)
     best = t[0].copy()
     for row in range(1, len(t)):
         np.putmask(first, t[row] < best, row)
         np.minimum(best, t[row], out=best)
-    if np.isnan(best.min()):
-        first = t.argmin(axis=0)
-        best = t[first, np.arange(t.shape[1])]
     return first, best
 
 

@@ -9,6 +9,7 @@ import math
 import random
 import sys
 import threading
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from garagesim.errors import SchemaError
 from garagesim.grid import CellKind, CellRef, GarageSpec, emit_garage_spec
 from garagesim.scenario import _scene_from_nodes, build_case1, build_case2
 from garagesim.scene import (
+    Box3,
     LightLevel,
     NodeKind,
     OPAQUE_KINDS,
@@ -367,11 +369,37 @@ def _outcome(make):
                  id="non-finite"),
 ])
 def test_synthesis_errors_are_the_node_building_references(grid):
+    # every such grid makes a box that Box3's check refuses: a zero,
+    # negative, complex or non-finite extent
     for level in (LightLevel.BRIGHT, LightLevel.DIM):
         options = SynthOptions(light=level)
         got = _outcome(lambda: synthesize(grid, options))
         assert got == _outcome(lambda: synthesize_nodes(grid, options))
-        assert got[0] is not SchemaError
+        assert got[0] is ValueError
+
+
+@pytest.mark.parametrize("widths", [(math.nan, 3.0), (3.0, math.inf), (3.0, 1e300)])
+def test_vehicle_rows_get_the_box_check(widths):
+    # a plan placed by a grid whose cells lie past the bound: the vehicle
+    # rows get Box3's check, with the node-building reference's error
+    grid = _grid_with_widths(((1, 1), (0, 1)), (5.0, 5.0), (3.0, 3.0))
+    far = _grid_with_widths(((1, 1), (0, 1)), (5.0, 5.0), widths)
+    plan = OccupancyPlan((PlanEntry(CellRef(1, 0), "small"), PlanEntry(CellRef(1, 1), "small",
+                                                                       force=True)))
+    got = _outcome(lambda: populate_vehicles(synthesize(grid), far, plan))
+    assert got == _outcome(lambda: populate_vehicles_nodes(synthesize_nodes(grid), far, plan))
+    assert got[0] is ValueError
+
+
+def test_node_boxes_get_the_box_check_in_the_table():
+    # a node box that is no Box3 but has its fields (a named tuple, say)
+    # meets the check where its scene's box table is derived, so the index
+    # never holds its infinite half extent
+    box = namedtuple("Box", "center half_extents yaw")((6.0, 0.0, 1.5), (0.3, math.inf, 1.5), 0.0)
+    scene = SceneGraph((SceneNode("col", NodeKind.COLUMN, box),),
+                       Box3((6.0, 0.0, 1.5), (1.0, 1.0, 1.5)), LightLevel.BRIGHT)
+    with pytest.raises(ValueError, match="finite real numbers"):
+        scene.index
 
 
 @pytest.mark.parametrize("entries", [

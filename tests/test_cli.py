@@ -454,9 +454,50 @@ def _huge_sweep(tmp_path, out):
     return ["scenario", "--case", "1", "--column-setback=1e308", "--out", str(out)]
 
 
+def _scene_box_past_the_bound(tmp_path, out):
+    # finite, but past the 2**129 every box value is held to
+    scene = tmp_path / "scene.json"
+    scene.write_text(_scene_with_node('"center": [5, 1e300, 1], "half_extents": [1, 1, 1]'),
+                     encoding="utf-8")
+    return ["scenario", "--case", "1", "--scene", str(scene), "--out", str(out)]
+
+
+def _merged_bounds_past_the_bound(tmp_path, out):
+    # a box within the bound whose turned corners, and so the merged
+    # scene's bounds, reach past it
+    scene = tmp_path / "scene.json"
+    scene.write_text(_scene_with_node('"center": [0, 0, 1], "half_extents": [6.5e38, 6.5e38, 1],'
+                                      ' "yaw": 0.75'), encoding="utf-8")
+    return ["scenario", "--case", "1", "--scene", str(scene), "--out", str(out)]
+
+
+def _lamps_past_the_bound(tmp_path, out):
+    # bounds within the bound whose top, where the lamps over the lane tile
+    # hang, is not
+    scene = tmp_path / "scene.json"
+    scene.write_text(_scene_with_node(
+        '"center": [0, 0, 5e38], "half_extents": [1, 1, 5e38]},'
+        ' {"id": "tile", "kind": "floor_tile", "center": [40, 0, 0.025],'
+        ' "half_extents": [1, 1, 0.025], "yaw": 0.0, "tags": {"cell_kind": "lane", "cell": "0,0"}'),
+        encoding="utf-8")
+    return ["scenario", "--case", "1", "--scene", str(scene), "--out", str(out)]
+
+
+def _camera_past_the_bound(tmp_path, out):
+    return ["scenario", "--case", "1", "--mount-height", "1e300", "--out", str(out)]
+
+
+def _scene_with_node(box: str) -> str:
+    """scene/1 text of one column node with the given box fields."""
+    return ('{"schema": "scene/1", "light_level": "bright", "bounds": {"center": [0, 0, 0],'
+            ' "half_extents": [50, 50, 3], "yaw": 0.0}, "nodes": [{"id": "x", "kind": "column",'
+            ' "yaw": 0.0, "tags": {}, %s}]}' % box)
+
+
 @pytest.mark.parametrize("make_argv", [
     _wide_plan, _far_scene_box, _far_occupancy_cell, _huge_config_step,
-    _huge_report_fraction, _huge_sweep,
+    _huge_report_fraction, _huge_sweep, _scene_box_past_the_bound, _merged_bounds_past_the_bound,
+    _lamps_past_the_bound, _camera_past_the_bound,
 ], ids=lambda make_argv: make_argv.__name__.lstrip("_"))
 def test_out_of_range_number_exit_2(tmp_path, capsys, make_argv):
     out = tmp_path / "out.json"

@@ -11,6 +11,7 @@ from garagesim.grid import (
     GarageSpec,
     RULE_CODE_RANGE,
     RULE_COL_COUNT,
+    RULE_ENVELOPE_FINITE,
     RULE_NO_LANES,
     RULE_ROW_COUNT,
     RULE_WIDTH_POSITIVE,
@@ -153,6 +154,13 @@ class TestValidate:
     def test_non_finite_width(self):
         spec = GarageSpec(((1,),), (float("inf"),), (6.0,))
         assert [v.rule for v in validate(spec).violations] == [RULE_WIDTH_POSITIVE]
+
+    def test_envelope_past_the_bound(self):
+        # finite widths whose total, an edge of the envelope, lies past 2**129
+        spec = GarageSpec(((1, 1),), (5.0,), (4e38, 4e38))
+        assert [(v.rule, v.location) for v in validate(spec).violations] == [
+            (RULE_ENVELOPE_FINITE, "col_widths")]
+        assert validate(GarageSpec(((1, 1),), (5.0,), (3e38, 3e38))).ok
 
     def test_zero_lane_garage_flagged(self):
         spec = GarageSpec(((-1, 0), (0, -1)), (5.0, 5.0), (6.0, 6.0))

@@ -96,6 +96,20 @@ class TestCase1:
         with pytest.raises(ConstructionError):
             build_case1(column_setback=-1.0)
 
+    @pytest.mark.parametrize("dims", [
+        {"column_setback": 1e300}, {"lane_width": 2.0**129}, {"target_distance": -1e39},
+        {"column_setback": math.inf},
+    ])
+    def test_dimensions_past_the_bound_are_option_errors(self, dims):
+        with pytest.raises(OptionError, match="below 2"):
+            build_case1(**dims)
+
+    def test_column_placed_past_the_bound(self):
+        # dimensions within the bound, but the target all but abeam of the
+        # start pose: the column's sight line runs out past 2**129
+        with pytest.raises(ConstructionError, match="past 2"):
+            build_case1(column_setback=6e38, lane_width=6.0, target_distance=1.0)
+
     def test_occluder_is_the_column(self):
         report = run_scenario(build_case1())
         first = report.sweeps["veh-target"].samples[0]
@@ -229,6 +243,8 @@ class TestCase2:
             build_case2(column_offset=9.0, lane_distance=8.0)
         with pytest.raises(ConstructionError):
             build_case2(column_offset=-2.0)
+        with pytest.raises(OptionError, match="below 2"):
+            build_case2(lane_distance=1e300)
 
     def test_moved_target_keeps_its_own_box(self):
         # an untagged large target: each sample sees the large box at the

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from garagesim import scene as scene_module
 from garagesim.classify import classify_all
 from garagesim.errors import PlanError, SchemaError
-from garagesim.grid import CellKind, CellRef, GarageSpec
+from garagesim.grid import BOX_MAX, CellKind, CellRef, GarageSpec
+from garagesim.scenario import _scene_from_nodes
 from garagesim.scene import (
     Box3,
     CEILING_HEIGHT,
@@ -42,7 +43,7 @@ from garagesim.scene import (
     _table_scene,
 )
 from conftest import random_spec
-from oracles import fold_bounds, import_scene_two_pass, scene_json
+from oracles import fold_bounds, import_scene_two_pass, scene_json, synthesize_nodes
 
 
 class TestLayout:
@@ -341,22 +342,23 @@ class _OwnRepr(float):
         return "not-json"
 
 
-# Box values of every type and edge the writer has to spell as json does.
-# Small pools of values that compare equal across types (0.0 and -0.0, 1.0,
-# 1 and True) repeat within a scene, and boxes of floats only are common,
-# because the writer reuses the text of a float it has already written.
+# Box values of every type and edge the writer has to spell as json does,
+# up to the bound Box3 holds them to.  Small pools of values that compare
+# equal across types (0.0 and -0.0, 1.0, 1 and True) repeat within a scene,
+# and boxes of floats only are common, because the writer reuses the text of
+# a float it has already written.
 _FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, math.nan, math.inf,
-                     -math.inf]),
-    st.floats(), st.floats().map(_OwnRepr),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, BOX_MAX, -BOX_MAX, 1e38]),
+    st.floats(-BOX_MAX, BOX_MAX), st.floats(-BOX_MAX, BOX_MAX).map(_OwnRepr),
 )
-_NUMBERS = st.one_of(_FLOATS, st.sampled_from([0, 1, True, -7, 10**20]), st.integers())
+_NUMBERS = st.one_of(_FLOATS, st.sampled_from([0, 1, True, -7, 10**20]),
+                     st.integers(-int(BOX_MAX), int(BOX_MAX)))
 _POSITIVE_FLOATS = st.one_of(
-    st.sampled_from([1.0, 0.5, 5e-324, 1e16, 1e-7, math.nan, math.inf]),
-    st.floats(min_value=5e-324), st.floats(min_value=5e-324).map(_OwnRepr),
+    st.sampled_from([1.0, 0.5, 5e-324, 1e16, 1e-7, BOX_MAX, 1e38]),
+    st.floats(5e-324, BOX_MAX), st.floats(5e-324, BOX_MAX).map(_OwnRepr),
 )
 _POSITIVE = st.one_of(_POSITIVE_FLOATS, st.sampled_from([1, True, 10**20]),
-                      st.integers(min_value=1))
+                      st.integers(1, int(BOX_MAX)))
 
 
 def _boxes(numbers, positive):
@@ -476,8 +478,8 @@ class TestSceneDocuments:
               for k, c in enumerate([(0.0, 1.0, 0.5), (-0.0, 0.5, 1.0), (1, True, 0.5)])),
         Box3((1.0, 1.0, 1.0), (0.5, 0.5, 0.5)), LightLevel.CLEAR))
     @example(scene=SceneGraph(
-        (SceneNode("a", NodeKind.LAMP, Box3((math.nan, math.inf, -math.inf),
-                                            (math.inf, math.nan, 2.0), 3.0), {}),
+        (SceneNode("a", NodeKind.LAMP, Box3((BOX_MAX, -BOX_MAX, -1e38),
+                                            (BOX_MAX, 5e-324, 2.0), 3.0), {}),
          SceneNode('"\\\x00\x1f\u00e9\U0001f697', NodeKind.VEHICLE,
                    Box3((_OwnRepr(-0.0), True, 10**20), (_OwnRepr(0.5), 1, 1e-7), -0.0),
                    {f"k{k}\\": '"\x7f\u2603' * k for k in range(12)})),
@@ -497,9 +499,8 @@ class TestSceneDocuments:
     @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025])
     def test_table_writer_matches_json_oracle_at_chunk_edges(self, rows):
         rng = random.Random(rows)
-        numbers = [0.0, 0.0, 1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, -2.5, math.nan, math.inf,
-                   -math.inf]
-        positive = [1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, math.nan, math.inf]
+        numbers = [0.0, 0.0, 1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, -2.5, BOX_MAX, -BOX_MAX, 1e38]
+        positive = [1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, BOX_MAX, 1e38]
         # the bytes of -0.0 across two floats: 5e-324's high half, then this one's low half
         straddle = struct.unpack("<d", b"\x00\x00\x00\x80\x00\x00\xf0\x3f")[0]
         table, tags = _BoxTable(), {}
@@ -582,22 +583,22 @@ class TestSceneDocuments:
 # scene/1 inputs for the one-pass reader against the two-pass oracle: valid
 # documents with a few flaws each.  Valid box values mix ints, bools,
 # numeric strings, -0.0 and extreme floats; flawed ones add NaN, the
-# infinities and overflowing literals (placeholders swapped for text json
-# cannot write).  Ids come from a small pool, so duplicates are common.  An
-# object shaped like a valid node is drawn wherever one may stand: as a
-# tags dict or tag value, a kind, a box value, the bounds, the light level,
-# the schema and the document itself.  The one-pass reader tables such an
-# object as a node wherever it stands, and an error message must still
-# quote it as parsed.
+# infinities, values past the bound and overflowing literals (placeholders
+# swapped for text json cannot write).  Ids come from a small pool, so
+# duplicates are common.  An object shaped like a valid node is drawn
+# wherever one may stand: as a tags dict or tag value, a kind, a box value,
+# the bounds, the light level, the schema and the document itself.  The
+# one-pass reader tables such an object as a node wherever it stands, and
+# an error message must still quote it as parsed.
 _FAR = {'"@far@"': "1e999", '"@-far@"': "-1e999"}
 _GOOD_VALUES = st.one_of(st.floats(-1e3, 1e3), st.integers(-5, 5),
-                         st.sampled_from([0.0, -0.0, True, False, "1.5", " -2 ", 1e308, 5e-324]))
+                         st.sampled_from([0.0, -0.0, True, False, "1.5", " -2 ", BOX_MAX, 5e-324]))
 _GOOD_HALVES = st.one_of(st.floats(0.01, 1e3), st.integers(1, 5), st.sampled_from([True, "2"]))
 _VALID_NODE = {"id": "t", "kind": "column", "center": [0, 0, 1], "half_extents": [1, 1, 1],
                "yaw": 0.0, "tags": {}}
 _BAD_VALUES = st.one_of(st.floats(), st.sampled_from(
-    [math.nan, math.inf, -math.inf, 0, -1, 10**400, "x", "nan", None, "@far@", "@-far@", [1.0],
-     {"a": 1}, _VALID_NODE]))
+    [math.nan, math.inf, -math.inf, 1e308, -2.0**129, 0, -1, 10**400, "x", "nan", None, "@far@",
+     "@-far@", [1.0], {"a": 1}, _VALID_NODE]))
 _NODE_KINDS = [k.value for k in NodeKind]
 _TAG_TEXTS = st.sampled_from(["lane", "exit", "parking", "0,0", "column"])
 _GOOD_TAGS = st.dictionaries(st.sampled_from(["cell", "kind", "id", "x"]), _TAG_TEXTS,
@@ -839,15 +840,15 @@ class TestSceneGraph:
 
 
 def _box_repr(box: Box3) -> str:
-    """Exact text of a box's floats: equal for equal bits (NaN included,
-    the sign of zero told apart)."""
+    """Exact text of a box's floats: equal for equal bits (the sign of zero
+    told apart)."""
     return repr((box.center, box.half_extents, box.yaw))
 
 
 def _outcome(fold, boxes) -> str:
     try:
         return _box_repr(fold(boxes))
-    except ValueError as exc:  # math.cos of an infinite yaw
+    except ValueError as exc:  # bounds past BOX_MAX, or no boxes at all
         return type(exc).__name__
 
 
@@ -861,11 +862,12 @@ _FOLD_BOXES = _boxes(_FLOATS, _POSITIVE_FLOATS) | _boxes(
 class TestFoldBounds:
     @given(st.lists(_FOLD_BOXES, max_size=12))
     @example([Box3((-0.0, 0.0, -0.0), (1.0, 2.0, 0.5), yaw=0.3)])
-    @example([Box3((math.nan, 1.0, 2.0), (1.0, 1.0, 1.0)), Box3((3.0, 4.0, 5.0), (1.0, 1.0, 1.0))])
-    @example([Box3((1.0, 2.0, 3.0), (math.inf, 1.0, 1.0)), Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])
-    @example([Box3((-math.inf, 0.0, 0.0), (1.0, 1.0, 1.0)),
-              Box3((math.inf, 0.0, 0.0), (1.0, 1.0, 1.0))])
-    @example([Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), yaw=math.nan)])
+    @example([Box3((1e38, 1.0, 2.0), (1.0, 1.0, 1.0)), Box3((3.0, 4.0, 5.0), (1.0, 1.0, 1.0))])
+    @example([Box3((1.0, 2.0, 3.0), (BOX_MAX, 1.0, 1.0)), Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])
+    @example([Box3((-BOX_MAX, 0.0, 0.0), (1.0, 1.0, 1.0)),
+              Box3((BOX_MAX, 0.0, 0.0), (1.0, 1.0, 1.0))])
+    @example([Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), yaw=BOX_MAX)])
+    @example([Box3((BOX_MAX, 0.0, 0.0), (BOX_MAX, 1.0, 1.0), yaw=0.7)])  # bounds past BOX_MAX
     @example([])
     def test_fold_of_aabbs_equals_the_per_box_fold(self, boxes):
         def fold(boxes):
@@ -879,10 +881,10 @@ class TestFoldBounds:
     @given(st.lists(_FOLD_BOXES, max_size=12))
     @example([Box3((-0.0, 0.0, -0.0), (1.0, 2.0, 0.5), yaw=0.3),
               Box3((0.0, -0.0, 0.0), (1.0, 2.0, 0.5), yaw=-0.3)])
-    @example([Box3((math.nan, 1.0, 2.0), (1.0, 1.0, 1.0)), Box3((3.0, 4.0, 5.0), (1.0, 1.0, 1.0))])
-    @example([Box3((math.nan, 1.0, 2.0), (1.0, 1.0, 1.0))])
-    @example([Box3((-math.inf, 0.0, 0.0), (1.0, 1.0, 1.0)),
-              Box3((math.inf, 0.0, 0.0), (1.0, 1.0, 1.0))])
+    @example([Box3((1e38, 1.0, 2.0), (1.0, 1.0, 1.0)), Box3((3.0, 4.0, 5.0), (1.0, 1.0, 1.0))])
+    @example([Box3((1e38, 1.0, 2.0), (1.0, 1.0, 1.0))])
+    @example([Box3((-BOX_MAX, 0.0, 0.0), (1.0, 1.0, 1.0)),
+              Box3((BOX_MAX, 0.0, 0.0), (1.0, 1.0, 1.0))])
     @example([])
     def test_table_fold_equals_the_per_box_fold(self, boxes):
         """A scene bounded from its box table (a merge) folds only the rows
@@ -892,6 +894,12 @@ class TestFoldBounds:
             return _table_bounds(_BoxTable.of_nodes(nodes))
 
         assert _outcome(fold, boxes) == _outcome(fold_bounds, boxes)
+
+    def test_no_boxes_is_a_value_error(self):
+        for bound in (lambda: _fold_bounds([]), lambda: _fold_bounds(iter(())),
+                      lambda: _table_bounds(_BoxTable()), lambda: _scene_from_nodes([])):
+            with pytest.raises(ValueError, match="no boxes to bound"):
+                bound()
 
     def test_rotated_boxes_on_a_garage(self, lane_cross_spec):
         scene = synthesize(classify_all(lane_cross_spec))
@@ -913,3 +921,108 @@ class TestBox3:
         a = box.aabb
         assert a[0] == pytest.approx(-1.0) and a[3] == pytest.approx(1.0)
         assert a[1] == pytest.approx(-2.0) and a[4] == pytest.approx(2.0)
+
+
+# box values on both sides of the bound: any float (NaN and the infinities
+# among them) or int, and the values next to the bound
+_EDGE_VALUES = st.one_of(st.floats(), st.integers(), st.sampled_from([
+    BOX_MAX, -BOX_MAX, 2.0**129, -(2.0**129), int(BOX_MAX), int(BOX_MAX) + 1, -int(BOX_MAX) - 1,
+    2**129 - 2**75, 1e38, 1e300, math.nan, math.inf, -math.inf, 5e-324, 0.0, -0.0, 1.0]))
+_EDGE_BOXES = st.tuples(*[_EDGE_VALUES] * 7)
+
+
+def _within(values) -> bool:
+    """Whether seven box values are what Box3 takes: every one at most
+    BOX_MAX in magnitude (NaN compares false), the half extents positive."""
+    return all(-BOX_MAX <= v <= BOX_MAX for v in values) and all(h > 0 for h in values[3:6])
+
+
+def _widths_grid(rows, cols):
+    """The lane-and-parking grid of test_box_table, its widths set after
+    classification, as a library caller may set them."""
+    grid = classify_all(GarageSpec(((1, 1), (0, -1)), (5.0, 5.0), (5.0, 5.0)))
+    return replace(grid, spec=replace(grid.spec, row_widths=rows, col_widths=cols))
+
+
+def _built(make):
+    try:
+        return "scene", export_scene(make())
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+_WIDTHS = st.one_of(st.floats(0.5, 20.0), st.floats(min_value=5e-324), st.sampled_from(
+    [math.nan, math.inf, BOX_MAX, BOX_MAX / 2.0, 1e38, 1e300, 2.0**129, 5e-324]))
+
+
+class TestBoxBound:
+    """Every way a box enters a scene takes the same values: Box3, the rows
+    synthesis fills from a grid that no validation has seen, and scene/1
+    import.  A value that is not finite or lies past BOX_MAX is refused
+    with each entry's documented error; values within it are taken, and
+    export to the bytes the json oracle writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_EDGE_BOXES)
+    @example((BOX_MAX, -BOX_MAX, 0.0, BOX_MAX, 5e-324, 1.0, -BOX_MAX))
+    @example((int(BOX_MAX), 0, 0, 1, 1, int(BOX_MAX), 0))
+    @example((2**129 - 2**75, 0, 0, 1, 1, 1, 0))  # an int whose float is 2**129
+    @example((0.0, 0.0, 0.0, 1.0, 2.0**129, 1.0, 0.0))
+    def test_box3(self, values):
+        center, half, yaw = values[:3], values[3:6], values[6]
+        if not _within(values):
+            with pytest.raises(ValueError):
+                Box3(center, half, yaw)
+            return
+        box = Box3(center, half, yaw)
+        scene = SceneGraph((SceneNode("a", NodeKind.COLUMN, box),), box, LightLevel.BRIGHT)
+        assert export_scene(scene) == scene_json(scene)
+        # its table (checked as it is made) holds the floats of its values,
+        # which round-trip
+        table = _BoxTable.of_nodes(scene.nodes)
+        floats = table.values.tolist()
+        text = export_scene(_table_scene(table, scene_module._box(floats), LightLevel.BRIGHT))
+        assert export_scene(import_scene(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(_WIDTHS, _WIDTHS), st.tuples(_WIDTHS, _WIDTHS))
+    @example((5.0, 5.0), (math.nan, 3.0))
+    @example((5.0, math.inf), (3.0, 3.0))
+    @example((5.0, 5.0), (BOX_MAX, BOX_MAX))  # an envelope of 2 BOX_MAX
+    @example((5.0, 5.0), (BOX_MAX / 2.0, BOX_MAX / 2.0))
+    def test_synthesis(self, rows, cols):
+        grid = _widths_grid(rows, cols)
+        got = _built(lambda: synthesize(grid))
+        assert got == _built(lambda: synthesize_nodes(grid))
+        edges = [(0.0, w[0], w[0] + w[1]) for w in (rows, cols)]
+        if not all(map(math.isfinite, rows + cols)):
+            assert got[0] is ValueError
+        elif min(rows + cols) >= 1.0 and all(e[0] < e[1] < e[2] <= BOX_MAX for e in edges):
+            # no width absorbed into an edge or halved to 0 in a marking
+            assert got[0] == "scene"
+            assert export_scene(import_scene(got[1])) == got[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_EDGE_BOXES, st.sampled_from(["node", "bounds"]))
+    @example((0.0, 1e300, 0.0, 1.0, 1.0, 1.0, 0.0), "node")
+    @example((0.0, 0.0, 0.0, 1.0, 1.0, BOX_MAX, -BOX_MAX), "bounds")
+    @example((0.0, 0.0, int(BOX_MAX) + 1, 1.0, 1.0, 1.0, 0.0), "node")  # its float is BOX_MAX
+    def test_import(self, values, where):
+        box = {"center": list(values[:3]), "half_extents": list(values[3:6]), "yaw": values[6]}
+        good = {"center": [0, 0, 1], "half_extents": [1, 1, 1], "yaw": 0.0}
+        text = json.dumps({"schema": "scene/1", "light_level": "bright",
+                           "bounds": box if where == "bounds" else good,
+                           "nodes": [dict(box if where == "node" else good, id="a",
+                                          kind="column", tags={})]})
+        try:
+            floats = tuple(map(float, values))  # the reader's conversion
+        except OverflowError:
+            floats = (math.inf,)
+        if not _within(floats):
+            with pytest.raises(SchemaError, match="bad box"):
+                import_scene(text)
+            return
+        scene = import_scene(text)
+        again = export_scene(scene)
+        assert again == scene_json(scene) == export_scene(import_scene(again))
+        assert again == export_scene(import_scene_two_pass(text))

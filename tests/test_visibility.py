@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from garagesim import visibility
 from garagesim.errors import OptionError
+from garagesim.grid import BOX_MAX
 from garagesim.scene import (
     Box3,
     CEILING_HEIGHT,
@@ -190,8 +191,8 @@ class TestRayLengths:
 
 class TestFirstHits:
     """The first-hit scan names the row t.argmin(axis=0) names and returns
-    the entry its gather does: ties go to the first row, and a NaN in a
-    column wins it, wherever it stands."""
+    the entry its gather does, ties going to the first row, for the slab
+    distances it is given: finite entries and inf, never NaN."""
 
     @staticmethod
     def _assert_matches_argmin(t: np.ndarray) -> None:
@@ -199,34 +200,29 @@ class TestFirstHits:
         first, best = visibility._first_hits(t)
         assert first.tolist() == want.tolist(), t
         # equal up to the sign of a zero, which no comparison sees
-        assert np.array_equal(best, t[want, np.arange(t.shape[1])], equal_nan=True), t
+        assert np.array_equal(best, t[want, np.arange(t.shape[1])]), t
 
     def test_columns_by_hand(self):
-        inf, nan = math.inf, math.nan
+        inf = math.inf
         t = np.array([
-            # tie, tie later, no hit, NaN before and after a finite minimum, signed zeros
-            [1.0, 2.0, inf, nan, 0.5, inf, 0.0],
+            # tie, tie later, no hit, a minimum first and last, signed zeros
+            [1.0, 2.0, inf, 0.25, 0.5, inf, 0.0],
             [1.0, 1.0, inf, 0.5, 1.0, 0.5, -0.0],
-            [2.0, 1.0, inf, 1.0, nan, 0.5, 0.0],
+            [2.0, 1.0, inf, 1.0, 0.25, 0.5, 0.0],
         ])
         self._assert_matches_argmin(t)
-        # the scan alone, with no NaN to hand the columns to argmin
-        self._assert_matches_argmin(t[:, [0, 1, 2, 5, 6]])
-        assert visibility._first_hits(t[:, [0, 1, 2, 5]])[0].tolist() == [0, 1, 0, 1]
-        assert visibility._first_hits(t[:, [3, 4]])[0].tolist() == [0, 2]
+        assert visibility._first_hits(t)[0].tolist() == [0, 1, 0, 0, 2, 1, 0]
 
-    def test_random_matrices_with_ties_misses_and_nans(self):
+    def test_random_matrices_with_ties_and_misses(self):
         rng = np.random.default_rng(41)
         values = np.array([0.0, -0.0, 0.5, 0.5, 2.0, 3.0, np.inf, np.inf])
         for trial in range(400):
             t = rng.choice(values, size=(rng.integers(1, 9), rng.integers(1, 60)))
-            if trial % 3 == 0:  # some NaN entries
-                t[rng.random(t.shape) < 0.1] = np.nan
             self._assert_matches_argmin(t)
 
 
 _COORDS = st.floats(-50.0, 50.0)
-_YAWS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, -math.pi / 4, math.nan]),
+_YAWS = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, -math.pi / 4, BOX_MAX]),
                   st.floats(-7.0, 7.0))
 _TARGET_BOXES = st.builds(Box3, st.tuples(_COORDS, _COORDS, _COORDS),
                           st.tuples(*[st.floats(1e-3, 10.0)] * 3), _YAWS)
@@ -250,7 +246,7 @@ def _box_and_apex(draw):
 class TestFacePoints:
     @given(_box_and_apex(), st.sampled_from([1, 2, 3, 24]))
     @example((Box3((1.0, 2.0, 0.5), (2.0, 1.0, 0.5)), np.array([3.0, 7.0, 1.65])), 24)
-    @example((Box3((1.0, 2.0, 0.5), (2.0, 1.0, 0.5), math.nan), np.zeros(3)), 2)
+    @example((Box3((1.0, 2.0, 0.5), (2.0, 1.0, 0.5), BOX_MAX), np.zeros(3)), 2)
     @example((Box3((1.0, 2.0, 0.5), (2.0, 1.0, 0.5)), np.array([1.0, 2.0, 0.5])), 3)
     @example((Box3((0.0, 0.0, 1.0), (2.0, 1.0, 1.0)), np.array([2.0, 5.0, 1.0])), 4)
     def test_face_grids_built_once_select_the_per_sample_points(self, box_apex, s):
@@ -261,7 +257,7 @@ class TestFacePoints:
         got = _point_rows(cols)[_facing(normals, centers, apex)].reshape(-1, 3)
         want = face_points(SceneNode("t", NodeKind.VEHICLE, box), apex, s)
         assert got.shape == want.shape
-        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got, want)
 
 
 def _planes(fr: Frustum) -> list[np.ndarray]:
@@ -351,12 +347,33 @@ class TestSettledPerBox:
         (5.0, -math.inf, 0.0, 6.0, math.inf, 1.0),
         # finite corners whose sum, or whose offsets from the apex, overflow
         (1e308, -1.0, 0.0, 1.7e308, 1.0, 1.0),
-        Box3((1e308, 0.0, 0.0), (1e308, 1.0, 1.0)).aabb,
+        (-1e300, -1.0, 0.0, 1e300, 1.0, 1.0),
     ])
-    def test_non_finite_and_overflowing_corners_stay_undecided(self, aabb):
-        for position in ((0.0, 0.0), (-1e308, 0.0), (1e300, -1e300)):
-            fr = make_camera(EgoPose(position, 0.0), CFG)
-            assert visibility._frustum_verdict(fr, aabb) == (None, math.inf)
+    def test_corners_past_the_bound_cannot_be_built(self, aabb):
+        # the verdict once had to decide nothing for such corners; no box
+        # and no camera that reaches it can hold them now
+        x0, y0, z0, x1, y1, z1 = aabb
+        with pytest.raises(ValueError, match="finite real numbers below 2"):
+            Box3(((x0 + x1) / 2.0, (y0 + y1) / 2.0, (z0 + z1) / 2.0),
+                 ((x1 - x0) / 2.0, (y1 - y0) / 2.0, (z1 - z0) / 2.0))
+        for position in ((-1e308, 0.0), (1e300, -1e300), (2.0**129, 0.0)):
+            with pytest.raises(OptionError, match="ego pose must be finite"):
+                make_camera(EgoPose(position, 0.0), CFG)
+        for cfg in (CameraConfig(mount_height=1e300), CameraConfig(aspect=1e-300)):
+            with pytest.raises(OptionError, match="ego pose must be finite"):
+                make_camera(EgoPose((0.0, 0.0), 0.0), cfg)
+
+    def test_verdict_sums_stay_finite_at_the_bound(self):
+        # the largest box and camera the checks let through: every value the
+        # verdict adds up is finite, and so is its margin
+        huge = (BOX_MAX, BOX_MAX, BOX_MAX)
+        for box in (Box3((BOX_MAX, -BOX_MAX, BOX_MAX), huge, BOX_MAX),
+                    Box3((0.0, 0.0, 0.0), huge, 0.7)):
+            for fov, aspect in ((60.0, 16.0 / 9.0), (179.999, 1e-7)):
+                cfg = CameraConfig(horizontal_fov_deg=fov, aspect=aspect, mount_height=1e38)
+                fr = make_camera(EgoPose((-BOX_MAX, BOX_MAX), 1.0), cfg)
+                verdict, margin = visibility._frustum_verdict(fr, box.aabb)
+                assert 0.0 < margin < math.inf and verdict in (True, False, None)
 
     def test_facing_agrees_with_np_dot_near_each_face_plane(self):
         # apexes on a face's plane or within 1e-12 of it, along the face
@@ -455,6 +472,18 @@ class TestVisibleFractionFixtures:
     def test_unknown_target(self):
         with pytest.raises(KeyError):
             visible_fraction(simple_scene(), EGO, CFG, "nope")
+
+    def test_infinite_column_is_refused_not_scored_visible(self):
+        # a column of infinite half extent between the camera and the vehicle
+        # once scored it fully visible: the column's AABB had NaN x bounds,
+        # which the broadphase dropped.  Such a box cannot be built now, and
+        # a wide finite column hides the vehicle
+        with pytest.raises(ValueError, match="finite real numbers below 2"):
+            Box3((6.0, 0.0, 1.5), (0.3, math.inf, 1.5))
+        column = SceneNode("col", NodeKind.COLUMN, Box3((6.0, 0.0, 1.5), (0.3, 25.0, 1.5)))
+        got = visible_fraction(simple_scene([column]), EgoPose((0.0, 0.0), 0.0), CFG, "veh-t")
+        assert got.in_frustum and got.visible_fraction == 0.0
+        assert got.occluders == (("col", 1.0),)
 
     def test_non_vehicle_target(self):
         scene = simple_scene()
@@ -587,9 +616,9 @@ class TestVisibleFractionProperties:
             if rng.random() < 0.5:  # a ceiling panel spanning the scene
                 extras.append(_slab("ceiling", NodeKind.CEILING_PANEL, -2, -8, 30, 8,
                                     rng.uniform(1.2, 2.8), 3.0))
-            if rng.random() < 0.3:
-                extras.append(SceneNode("nan", NodeKind.COLUMN,
-                                        Box3((math.nan, 0.0, 1.0), (1.0, 1.0, 1.0)), {}))
+            if rng.random() < 0.3:  # far off the scene
+                extras.append(SceneNode("far", NodeKind.COLUMN,
+                                        Box3((1e16, 0.0, 1.0), (1.0, 1.0, 1.0)), {}))
             scene = simple_scene(extras)
             ego = EgoPose((rng.uniform(-1, 3), rng.uniform(-2, 2)),
                           rng.uniform(-0.4, 0.4))
