@@ -10,17 +10,22 @@ which is what --seedless documents).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .errors import JSON_TOO_DEEP, GarageError, OptionError, SchemaError, SpecParseError
 from .grid import load_garage_spec, validate
+# loaded with the package already: the flag table's light levels and default
+from .scene import LightLevel
+from .scoring import BLACKOUT_THRESHOLD
 
 if TYPE_CHECKING:
-    from .scene import LightLevel, SceneGraph
+    from .scene import SceneGraph
 
 # Each handler imports the machinery it runs, so `validate` and `score` load
 # no numpy and a command pays only for its own modules at start-up.
@@ -62,8 +67,91 @@ def _parse_corners(text: str) -> frozenset[tuple[int, int]]:
     return frozenset(corners)
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Optional JSON config file provides flag defaults; flags override it."""
+#: every command and its help, in the order the usage lists them
+COMMANDS = {
+    "validate": "check a plan document",
+    "generate": "compile a plan into a scene",
+    "scenario": "build and run an occlusion case",
+    "score": "re-score an emitted report",
+}
+#: the command argument as the usage names it, spelled as argparse spells its
+#: choices: a parser built for one command names all four by it
+_COMMANDS_METAVAR = "{" + ",".join(COMMANDS) + "}"
+
+
+class Flag(NamedTuple):
+    """One argument: a flag (named --...) or a positional.  A switch takes
+    no value and stores True; any other flag stores its value, made by type
+    (a string when type is None) and within choices where those are given."""
+
+    name: str
+    help: str | None = None
+    type: type | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    switch: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+
+_LIGHTS = tuple(level.value for level in LightLevel)
+_WEIGHTS_HELP = "w_occ,w_blk,w_lit summing to 1"
+
+#: the arguments of the top level (None) and of each command, in the order
+#: their parsers add them; --version and -h are the parsers' own
+FLAGS: dict[str | None, tuple[Flag, ...]] = {
+    None: (
+        Flag("--config", "JSON file of flag defaults"),
+        Flag("--seedless", "accepted for scripting symmetry; the pipeline never uses randomness",
+             switch=True),
+        Flag("--format", "stdout payload format where applicable",
+             choices=("json", "csv", "human"), default="human"),
+    ),
+    "validate": (
+        Flag("spec", "garage-spec/1 JSON file or CSV directory"),
+    ),
+    "generate": (
+        Flag("spec"),
+        Flag("--light", choices=_LIGHTS, default="bright"),
+        Flag("--occupancy", "occupancy-plan/1 JSON file"),
+        Flag("--prune-columns", "corners to drop, e.g. '1,1;2,3'", default=""),
+        Flag("--out", "scene file (stdout when omitted)"),
+        Flag("--obj", "also write a box mesh OBJ here"),
+    ),
+    "scenario": (
+        Flag("--case", "1, 2 or 3", required=True),
+        Flag("--column-setback", type=float),
+        Flag("--lane-width", type=float),
+        Flag("--target-distance", type=float),
+        Flag("--column-offset", type=float),
+        Flag("--lane-distance", type=float),
+        Flag("--layout", "case 3 slots, e.g. 'close:large,far:small'",
+             default="close:large,far:small"),
+        Flag("--light", choices=_LIGHTS, default="bright"),
+        Flag("--scene", "scene/1 file to merge in as extra environment"),
+        Flag("--step", type=float),
+        Flag("--fov", type=float),
+        Flag("--mount-height", type=float),
+        Flag("--aspect", type=float),
+        Flag("--weights", _WEIGHTS_HELP),
+        Flag("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD),
+        Flag("--out", "report/1 JSON output path", required=True),
+    ),
+    "score": (
+        Flag("report", "report/1 JSON file"),
+        Flag("--weights", _WEIGHTS_HELP),
+        Flag("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD),
+    ),
+}
+
+
+def _config_defaults(argv: list[str]) -> dict:
+    """Flag defaults from the JSON config file that --config names, if any;
+    flags given on the command line override them.  Every key must name a
+    flag of the table and every value be one that flag takes (SchemaError)."""
     path = None
     for k, tok in enumerate(argv):
         if tok == "--config" and k + 1 < len(argv):
@@ -71,7 +159,7 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
         elif tok.startswith("--config="):
             path = tok.split("=", 1)[1]
     if path is None:
-        return
+        return {}
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -81,103 +169,100 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     if not isinstance(raw, dict):
         raise SchemaError("config file must hold a JSON object")
     defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
-    subs = [sub for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction) for sub in action.choices.values()]
-    flags = [a for p in (parser, *subs) for a in p._actions if a.option_strings
-             and isinstance(a, (argparse._StoreAction, argparse._StoreConstAction))]
-    unknown = sorted(set(defaults) - {a.dest for a in flags})
+    flags = [flag for own in FLAGS.values() for flag in own if flag.name.startswith("--")]
+    unknown = sorted(set(defaults) - {flag.dest for flag in flags})
     if unknown:
         raise SchemaError(f"no flag for config key(s) {', '.join(map(repr, unknown))}")
-    for action in flags:
-        if action.dest in defaults:
-            defaults[action.dest] = _config_value(action, defaults[action.dest])
-    parser.set_defaults(**defaults)
-    # the running subcommand's parser writes its own flags' defaults over the
-    # top level's, so each of those flags takes its config default there
-    for sub in subs:
-        own = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in defaults.items() if k in own})
+    for flag in flags:
+        if flag.dest in defaults:
+            defaults[flag.dest] = _config_value(flag, defaults[flag.dest])
+    return defaults
 
 
-def _config_value(action: argparse.Action, value):
+def _config_value(flag: Flag, value):
     """A config value as its flag takes it: a bool for a switch, else a
     string, or what the flag's type makes of it, within the flag's choices."""
-    if isinstance(action, argparse._StoreConstAction):
+    if flag.switch:
         ok = isinstance(value, bool)
-    elif action.type is None:
+    elif flag.type is None:
         ok = isinstance(value, str)
     elif isinstance(value, bool):
         ok = False
     else:
         try:
-            value, ok = action.type(value), True
+            value, ok = flag.type(value), True
         except (TypeError, ValueError, OverflowError):
             ok = False
-    if ok and action.choices is not None:
-        ok = value in action.choices
+    if ok and flag.choices is not None:
+        ok = value in flag.choices
     if not ok:
-        raise SchemaError(f"config value {value!r} is not a valid {action.option_strings[0]}")
+        raise SchemaError(f"config value {value!r} is not a valid {flag.name}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .scene import LightLevel
-    from .scoring import BLACKOUT_THRESHOLD
+def _add_flags(parser: argparse.ArgumentParser, flags: tuple[Flag, ...], defaults: dict) -> None:
+    """Add the flags to the parser, each defaulting to its config value if
+    defaults holds one, else to its own default."""
+    for flag in flags:
+        kwargs: dict = {"help": flag.help}
+        if flag.switch:
+            kwargs.update(action="store_true", default=defaults.get(flag.dest, False))
+        else:
+            kwargs.update(type=flag.type, choices=flag.choices,
+                          default=defaults.get(flag.dest, flag.default))
+        if flag.required:
+            kwargs["required"] = True
+        parser.add_argument(flag.name, **kwargs)
 
+
+def build_parser(command: str | None = None, defaults: dict | None = None
+                 ) -> argparse.ArgumentParser:
+    """The command-line parser, its flags defaulting to defaults (config
+    values) where given.  It holds every command's parser, or only the
+    named command's, whose top-level usage still names all four."""
+    defaults = defaults or {}
+    # the width each help formatter would measure, measured once per parser
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="garagesim",
         description="Garage plan compiler and occlusion analyzer",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--config", help="JSON file of flag defaults", default=None)
-    parser.add_argument(
-        "--seedless", action="store_true",
-        help="accepted for scripting symmetry; the pipeline never uses randomness",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv", "human"), default="human",
-        help="stdout payload format where applicable",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_val = sub.add_parser("validate", help="check a plan document")
-    p_val.add_argument("spec", help="garage-spec/1 JSON file or CSV directory")
-
-    p_gen = sub.add_parser("generate", help="compile a plan into a scene")
-    p_gen.add_argument("spec")
-    p_gen.add_argument("--light", choices=[l.value for l in LightLevel], default="bright")
-    p_gen.add_argument("--occupancy", help="occupancy-plan/1 JSON file", default=None)
-    p_gen.add_argument("--prune-columns", default="",
-                       help="corners to drop, e.g. '1,1;2,3'")
-    p_gen.add_argument("--out", help="scene file (stdout when omitted)", default=None)
-    p_gen.add_argument("--obj", help="also write a box mesh OBJ here", default=None)
-
-    p_scn = sub.add_parser("scenario", help="build and run an occlusion case")
-    p_scn.add_argument("--case", required=True, help="1, 2 or 3")
-    p_scn.add_argument("--column-setback", type=float)
-    p_scn.add_argument("--lane-width", type=float)
-    p_scn.add_argument("--target-distance", type=float)
-    p_scn.add_argument("--column-offset", type=float)
-    p_scn.add_argument("--lane-distance", type=float)
-    p_scn.add_argument("--layout", default="close:large,far:small",
-                       help="case 3 slots, e.g. 'close:large,far:small'")
-    p_scn.add_argument("--light", choices=[l.value for l in LightLevel], default="bright")
-    p_scn.add_argument("--scene", default=None,
-                       help="scene/1 file to merge in as extra environment")
-    p_scn.add_argument("--step", type=float)
-    p_scn.add_argument("--fov", type=float)
-    p_scn.add_argument("--mount-height", type=float)
-    p_scn.add_argument("--aspect", type=float)
-    p_scn.add_argument("--weights", default=None, help="w_occ,w_blk,w_lit summing to 1")
-    p_scn.add_argument("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD)
-    p_scn.add_argument("--out", required=True, help="report/1 JSON output path")
-
-    p_sco = sub.add_parser("score", help="re-score an emitted report")
-    p_sco.add_argument("report", help="report/1 JSON file")
-    p_sco.add_argument("--weights", default=None, help="w_occ,w_blk,w_lit summing to 1")
-    p_sco.add_argument("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD)
-
+    _add_flags(parser, FLAGS[None], defaults)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else _COMMANDS_METAVAR)
+    for name, help_text in COMMANDS.items():
+        if command in (None, name):
+            _add_flags(sub.add_parser(name, help=help_text, formatter_class=formatter),
+                       FLAGS[name], defaults)
     return parser
+
+
+#: the top-level flags that take a value, and those that take none
+_VALUED = tuple(flag.name for flag in FLAGS[None] if not flag.switch)
+_SWITCHES = tuple(flag.name for flag in FLAGS[None] if flag.switch)
+
+
+def _named_command(argv: list[str]) -> str | None:
+    """The command that argv surely runs: the first argument after the
+    top-level flags (and their values) when each of those is spelled out in
+    full.  None where the command is missing or anything else comes first,
+    such as -h, --version or an abbreviated flag, whose value could look
+    like a command."""
+    k = 0
+    while k < len(argv):
+        tok = argv[k]
+        if tok in COMMANDS:
+            return tok
+        if tok in _VALUED:
+            k += 2
+        elif tok in _SWITCHES or tok.partition("=")[0] in _VALUED:
+            k += 1
+        else:
+            return None
+    return None
 
 
 def _cmd_validate(args) -> int:
@@ -234,15 +319,13 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _merge_scene(
-    base: SceneGraph, extra: SceneGraph, level: LightLevel | None = None
-) -> SceneGraph:
-    """Scenario scene plus extra environment, bounded by both, made from
-    their box tables in one copy: re-lit to level where one is given (the
-    same scene as apply_light_level of the merged one), else as it is and
-    bright.  Boxes whose bounds, or lamps over them, would lie past BOX_MAX
-    are a SchemaError."""
-    from .scene import LightLevel, _relit, _table_bounds, _table_scene
+def _merge_scene(base: SceneGraph, extra: SceneGraph, level: LightLevel) -> SceneGraph:
+    """Scenario scene plus extra environment, bounded by both and re-lit to
+    level, made from their box tables in one copy (the same scene as
+    apply_light_level of the two merged), with its index built.  Boxes
+    whose bounds, or lamps over them, would lie past BOX_MAX are a
+    SchemaError."""
+    from .scene import _merged
 
     tables = base._table_of(), extra._table_of()
     ids = set(tables[0].ids)
@@ -250,10 +333,7 @@ def _merge_scene(
         first = next(node_id for node_id in tables[1].ids if node_id in ids)
         raise SchemaError(f"--scene node id {first!r} collides with the scenario")
     try:
-        bounds = _table_bounds(*tables)
-        if level is None:
-            return _table_scene(tables[0] + tables[1], bounds, LightLevel.BRIGHT)
-        return _relit(tables, bounds, level)
+        return _merged(tables, level)
     except ValueError as exc:  # Box3's check, of the bounds or a lamp
         raise SchemaError(f"--scene boxes reach too far: {exc}") from exc
 
@@ -364,10 +444,9 @@ def _cmd_score(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config_defaults(parser, argv)
-        args = parser.parse_args(argv)
+        # only the parser of the command argv names, if it surely names one
+        args = build_parser(_named_command(argv), _config_defaults(argv)).parse_args(argv)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

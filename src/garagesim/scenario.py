@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 
 from .errors import ConstructionError, OptionError
 from .scene import (
@@ -27,9 +29,13 @@ from .scene import (
     SceneGraph,
     SceneNode,
     VEHICLE_SIZES,
+    _FloatTexts,
+    _as_float,
     _bounded,
+    _encode_str,
     _fold_bounds,
     _footprint,
+    _number_texts,
     apply_light_level,
     column_box,
     slab_box,
@@ -49,6 +55,7 @@ from .scoring import (
 from .visibility import (
     DEFAULT_SAMPLES_PER_EDGE,
     DEFAULT_STEP,
+    SWEEP_SCHEMA,
     CameraConfig,
     EgoPose,
     OcclusionSweep,
@@ -424,6 +431,14 @@ def relight(scn: Scenario, level: LightLevel) -> Scenario:
 
 def report_document(report: ScenarioReport) -> dict:
     return {
+        **_report_head(report),
+        "sweeps": {tid: sweep_document(sw) for tid, sw in report.sweeps.items()},
+    }
+
+
+def _report_head(report: ScenarioReport) -> dict:
+    """report_document less its sweeps."""
+    return {
         "schema": REPORT_SCHEMA,
         "scenario": {
             "schema": SCENARIO_SCHEMA,
@@ -433,9 +448,124 @@ def report_document(report: ScenarioReport) -> dict:
         "light_level": report.light_level.value,
         "score": report.score.to_document(),
         "stats": report.stats,
-        "sweeps": {tid: sweep_document(sw) for tid, sw in report.sweeps.items()},
     }
 
 
+# report/1's sweep records as json.dumps(indent=2, sort_keys=True) lays them
+# out in a report, keys sorted, each followed by a comma and a newline
+_SWEEP = """\
+    %s: {
+      "path": %s,
+      "samples": %s,
+      "schema": %s,
+      "step_m": %s,
+      "swept": %s
+    },
+"""
+_POSE = """\
+        {
+          "heading_rad": %s,
+          "x": %s,
+          "y": %s
+        },
+"""
+_SAMPLE = """\
+        {
+          "ego": {
+            "heading_rad": %s,
+            "x": %s,
+            "y": %s
+          },
+          "in_frustum": %s,
+          "occluders": %s,
+          "s_m": %s,
+          "target_id": %s,
+          "visible_fraction": %s
+        },
+"""
+_OCCLUDER = """\
+            [
+              %s,
+              %s
+            ],
+"""
+
+
+class _Unwritten(Exception):
+    """A report value that the fixed layout does not write as json does."""
+
+
+def _float_texts(values, floats: _FloatTexts) -> list[str]:
+    """The JSON text of each value: float.__repr__, for finite floats only
+    (TypeError for an int or any other type, _Unwritten for NaN or an
+    infinity, which json spells its own way)."""
+    numbers = array("d", map(_as_float, values))
+    if not all(map(math.isfinite, numbers)):
+        raise _Unwritten
+    return _number_texts(numbers, floats)
+
+
+def _bool_text(value) -> str:
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise _Unwritten
+
+
+def _bracketed(records: str, indent: str, brackets: str = "[]") -> str:
+    """records, each ending ",\n", in brackets, the closing one at indent,
+    as json writes a list or an object: bare brackets when there is none."""
+    if not records:
+        return brackets
+    return f"{brackets[0]}\n{records[:-2]}\n{indent}{brackets[1]}"
+
+
+def _occluders_text(occluders, floats: _FloatTexts) -> str:
+    if not occluders:
+        return "[]"
+    ids, fracs = [], []
+    for nid, frac in occluders:
+        ids.append(_encode_str(nid))
+        fracs.append(frac)
+    records = (_OCCLUDER * len(ids)) % tuple(chain.from_iterable(
+        zip(ids, _float_texts(fracs, floats))))
+    return _bracketed(records, " " * 10)
+
+
+def _sweep_text(tid: str, sw: OcclusionSweep, floats: _FloatTexts) -> str:
+    """One entry of report/1's sweeps, as sweep_document writes it there."""
+    step = sw.step
+    numbers, flags, occluders, ids = [], [], [], []
+    for k, s in enumerate(sw.samples):
+        ego = s.ego
+        numbers += (ego.heading, ego.position[0], ego.position[1], k * step, s.visible_fraction)
+        flags.append(_bool_text(s.in_frustum))
+        occluders.append(_occluders_text(s.occluders, floats))
+        ids.append(_encode_str(s.target_id))
+    t = _float_texts(numbers, floats)
+    samples = (_SAMPLE * len(ids)) % tuple(chain.from_iterable(
+        zip(t[0::5], t[1::5], t[2::5], flags, occluders, t[3::5], ids, t[4::5])))
+    p = _float_texts([v for pose in sw.path
+                      for v in (pose.heading, pose.position[0], pose.position[1])], floats)
+    path = (_POSE * len(sw.path)) % tuple(p)
+    return _SWEEP % (_encode_str(tid), _bracketed(path, " " * 6),
+                     _bracketed(samples, " " * 6), _encode_str(SWEEP_SCHEMA),
+                     *_float_texts([step], floats), _encode_str(sw.swept))
+
+
 def emit_report(report: ScenarioReport) -> str:
-    return json.dumps(report_document(report), indent=2, sort_keys=True) + "\n"
+    """report/1 text: json.dumps(report_document(report), indent=2,
+    sort_keys=True) and a newline.  The sweeps, nearly all of it, are
+    written from fixed-layout templates, and the rest by json.  Where a
+    sweep holds a value that is no finite float, str or bool where one is
+    expected (an int position, say, or a NaN), json writes it all."""
+    floats = _FloatTexts()
+    try:
+        sweeps = "".join([_sweep_text(tid, sw, floats)
+                          for tid, sw in sorted(report.sweeps.items())])
+    except (_Unwritten, TypeError):
+        return json.dumps(report_document(report), indent=2, sort_keys=True) + "\n"
+    head = json.dumps(_report_head(report), indent=2, sort_keys=True)
+    # "sweeps" sorts after every key of the head
+    return f'{head[:-2]},\n  "sweeps": {_bracketed(sweeps, "  ", "{}")}\n}}\n'

@@ -161,6 +161,16 @@ def _rows_pass(values: array) -> bool:
     return not (1 in high.translate(_PAST_MAX) or 1 in halves.translate(_NOT_HALF))
 
 
+def _check_rows(values: array) -> None:
+    """_check_box of every row of seven box values, in bulk (_rows_pass),
+    and row by row where that fails, so that the first bad row's error is
+    raised."""
+    if not _rows_pass(values):
+        for k in range(0, len(values), 7):
+            row = values[k:k + 7]
+            _check_box(row[:3], row[3:6], row[6])
+
+
 def _box(values) -> Box3:
     """The box of seven box values: centre, half extents and yaw."""
     return Box3(values[:3], values[3:6], values[6])
@@ -256,12 +266,8 @@ class _BoxTable:
         self.tags.append(tags)
 
     def check(self) -> None:
-        """_check_box of every row, in bulk (_rows_pass), and row by row
-        where that fails, so that the first bad row's error is raised."""
-        if not _rows_pass(self.values):
-            for k in range(0, len(self.values), 7):
-                row = self.values[k:k + 7]
-                _check_box(row[:3], row[3:6], row[6])
+        """_check_rows of the table's rows."""
+        _check_rows(self.values)
 
     def __add__(self, other: _BoxTable) -> _BoxTable:
         """This table's rows, then other's."""
@@ -426,19 +432,19 @@ def _table_scene(table: _BoxTable, bounds: Box3, light_level: LightLevel) -> Sce
     return scene
 
 
-def _table_bounds(*tables: _BoxTable) -> Box3:
-    """_fold_bounds of the AABBs of the tables' rows, in order, as
-    scenario._scene_from_nodes bounds the nodes of a scene.  The fold of
-    one bound ends on the first row holding that bound's extreme, the row
-    argmin or argmax names, and no row before it holds the extreme; so
-    folding just those rows, at most six and kept in order, gives the same
-    box."""
+def _table_bounds(*aabbs: np.ndarray) -> Box3:
+    """_fold_bounds of the rows of box tables' AABB columns (columns()[4]),
+    in order, as scenario._scene_from_nodes bounds the nodes of a scene.
+    The fold of one bound ends on the first row holding that bound's
+    extreme, the row argmin or argmax names, and no row before it holds the
+    extreme; so folding just those rows, at most six and kept in order,
+    gives the same box."""
     import numpy as np
 
-    aabbs = np.concatenate([table.columns()[4] for table in tables])
-    rows = (np.unique(np.concatenate([aabbs[:, :3].argmin(axis=0), aabbs[:, 3:].argmax(axis=0)]))
-            if len(aabbs) else [])
-    return _fold_bounds(aabbs[rows].tolist())
+    rows = np.concatenate(aabbs)
+    picked = (np.unique(np.concatenate([rows[:, :3].argmin(axis=0), rows[:, 3:].argmax(axis=0)]))
+              if len(rows) else [])
+    return _fold_bounds(rows[picked].tolist())
 
 
 @dataclass(frozen=True)
@@ -696,6 +702,30 @@ def _relit(tables, bounds: Box3, level: LightLevel) -> SceneGraph:
         relit.add(lamp_id, lamp, tags, (x, y, lamp_z, *half, 0.0))
     relit.check()
     return _table_scene(relit, bounds, level)
+
+
+def _merged(tables, level: LightLevel) -> SceneGraph:
+    """The scene of the rows of the tables, in order, bounded by all of
+    them and re-lit to level (_relit), with its index built.  Each row's
+    columns are computed once, for the bounds and the index alike, and
+    only the index's copies of the opaque rows outlive the call.  Bounds
+    past BOX_MAX, or lamps hung under them, are a ValueError."""
+    import numpy as np
+
+    from .visibility import SceneIndex
+
+    columns = [table.columns() for table in tables]
+    scene = _relit(tables, _table_bounds(*(own[4] for own in columns)), level)
+    # the relit rows keep every opaque row of the tables, in order (lamps,
+    # the rows it drops and adds, are not opaque)
+    masks = [table.kind_mask(OPAQUE_KINDS) for table in tables]
+    ids = [node_id for table, mask in zip(tables, masks)
+           for node_id in compress(table.ids, mask.tobytes())]
+    opaque = tuple(np.concatenate([own[k][mask] for own, mask in zip(columns, masks)])
+                   for k in range(5))
+    del columns
+    vars(scene)["index"] = SceneIndex(scene, (ids, opaque))
+    return scene
 
 
 def remove_node(scene: SceneGraph, node_id: str) -> SceneGraph:
@@ -988,10 +1018,12 @@ def _table_columns(table: _BoxTable, floats: _FloatTexts):
 
 def _node_columns(nodes: tuple[SceneNode, ...], floats: _FloatTexts):
     """_records' arguments for each _CHUNK nodes: the box values as they
-    are, so that an int is written as json writes it."""
+    are, so that an int is written as json writes it, once they pass the
+    box check as the table of the nodes would (a box need not be a Box3)."""
     for start in range(0, len(nodes), _CHUNK):
         chunk = nodes[start:start + _CHUNK]
         values = [v for n in chunk for v in (*n.box.center, *n.box.half_extents, n.box.yaw)]
+        _check_rows(array("d", values))
         yield (_value_texts(values, floats), [n.id for n in chunk],
                [_KIND_TEXTS[_KIND_CODES[n.kind]] for n in chunk], [n.tags for n in chunk])
 

@@ -181,11 +181,17 @@ class SceneIndex:
     exact AABB test runs on, never its answer.
     """
 
-    def __init__(self, scene: SceneGraph):
-        table = scene._table_of(OPAQUE_KINDS)
-        self.centers, self.halves, self.cos_yaw, self.sin_yaw, self.aabbs = table.columns()
-        self.ids: list[str] = table.ids
-        del table  # its box values, copied into the columns, go before the grid work
+    def __init__(self, scene: SceneGraph, opaque=None):
+        """The index of the scene's opaque boxes.  opaque, where given, is
+        their ids and their columns, as _BoxTable.columns gives them; the
+        index keeps these as they are."""
+        if opaque is None:
+            table = scene._table_of(OPAQUE_KINDS)
+            opaque = table.ids, table.columns()
+            del table  # its box values, copied into the columns, go before the grid work
+        self.ids: list[str] = opaque[0]
+        self.centers, self.halves, self.cos_yaw, self.sin_yaw, self.aabbs = opaque[1]
+        del opaque
         self._build_grid()
         # built last, so the peak memory of the grid work stays below what
         # the index keeps

@@ -20,24 +20,35 @@ distances can check it, and ``per_sample_loop``, the sample loop with one
 broadphase query per sample, asks the engine's camera, hull, broadphase
 query and slab test, each checked on its own, so it checks how the loop
 puts them together.  ``emit_sweep`` writes the engine's sweep/1 document
-as text, the form the golden digests pin.
+as text, the form the golden digests pin.  ``merge_scene`` is the
+``--scene`` merge without re-lighting, from the engine's box tables and
+table bounds, the plain merge that the one-copy merge must match.
+``build_parser`` is the command line's parser with every command's flags
+built and ``parse_command_line`` its parse as the CLI ran it, with --config
+applied through argparse's own actions: the bytes and exit codes that the
+per-command parser must match.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from garagesim.classify import ParkSubtype
-from garagesim.errors import PlanError, SchemaError
+from garagesim import __version__
+from garagesim.errors import JSON_TOO_DEEP, PlanError, SchemaError
 from garagesim.grid import CellKind, Direction
 from garagesim.scene import (
     CEILING_HEIGHT, CEILING_THICKNESS, COLUMN_SIZE, FLOOR_THICKNESS, LAMP_SIZE, MARKING_INSET,
     MARKING_THICKNESS, VEHICLE_SIZES, Box3, LightLevel, NodeKind, SceneGraph, SceneNode,
     SynthOptions, column_box, slab_box, vehicle_box,
 )
+from garagesim.scoring import BLACKOUT_THRESHOLD
 from garagesim.visibility import VisibilitySample, _hull_2d, make_camera
 
 N, E, S, W = Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST
@@ -658,3 +669,152 @@ def emit_sweep(sw) -> str:
     from garagesim.visibility import sweep_document
 
     return json.dumps(sweep_document(sw), indent=2, sort_keys=True) + "\n"
+
+
+# --- the --scene merge without re-lighting -----------------------------------------------
+
+
+def merge_scene(base: SceneGraph, extra: SceneGraph) -> SceneGraph:
+    """The scenario scene plus extra environment, bounded by both and
+    bright, made from their box tables: the scenario's rows, then the
+    extra ones.  A colliding id, or bounds past BOX_MAX, is a SchemaError."""
+    from garagesim.scene import _table_bounds, _table_scene
+
+    tables = base._table_of(), extra._table_of()
+    ids = set(tables[0].ids)
+    if not ids.isdisjoint(tables[1].ids):
+        first = next(node_id for node_id in tables[1].ids if node_id in ids)
+        raise SchemaError(f"--scene node id {first!r} collides with the scenario")
+    try:
+        bounds = _table_bounds(*(table.columns()[4] for table in tables))
+    except ValueError as exc:
+        raise SchemaError(f"--scene boxes reach too far: {exc}") from exc
+    return _table_scene(tables[0] + tables[1], bounds, LightLevel.BRIGHT)
+
+
+# --- the command line's parser, every command built -------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="garagesim",
+        description="Garage plan compiler and occlusion analyzer",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--config", help="JSON file of flag defaults", default=None)
+    parser.add_argument(
+        "--seedless", action="store_true",
+        help="accepted for scripting symmetry; the pipeline never uses randomness",
+    )
+    parser.add_argument(
+        "--format", choices=("json", "csv", "human"), default="human",
+        help="stdout payload format where applicable",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_val = sub.add_parser("validate", help="check a plan document")
+    p_val.add_argument("spec", help="garage-spec/1 JSON file or CSV directory")
+
+    p_gen = sub.add_parser("generate", help="compile a plan into a scene")
+    p_gen.add_argument("spec")
+    p_gen.add_argument("--light", choices=[l.value for l in LightLevel], default="bright")
+    p_gen.add_argument("--occupancy", help="occupancy-plan/1 JSON file", default=None)
+    p_gen.add_argument("--prune-columns", default="",
+                       help="corners to drop, e.g. '1,1;2,3'")
+    p_gen.add_argument("--out", help="scene file (stdout when omitted)", default=None)
+    p_gen.add_argument("--obj", help="also write a box mesh OBJ here", default=None)
+
+    p_scn = sub.add_parser("scenario", help="build and run an occlusion case")
+    p_scn.add_argument("--case", required=True, help="1, 2 or 3")
+    p_scn.add_argument("--column-setback", type=float)
+    p_scn.add_argument("--lane-width", type=float)
+    p_scn.add_argument("--target-distance", type=float)
+    p_scn.add_argument("--column-offset", type=float)
+    p_scn.add_argument("--lane-distance", type=float)
+    p_scn.add_argument("--layout", default="close:large,far:small",
+                       help="case 3 slots, e.g. 'close:large,far:small'")
+    p_scn.add_argument("--light", choices=[l.value for l in LightLevel], default="bright")
+    p_scn.add_argument("--scene", default=None,
+                       help="scene/1 file to merge in as extra environment")
+    p_scn.add_argument("--step", type=float)
+    p_scn.add_argument("--fov", type=float)
+    p_scn.add_argument("--mount-height", type=float)
+    p_scn.add_argument("--aspect", type=float)
+    p_scn.add_argument("--weights", default=None, help="w_occ,w_blk,w_lit summing to 1")
+    p_scn.add_argument("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD)
+    p_scn.add_argument("--out", required=True, help="report/1 JSON output path")
+
+    p_sco = sub.add_parser("score", help="re-score an emitted report")
+    p_sco.add_argument("report", help="report/1 JSON file")
+    p_sco.add_argument("--weights", default=None, help="w_occ,w_blk,w_lit summing to 1")
+    p_sco.add_argument("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD)
+
+    return parser
+
+
+def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Optional JSON config file provides flag defaults; flags override it."""
+    path = None
+    for k, tok in enumerate(argv):
+        if tok == "--config" and k + 1 < len(argv):
+            path = argv[k + 1]
+        elif tok.startswith("--config="):
+            path = tok.split("=", 1)[1]
+    if path is None:
+        return
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read config {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"cannot read config {path}: {JSON_TOO_DEEP}") from exc
+    if not isinstance(raw, dict):
+        raise SchemaError("config file must hold a JSON object")
+    defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
+    subs = [sub for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction) for sub in action.choices.values()]
+    flags = [a for p in (parser, *subs) for a in p._actions if a.option_strings
+             and isinstance(a, (argparse._StoreAction, argparse._StoreConstAction))]
+    unknown = sorted(set(defaults) - {a.dest for a in flags})
+    if unknown:
+        raise SchemaError(f"no flag for config key(s) {', '.join(map(repr, unknown))}")
+    for action in flags:
+        if action.dest in defaults:
+            defaults[action.dest] = _config_value(action, defaults[action.dest])
+    parser.set_defaults(**defaults)
+    for sub in subs:
+        own = {a.dest for a in sub._actions}
+        sub.set_defaults(**{k: v for k, v in defaults.items() if k in own})
+
+
+def _config_value(action: argparse.Action, value):
+    if isinstance(action, argparse._StoreConstAction):
+        ok = isinstance(value, bool)
+    elif action.type is None:
+        ok = isinstance(value, str)
+    elif isinstance(value, bool):
+        ok = False
+    else:
+        try:
+            value, ok = action.type(value), True
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+    if ok and action.choices is not None:
+        ok = value in action.choices
+    if not ok:
+        raise SchemaError(f"config value {value!r} is not a valid {action.option_strings[0]}")
+    return value
+
+
+def parse_command_line(argv: list[str]) -> tuple[int, argparse.Namespace | None]:
+    """The exit code of the command line's parse (0 where it parses) and
+    its arguments, printing what the CLI printed on a parse that ends it."""
+    parser = build_parser()
+    try:
+        _apply_config_defaults(parser, argv)
+        return 0, parser.parse_args(argv)
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2, None
+    except SystemExit as exc:
+        return int(exc.code or 0), None

@@ -42,8 +42,11 @@ from garagesim.scene import (
     _BoxTable,
 )
 from garagesim.scene import _table_scene as _scene_of_table
+from garagesim.visibility import CameraConfig, EgoPose, visible_fraction
 from conftest import random_spec
-from oracles import import_scene_two_pass, populate_vehicles_nodes, scene_json, synthesize_nodes
+from oracles import (
+    import_scene_two_pass, merge_scene, populate_vehicles_nodes, scene_json, synthesize_nodes,
+)
 
 
 def _grid(side: int = 6):
@@ -69,7 +72,7 @@ def _garage_text(seed: int = 7, side: int = 6) -> str:
 
 
 def _merged():
-    return cli._merge_scene(build_case1().scene, import_scene(_garage_text()))
+    return merge_scene(build_case1().scene, import_scene(_garage_text()))
 
 
 # each a scene made from its table, and the nodes its copy is made from
@@ -160,7 +163,7 @@ def test_scene_reads_agree_with_a_scene_built_from_nodes(name):
 
 def test_merged_scene_is_the_scenario_then_the_garage():
     base, extra = build_case1().scene, import_scene(_garage_text())
-    merged = cli._merge_scene(base, extra)
+    merged = merge_scene(base, extra)
     assert merged == _scene_from_nodes([*base.nodes, *import_scene_two_pass(_garage_text()).nodes])
     assert merged.light_level is LightLevel.BRIGHT
 
@@ -181,16 +184,24 @@ def test_merge_with_a_level_relights_in_the_one_copy(level, monkeypatch):
     # the scene apply_light_level makes of the merged one, from one pass
     # over the two tables: no joined table is copied again to re-light it
     base, extra = build_case1().scene, import_scene(_garage_text())
-    want = apply_light_level(cli._merge_scene(base, extra), level)
+    want = apply_light_level(merge_scene(base, extra), level)
     passes = []
     joined = _BoxTable.joined.__func__
     monkeypatch.setattr(_BoxTable, "joined", classmethod(
         lambda cls, parts: passes.append(1) or joined(cls, parts)))
     monkeypatch.setattr(_BoxTable, "__add__", None)
+    # each table's columns are computed once, for the bounds and the index
+    tables = []
+    columns = _BoxTable.columns
+    monkeypatch.setattr(_BoxTable, "columns", lambda table: tables.append(table) or columns(table))
     got = cli._merge_scene(base, extra, level)
     assert passes == [1]
+    assert len(tables) == 2 and tables[0].ids == base._table_of().ids
     assert "nodes" not in vars(got)
     assert got.bounds == want.bounds and got.light_level is want.light_level is level
+    index = got.index
+    assert len(tables) == 2, "the merge built the index"
+    _assert_index_of(index, want.nodes)
     assert export_scene(got) == export_scene(want)
     assert got.nodes == want.nodes
 
@@ -201,9 +212,9 @@ def test_merge_collision_names_the_first_colliding_id():
                              for node_id in ("fresh", "col-corner", "floor", "veh-target")),
                        base.bounds, LightLevel.BRIGHT)
     for other in (extra, import_scene(export_scene(extra))):
-        for level in (None, LightLevel.DIM):
+        for merge in (merge_scene, lambda *scenes: cli._merge_scene(*scenes, LightLevel.DIM)):
             with pytest.raises(SchemaError) as err:
-                cli._merge_scene(base, other, level)
+                merge(base, other)
             assert str(err.value) == "--scene node id 'col-corner' collides with the scenario"
 
 
@@ -400,6 +411,23 @@ def test_node_boxes_get_the_box_check_in_the_table():
                        Box3((6.0, 0.0, 1.5), (1.0, 1.0, 1.5)), LightLevel.BRIGHT)
     with pytest.raises(ValueError, match="finite real numbers"):
         scene.index
+
+
+@pytest.mark.parametrize("half", [(0.3, math.inf, 1.5), (0.3, 1, math.nan), (-1.0, 1.0, 1.0),
+                                  (0.3, 2.0**129, 1.5)])
+def test_node_scene_export_gets_the_box_check(half):
+    # the scene/1 writer checks a node scene's box values as the table of
+    # its nodes would, so it raises the error the ray test raises rather
+    # than write "inf" or "nan", which no JSON reader takes
+    box = namedtuple("Box", "center half_extents yaw")((6.0, 0, 1.5), half, 0.0)
+    target = SceneNode("veh", NodeKind.VEHICLE, Box3((12.0, 0.0, 1.0), (1.0, 1.0, 1.0)))
+    scene = SceneGraph((SceneNode("col", NodeKind.COLUMN, box), target), target.box,
+                       LightLevel.BRIGHT)
+    with pytest.raises(ValueError) as want:
+        visible_fraction(scene, EgoPose((0.0, 0.0), 0.0), CameraConfig(), "veh")
+    with pytest.raises(ValueError) as got:
+        export_scene(scene)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("entries", [

@@ -1,12 +1,17 @@
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from garagesim import cli
 from garagesim.cli import main
 from garagesim.grid import GarageSpec, emit_garage_spec
-from garagesim.scene import import_scene
+from garagesim.scene import LightLevel, import_scene
+from oracles import parse_command_line
 
 
 ALL_LANE_3X3 = GarageSpec(
@@ -574,3 +579,151 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, make_argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "nested too deeply" in err[0], err
     assert not out.exists()
+
+
+# --- the per-command parser against the full one ------------------------------------
+
+
+def _outcome(run, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code, args = run(argv)
+    return code, out.getvalue(), err.getvalue(), args
+
+
+@pytest.fixture
+def same_parse(monkeypatch):
+    """Checks that main parses argv as the full parser does: the same exit
+    code, stdout and stderr, and where the parse succeeds the same values of
+    the flags the command has.  Every command's handler is replaced by one
+    that records its arguments, so nothing runs; help is 80 columns wide."""
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    for name in ("_cmd_validate", "_cmd_generate", "_cmd_scenario", "_cmd_score"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+
+    def run_main(argv):
+        seen.clear()
+        return main(argv), (seen[0] if seen else None)
+
+    def check(argv):
+        code, out, err, args = _outcome(run_main, argv)
+        want = _outcome(parse_command_line, argv)
+        assert (code, out, err) == want[:3]
+        assert (args is None) == (want[3] is None)
+        if args is not None:
+            # the full parser also takes config values for other commands' flags
+            assert vars(args).items() <= vars(want[3]).items()
+            assert set(vars(args)) == {"command"} | {
+                flag.dest for flag in cli.FLAGS[None] + cli.FLAGS[args.command]}
+        return code, out, err
+
+    return check
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["--version"], ["--help", "scenario"], ["--version", "score", "r.json"],
+    [], ["bogus"], ["scenario"], ["validate"], ["score", "--weights", "1,0,0"],
+    ["validate", "--help"], ["generate", "--help"], ["scenario", "--help"], ["score", "-h"],
+    ["scenario", "--case", "1"], ["scenario", "--case", "1", "--out", "r.json", "--bogus"],
+    ["scenario", "--case", "1", "--out", "r.json", "--light", "neon"],
+    ["scenario", "--case", "1", "--out", "r.json", "--step", "fast"],
+    ["score", "r.json", "--weights"], ["score", "r.json", "--format", "json"],
+    ["--format", "xml", "validate", "p.json"], ["--format", "--help", "validate", "p.json"],
+    ["--conf", "c.json", "score", "r.json"], ["--conf", "scenario", "score", "r.json"],
+    ["--form", "score", "validate", "p.json"], ["--form", "json", "score"],
+    ["--config=score", "validate", "p.json"], ["--config"], ["--seedless=1", "validate", "p"],
+    ["--", "validate", "p.json"], ["-x", "validate", "p.json"],
+    ["--seedless", "--format=csv", "score", "r.json", "--blackout-threshold", "0.3"],
+    ["--format", "json", "scenario", "--case", "3", "--layout", "close:small", "--out", "r.json"],
+    ["generate", "p.json", "--light", "dim", "--prune-columns", "1,1", "--obj", "m.obj"],
+])
+def test_parse_matches_the_full_parser(same_parse, argv):
+    same_parse(argv)
+
+
+def test_help_lists_every_command_and_prints_at_any_width(same_parse, monkeypatch):
+    code, out, _ = same_parse(["--help"])
+    assert code == 0 and "{validate,generate,scenario,score}" in out
+    for command, text in cli.COMMANDS.items():
+        assert re.search(rf"^    {command} +{re.escape(text)}$", out, re.M), command
+    monkeypatch.setenv("COLUMNS", "200")
+    for argv in (["--help"], ["scenario", "--help"], ["score", "/r.json", "--bad"]):
+        same_parse(argv)
+
+
+BIG_STEP = '{"step": %s}' % BIG
+DEEP_STEP = '{"step": %s}' % ("[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("config, command", [
+    # each --config error of the tests above
+    ({"step": [1]}, ["scenario", "--case", "1", "--out", "r.json"]),
+    ({"step": True}, ["scenario", "--case", "1", "--out", "r.json"]),
+    ({"weights": 5}, ["scenario", "--case", "1", "--out", "r.json"]),
+    ({"light": "neon"}, ["scenario", "--case", "1", "--out", "r.json"]),
+    ({"layout": 5}, ["scenario", "--case", "3", "--out", "r.json"]),
+    ({"layout": [["close", "large"]]}, ["scenario", "--case", "3", "--out", "r.json"]),
+    ({"prune_columns": 5}, ["generate", "p.json", "--out", "r.json"]),
+    ({"format": "xml"}, ["validate", "p.json"]),
+    ({"seedless": "yes"}, ["validate", "p.json"]),
+    ("[1,2,3]", ["validate", "p.json"]),
+    ({"stpe": 0.01, "weigths": "1,0,0"}, ["scenario", "--case", "1", "--out", "r.json"]),
+    (BIG_STEP, ["scenario", "--case", "1", "--out", "r.json"]),
+    (DEEP_STEP, ["scenario", "--case", "1", "--out", "r.json"]),
+    ("{", ["score", "r.json"]),
+    ({"spec": "p.json"}, ["validate"]),
+    ({"help": True}, ["score", "r.json"]),
+    ({"blackout_threshold": "high", "format": "xml"}, ["score", "r.json"]),
+    # and config values that every parser takes, those of other commands' flags too
+    ({"blackout_threshold": 0.25}, ["scenario", "--case", "1", "--out", "r.json"]),
+    ({"step": 5.0, "light": "dim"}, ["scenario", "--case", "1", "--out", "r.json"]),
+    ({"step": 5.0, "light": "dim"}, ["scenario", "--case", "1", "--step", "0.5",
+                                     "--light", "bright", "--out", "r.json"]),
+    ({"format": "json", "seedless": True}, ["validate", "p.json"]),
+    ({"light": "clear", "blackout-threshold": "0.5", "prune_columns": "1,1"}, ["score", "r.json"]),
+    ({"config": "other.json", "case": "2", "out": "x.json"}, ["scenario", "--case", "1"]),
+])
+def test_config_parse_matches_the_full_parser(same_parse, tmp_path, config, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+    for argv in (["--config", str(cfg), *command], [f"--config={cfg}", *command],
+                 [*command, "--config", str(cfg)], ["--conf", str(cfg), *command]):
+        same_parse(argv)
+
+
+_TOKENS = ["validate", "generate", "scenario", "score", "-h", "--help", "--version", "--config",
+           "--config=CFG", "CFG", "--conf", "--form", "--format", "--format=json", "json", "xml",
+           "--seedless", "--case", "1", "--out", "r.json", "--step", "0.5", "--light", "dim",
+           "--weights", "1,0,0", "--blackout-threshold", "--layout", "--", "-x", "p.json"]
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(_TOKENS), max_size=7))
+def test_any_command_line_parses_as_the_full_parser_does(same_parse, tmp_path, tokens):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"light": "clear", "blackout_threshold": 0.25, "step": 2.0}),
+                   encoding="utf-8")
+    same_parse([token.replace("CFG", str(cfg)) for token in tokens])
+
+
+def test_flag_table_light_levels_are_the_library_levels():
+    for command in ("generate", "scenario"):
+        light = next(flag for flag in cli.FLAGS[command] if flag.name == "--light")
+        assert light.choices == tuple(level.value for level in LightLevel)
+
+
+def test_each_call_builds_the_flags_of_its_command_only(monkeypatch):
+    # nothing is kept between calls: each builds what a fresh process builds,
+    # the top level's flags and those of the command argv names
+    built = []
+    add_flags = cli._add_flags
+    monkeypatch.setattr(cli, "_add_flags", lambda parser, *rest: built.append(parser.prog)
+                        or add_flags(parser, *rest))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        for _ in range(2):
+            main(["--format", "json", "score", "/no/report.json"])
+        assert built == ["garagesim", "garagesim score"] * 2
+        built.clear()
+        main(["--help"])
+    assert built == ["garagesim", *(f"garagesim {command}" for command in cli.COMMANDS)]

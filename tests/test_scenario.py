@@ -2,8 +2,13 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+
+from garagesim import scenario as scenario_module
 
 from garagesim import visibility
 from garagesim.errors import ConstructionError, OptionError, SchemaError
@@ -490,3 +495,99 @@ class TestRunAndReport:
         fr = [s.visible_fraction for s in sw.samples]
         assert st["min_visible_fraction"] == min(fr)
         assert st["mean_visible_fraction"] == pytest.approx(sum(fr) / len(fr))
+
+
+# --- report/1 text: the fixed-layout writer against json ---------------------------
+
+
+def _json_report(report) -> str:
+    return json.dumps(report_document(report), indent=2, sort_keys=True) + "\n"
+
+
+_BASE_REPORT = run_scenario(build_case1(), step=2.0)
+
+# finite floats, those json and float.__repr__ spell alike, with the edges
+_PLAIN = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1e308]))
+# what the layout leaves to json: ints, NaN and the infinities, bools
+_ODD = st.one_of(st.integers(-2, 10**20), st.sampled_from([math.nan, math.inf, -math.inf,
+                                                          True, False]))
+_IDS = st.one_of(st.text(st.sampled_from('ab-"\\/\u00e9\u6f22\U0001f697\n\t\x00\x7f'),
+                         max_size=6),
+                 st.sampled_from(["veh-target", 'q"uote', "back\\slash", "\u00fcn\u00ef"]))
+
+
+@st.composite
+def _reports(draw):
+    """A report of drawn sweeps: all plain finite floats, or odd values
+    mixed in at random."""
+    number = st.one_of(_PLAIN, _PLAIN, _ODD) if draw(st.booleans()) else _PLAIN
+    pose = st.builds(EgoPose, st.tuples(number, number), number)
+    sample = st.builds(
+        VisibilitySample, ego=pose, target_id=_IDS, visible_fraction=number,
+        in_frustum=st.booleans(),
+        occluders=st.one_of(st.just(()), st.lists(st.tuples(_IDS, number), max_size=3).map(tuple),
+                            st.lists(st.tuples(_IDS, number), min_size=20, max_size=40).map(tuple)))
+    one = st.builds(OcclusionSweep, samples=st.lists(sample, max_size=6).map(tuple), step=number,
+                    path=st.lists(pose, max_size=3).map(tuple),
+                    swept=st.sampled_from(["ego", "target"]))
+    return replace(_BASE_REPORT, sweeps=draw(st.dictionaries(_IDS, one, max_size=3)))
+
+
+@given(_reports())
+@example(_BASE_REPORT)
+@example(run_scenario(build_case1(), step=1))  # an int step makes every s_m an int
+@example(run_scenario(build_case2(), step=0.7))  # swept "target"
+@example(replace(_BASE_REPORT, sweeps={}))
+def test_emit_report_is_json_dumps_of_the_document(report):
+    assert emit_report(report) == _json_report(report)
+
+
+def _one_sample(**fields) -> dict:
+    sample = VisibilitySample(ego=EgoPose((0.5, -0.0), 0.25), target_id="t",
+                              visible_fraction=0.5, in_frustum=False, occluders=())
+    return {"t": OcclusionSweep(samples=(replace(sample, **fields),), step=0.5,
+                                path=(EgoPose((0.0, 0.0), 0.0),))}
+
+
+@pytest.mark.parametrize("sweeps", [
+    _one_sample(ego=EgoPose((0, 0), 0)),  # a one-pose path of int positions
+    _one_sample(visible_fraction=math.nan),  # json writes NaN, float.__repr__ nan
+    _one_sample(occluders=(("col", math.inf),)),
+    _one_sample(visible_fraction=np.float64(0.25)),  # a float subclass: json writes its repr
+    _one_sample(visible_fraction=True),
+    _one_sample(target_id=type("Id", (str,), {})("t")),
+    _one_sample(target_id=7),
+    {7: _one_sample()["t"]},
+], ids=["int-positions", "nan", "inf-occluder", "float64", "bool-fraction", "str-subclass",
+        "int-id", "int-key"])
+def test_odd_values_give_json_bytes(sweeps):
+    report = replace(_BASE_REPORT, sweeps=sweeps)
+    assert emit_report(report) == _json_report(report)
+
+
+@pytest.mark.parametrize("sweeps", [
+    _one_sample(in_frustum=np.bool_(True)),
+    {("tuple", "id"): _one_sample()["t"]},
+    {"a": _one_sample()["t"], 7: _one_sample()["t"]},
+])
+def test_values_json_cannot_write_raise_as_json_raises(sweeps):
+    report = replace(_BASE_REPORT, sweeps=sweeps)
+    with pytest.raises(TypeError) as want:
+        _json_report(report)
+    with pytest.raises(TypeError) as got:
+        emit_report(report)
+    assert str(got.value) == str(want.value)
+
+
+def test_plain_reports_write_their_sweeps_from_the_templates(monkeypatch):
+    # a report of plain floats, strs and bools never builds a sweep document
+    reports = [run_scenario(build_case1()), run_scenario(build_case2()),
+               run_scenario(build_case3([("close", "large"), ("far", "small")]))]
+    want = [_json_report(report) for report in reports]
+
+    def no_document(sw):
+        raise AssertionError("the sweep went through json")
+
+    monkeypatch.setattr(scenario_module, "sweep_document", no_document)
+    assert [emit_report(report) for report in reports] == want

@@ -891,13 +891,13 @@ class TestFoldBounds:
         that hold an extreme, and gets the per-box fold's floats."""
         def fold(boxes):
             nodes = [SceneNode(f"n{k}", NodeKind.COLUMN, b) for k, b in enumerate(boxes)]
-            return _table_bounds(_BoxTable.of_nodes(nodes))
+            return _table_bounds(_BoxTable.of_nodes(nodes).columns()[4])
 
         assert _outcome(fold, boxes) == _outcome(fold_bounds, boxes)
 
     def test_no_boxes_is_a_value_error(self):
         for bound in (lambda: _fold_bounds([]), lambda: _fold_bounds(iter(())),
-                      lambda: _table_bounds(_BoxTable()), lambda: _scene_from_nodes([])):
+                      lambda: _table_bounds(_BoxTable().columns()[4]), lambda: _scene_from_nodes([])):
             with pytest.raises(ValueError, match="no boxes to bound"):
                 bound()
 
