@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .errors import JSON_TOO_DEEP, GarageError, OptionError, SchemaError, SpecParseError
-from .grid import load_garage_spec, validate
+from .grid import _read_text, load_garage_spec, validate
 # loaded with the package already: the flag table's light levels and default
 from .scene import LightLevel
 from .scoring import BLACKOUT_THRESHOLD
@@ -161,7 +161,7 @@ def _config_defaults(argv: list[str]) -> dict:
     if path is None:
         return {}
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(_read_text(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     except RecursionError as exc:
@@ -298,7 +298,7 @@ def _cmd_generate(args) -> int:
     )
     scene = synthesize(grid, options)
     if args.occupancy:
-        plan = parse_occupancy_plan(Path(args.occupancy).read_text(encoding="utf-8"))
+        plan = parse_occupancy_plan(_read_text(args.occupancy))
         scene = populate_vehicles(scene, grid, plan)
     doc = export_scene(scene, "scene-json")
     # counted from the scene's box table, which builds no nodes
@@ -327,7 +327,7 @@ def _merge_scene(base: SceneGraph, extra: SceneGraph, level: LightLevel) -> Scen
     SchemaError."""
     from .scene import _merged
 
-    tables = base._table_of(), extra._table_of()
+    tables = base._table, extra._table
     ids = set(tables[0].ids)
     if not ids.isdisjoint(tables[1].ids):
         first = next(node_id for node_id in tables[1].ids if node_id in ids)
@@ -383,7 +383,7 @@ def _cmd_scenario(args) -> int:
         # merged and re-lit in one copy; held by no name, so the imported
         # table goes once merged
         scn = replace(scn, scene=_merge_scene(
-            scn.scene, import_scene(Path(args.scene).read_text(encoding="utf-8")),
+            scn.scene, import_scene(_read_text(args.scene)),
             LightLevel(args.light)))
     else:
         scn = relight(scn, LightLevel(args.light))
@@ -420,7 +420,7 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_score(args) -> int:
     try:
-        doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(args.report))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid report JSON: {exc.msg}") from exc
     except RecursionError as exc:

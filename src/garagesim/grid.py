@@ -12,6 +12,7 @@ world +x.  A quarter-turn of the plan maps north onto east.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 from dataclasses import dataclass
@@ -230,18 +231,29 @@ def emit_garage_spec(spec: GarageSpec) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file.  A file that is not UTF-8 raises an
+    OSError (EILSEQ) naming it, as a file that cannot be read does, so that
+    every reader reports both alike."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                      str(path)) from exc
+
+
 def load_garage_spec(path: str | Path) -> GarageSpec:
     """Load a plan from a garage-spec/1 JSON file, or from a directory
     holding the CSV fallback trio (structure.csv, rows.csv, cols.csv)."""
     p = Path(path)
     if p.is_dir():
         return load_garage_spec_csv(p / "structure.csv", p / "rows.csv", p / "cols.csv")
-    return parse_garage_spec(p.read_text(encoding="utf-8"))
+    return parse_garage_spec(_read_text(p))
 
 
 def _csv_tokens(path: Path) -> list[list[str]]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(path)
     except OSError as exc:
         raise SpecParseError(f"cannot read {path}: {exc}") from exc
     rows = []

@@ -30,7 +30,6 @@ from .scene import (
     SceneNode,
     VEHICLE_SIZES,
     _FloatTexts,
-    _as_float,
     _bounded,
     _encode_str,
     _fold_bounds,
@@ -120,6 +119,8 @@ def _shell(x0: float, y0: float, x1: float, y1: float) -> list[SceneNode]:
 
 
 def _scene_from_nodes(nodes: list[SceneNode]) -> SceneGraph:
+    """The case builders' scene of the given nodes, tabled, bounded by
+    their boxes and lit bright."""
     return SceneGraph(
         nodes=tuple(nodes),
         bounds=_fold_bounds(n.box.aabb for n in nodes),
@@ -499,7 +500,7 @@ def _float_texts(values, floats: _FloatTexts) -> list[str]:
     """The JSON text of each value: float.__repr__, for finite floats only
     (TypeError for an int or any other type, _Unwritten for NaN or an
     infinity, which json spells its own way)."""
-    numbers = array("d", map(_as_float, values))
+    numbers = array("d", map(float.__float__, values))
     if not all(map(math.isfinite, numbers)):
         raise _Unwritten
     return _number_texts(numbers, floats)

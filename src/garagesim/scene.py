@@ -15,7 +15,7 @@ import functools
 import json
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress
 from typing import TYPE_CHECKING
@@ -123,7 +123,7 @@ def _bounded(values) -> bool:
 
 def _check_box(center, half, yaw) -> None:
     """The one check of a box's values, which Box3 makes and every row that
-    synthesis, vehicle placement, re-lighting and of_nodes put in a box
+    synthesis, vehicle placement, re-lighting and SceneGraph put in a box
     table gets (_BoxTable.check): ValueError unless all seven are real
     numbers of magnitude at most BOX_MAX and the half extents are
     positive."""
@@ -159,16 +159,6 @@ def _rows_pass(values: array) -> bool:
         high = data[_HIGH::8].tobytes()
     halves = high[3::7] + high[4::7] + high[5::7]
     return not (1 in high.translate(_PAST_MAX) or 1 in halves.translate(_NOT_HALF))
-
-
-def _check_rows(values: array) -> None:
-    """_check_box of every row of seven box values, in bulk (_rows_pass),
-    and row by row where that fails, so that the first bad row's error is
-    raised."""
-    if not _rows_pass(values):
-        for k in range(0, len(values), 7):
-            row = values[k:k + 7]
-            _check_box(row[:3], row[3:6], row[6])
 
 
 def _box(values) -> Box3:
@@ -218,7 +208,7 @@ _KINDS = tuple(NodeKind)
 _KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 _NODE_CODES = {kind.value: code for code, kind in enumerate(_KINDS)}
 _FLOOR_CODE = _KIND_CODES[NodeKind.FLOOR_TILE]
-#: rows a box table turns into nodes at a time
+#: rows a box table turns into nodes, or scene/1 records, at a time
 _CHUNK = 1024
 
 
@@ -236,16 +226,6 @@ class _BoxTable:
         self.tags: list[dict[str, str]] = [] if tags is None else tags
         self.values: array = array("d") if values is None else values
         self._rows: dict[str, int] | None = None
-
-    @classmethod
-    def of_nodes(cls, nodes) -> _BoxTable:
-        """The table of the given nodes, checked (a box value that is no
-        float, an int say, is stored as the float it converts to)."""
-        table = cls([n.id for n in nodes], array("B", [_KIND_CODES[n.kind] for n in nodes]),
-                    [n.tags for n in nodes], array("d", chain.from_iterable(
-                        (*n.box.center, *n.box.half_extents, n.box.yaw) for n in nodes)))
-        table.check()
-        return table
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -266,8 +246,12 @@ class _BoxTable:
         self.tags.append(tags)
 
     def check(self) -> None:
-        """_check_rows of the table's rows."""
-        _check_rows(self.values)
+        """_check_box of every row, in bulk (_rows_pass), and row by row
+        where that fails, so that the first bad row's error is raised."""
+        if not _rows_pass(self.values):
+            for k in range(0, len(self.values), 7):
+                row = self.values[k:k + 7]
+                _check_box(row[:3], row[3:6], row[6])
 
     def __add__(self, other: _BoxTable) -> _BoxTable:
         """This table's rows, then other's."""
@@ -348,52 +332,34 @@ class _BoxTable:
                         self.tags[start:stop]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SceneGraph:
-    """An ordered scene of boxes.
+    """An ordered scene of boxes, held as one box table, which the ray-test
+    index, the bounds of a merge, re-lighting, vehicle placement and the
+    scene/1 writer read.  SceneGraph(nodes, bounds, light_level) tables the
+    nodes at once, every box value as the float64 it converts to, and
+    checks them (_check_box); its bounds become a Box3 of float64s too.
+    node() builds just the node asked for, and count() reads the table.
+    What is derived (the index, the table's id map) is kept with the scene;
+    a scene is never changed (every edit makes a new SceneGraph, with
+    nothing cached), so what is kept cannot go stale."""
 
-    Every scene has one box table, which the ray-test index, the bounds of
-    a merge, re-lighting, vehicle placement and the scene/1 writer read.  A
-    scene made from nodes derives it when one of those asks.  A scene made
-    from its table (a synthesized, populated, imported, merged or re-lit
-    one) builds its nodes on first access of nodes, and keeps them in
-    place of the table; until then node() builds just the node asked for,
-    and count() reads the table.  What else is derived (the index, the
-    id lookup) is kept with the scene; a scene is never changed (every edit
-    makes a new SceneGraph, with nothing cached), so what is kept cannot go
-    stale."""
-
-    nodes: tuple[SceneNode, ...]
+    #: a field, so that ==, repr and dataclasses.replace see the nodes; they
+    #: are built from the table on each access and not kept
+    nodes: tuple[SceneNode, ...] = property(lambda self: self._table.nodes())
     bounds: Box3
     light_level: LightLevel
 
-    def __getattr__(self, name: str):
-        # called only for what the instance lacks: a table scene's nodes
-        # until their first access
-        own = vars(self)
-        table = own.get("_own_table")
-        if name == "nodes" and table is not None:
-            # threads that build at once all get the first tuple stored, and
-            # the table goes only once the nodes stand in its place
-            nodes = own.setdefault("nodes", table.nodes())
-            own.pop("_own_table", None)
-            return nodes
-        if name == "nodes" and "nodes" in own:
-            # another thread put them in place of the table since this
-            # lookup missed them
-            return own["nodes"]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def _table_of(self, kinds=None) -> _BoxTable:
-        """The box table of the scene's nodes, or of those of the given
-        kinds, in order: a table scene's own table or rows of it; else one
-        derived from the nodes and not kept, so that a scene holds its
-        boxes once."""
-        table = vars(self).get("_own_table")
-        if table is None:
-            return _BoxTable.of_nodes(
-                self.nodes if kinds is None else [n for n in self.nodes if n.kind in kinds])
-        return table if kinds is None else table.take(table.kind_mask(kinds))
+    def __init__(self, nodes, bounds: Box3, light_level: LightLevel):
+        table = _BoxTable()
+        for n in nodes:
+            # unpacked, so that a box vector of other than three values
+            # (of a box that is no Box3) is refused, not run into the next row
+            (cx, cy, cz), (hx, hy, hz), yaw = n.box.center, n.box.half_extents, n.box.yaw
+            table.add(n.id, _KIND_CODES[n.kind], n.tags, (cx, cy, cz, hx, hy, hz, yaw))
+        table.check()
+        floats = tuple(array("d", (*bounds.center, *bounds.half_extents, bounds.yaw)))
+        vars(self).update(_table=table, bounds=_box(floats), light_level=light_level)
 
     @functools.cached_property
     def index(self) -> SceneIndex:
@@ -402,33 +368,21 @@ class SceneGraph:
 
         return SceneIndex(self)
 
-    @functools.cached_property
-    def _node_by_id(self) -> dict[str, SceneNode]:
-        # filled back to front, so of two nodes sharing an id the first wins
-        return {n.id: n for n in reversed(self.nodes)}
-
     def node(self, node_id: str) -> SceneNode:
-        """The first node with the given id.  A table scene builds it from
-        its row, found through the table's id map."""
+        """The first node with the given id, built from its row."""
         try:
-            table = vars(self).get("_own_table")
-            if table is not None:
-                return table.node(table.row(node_id))
-            return self._node_by_id[node_id]
-        except (KeyError, TypeError, ValueError):  # TypeError: an unhashable id
+            return self._table.node(self._table.row(node_id))
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise KeyError(f"no node {node_id!r} in scene") from None
 
     def count(self, kind: NodeKind) -> int:
-        table = vars(self).get("_own_table")
-        if table is not None:
-            return table.codes.count(_KIND_CODES[kind])
-        return sum(1 for n in self.nodes if n.kind is kind)
+        return self._table.codes.count(_KIND_CODES[kind])
 
 
 def _table_scene(table: _BoxTable, bounds: Box3, light_level: LightLevel) -> SceneGraph:
-    """A scene made from its box table: its nodes are built on first access."""
+    """A scene made from its filled and checked box table."""
     scene = object.__new__(SceneGraph)
-    vars(scene).update(_own_table=table, bounds=bounds, light_level=light_level)
+    vars(scene).update(_table=table, bounds=bounds, light_level=light_level)
     return scene
 
 
@@ -680,7 +634,7 @@ def apply_light_level(scene: SceneGraph, level: LightLevel) -> SceneGraph:
     Applying a level always overrides the previous one.  The scene is read
     from its box table, and the new one is made from a table.
     """
-    return _relit((scene._table_of(),), scene.bounds, level)
+    return _relit((scene._table,), scene.bounds, level)
 
 
 def _relit(tables, bounds: Box3, level: LightLevel) -> SceneGraph:
@@ -730,10 +684,13 @@ def _merged(tables, level: LightLevel) -> SceneGraph:
 
 def remove_node(scene: SceneGraph, node_id: str) -> SceneGraph:
     """New scene without the named node (used for pruning experiments)."""
-    kept = tuple(n for n in scene.nodes if n.id != node_id)
-    if len(kept) == len(scene.nodes):
+    table, kept = scene._table, _BoxTable()
+    for k, other in enumerate(table.ids):
+        if other != node_id:
+            kept.add(other, table.codes[k], table.tags[k], table.values[7 * k:7 * k + 7])
+    if len(kept) == len(table):
         raise KeyError(f"no node {node_id!r} in scene")
-    return replace(scene, nodes=kept)
+    return _table_scene(kept, scene.bounds, scene.light_level)
 
 
 def _vehicle(center_xy: tuple[float, float], size: str, quarter_turns: int) -> tuple:
@@ -804,7 +761,7 @@ def populate_vehicles(
         vehicles.add(f"veh-{entry.cell.i}-{entry.cell.j}", vehicle, tags, box)
         aabbs.append(_aabb(box[:3], box[3:6], math.cos(box[6]), math.sin(box[6])))
     vehicles.check()
-    return _table_scene(scene._table_of() + vehicles, _fold_bounds(aabbs), scene.light_level)
+    return _table_scene(scene._table + vehicles, _fold_bounds(aabbs), scene.light_level)
 
 
 # --- occupancy plan documents -------------------------------------------------
@@ -937,7 +894,6 @@ _SCENE_TAIL = """,
 """ % json.dumps(SCENE_SCHEMA)
 
 _encode_str = json.encoder.encode_basestring_ascii
-_as_float = float.__float__
 
 
 class _FloatTexts(dict):
@@ -966,16 +922,6 @@ def _number_texts(numbers: array, floats: _FloatTexts) -> list[str]:
     return texts
 
 
-def _value_texts(values, floats: _FloatTexts) -> list[str]:
-    """Box values of any type as JSON number texts."""
-    try:
-        # float.__float__ turns float subclasses into plain floats and
-        # rejects ints, which must not meet an equal float's cached text
-        return _number_texts(array("d", map(_as_float, values)), floats)
-    except TypeError:  # an int, say; json spells a float as the cache does
-        return list(map(json.dumps, values))
-
-
 def _tags_text(tags: dict[str, str]) -> str:
     if not tags:
         return "{}"
@@ -1000,46 +946,27 @@ _RECORD = _NODE_RECORD + "\n"
 _KIND_TEXTS = tuple(_encode_str(kind.value) for kind in _KINDS)
 
 
-def _records(texts: list[str], ids: list[str], kinds, tags: list[dict[str, str]]) -> str:
-    """The records of a run of nodes, from their box value texts (seven a
-    node), ids, kind texts and tags, formatted with one %."""
+def _records(table: _BoxTable, start: int, stop: int, floats: _FloatTexts) -> str:
+    """The records of rows start to stop of a box table, formatted with
+    one %."""
+    texts = _number_texts(table.values[7 * start:7 * stop], floats)
     fields = zip(texts[0::7], texts[1::7], texts[2::7], texts[3::7], texts[4::7], texts[5::7],
-                 map(_encode_str, ids), kinds, _tag_texts(tags), texts[6::7])
-    return (_RECORD * len(ids)) % tuple(chain.from_iterable(fields))
-
-
-def _table_columns(table: _BoxTable, floats: _FloatTexts):
-    """_records' arguments for each _CHUNK rows of a box table."""
-    for start in range(0, len(table), _CHUNK):
-        stop = start + _CHUNK
-        yield (_number_texts(table.values[7 * start:7 * stop], floats), table.ids[start:stop],
-               map(_KIND_TEXTS.__getitem__, table.codes[start:stop]), table.tags[start:stop])
-
-
-def _node_columns(nodes: tuple[SceneNode, ...], floats: _FloatTexts):
-    """_records' arguments for each _CHUNK nodes: the box values as they
-    are, so that an int is written as json writes it, once they pass the
-    box check as the table of the nodes would (a box need not be a Box3)."""
-    for start in range(0, len(nodes), _CHUNK):
-        chunk = nodes[start:start + _CHUNK]
-        values = [v for n in chunk for v in (*n.box.center, *n.box.half_extents, n.box.yaw)]
-        _check_rows(array("d", values))
-        yield (_value_texts(values, floats), [n.id for n in chunk],
-               [_KIND_TEXTS[_KIND_CODES[n.kind]] for n in chunk], [n.tags for n in chunk])
+                 map(_encode_str, table.ids[start:stop]),
+                 map(_KIND_TEXTS.__getitem__, table.codes[start:stop]),
+                 _tag_texts(table.tags[start:stop]), texts[6::7])
+    return (_RECORD * (len(texts) // 7)) % tuple(chain.from_iterable(fields))
 
 
 def _write_scene(scene: SceneGraph) -> str:
-    """scene/1 text, written _CHUNK nodes at a time from the scene's box
-    table, or from its nodes when it is made from them."""
+    """scene/1 text, written from the scene's box table _CHUNK rows at a
+    time."""
     floats = _FloatTexts()
-    bounds = scene.bounds
-    head = _SCENE_HEAD % (*_value_texts((*bounds.center, *bounds.half_extents, bounds.yaw),
-                                        floats),
+    bounds, table = scene.bounds, scene._table
+    head = _SCENE_HEAD % (*_number_texts(array("d", (*bounds.center, *bounds.half_extents,
+                                                     bounds.yaw)), floats),
                           _encode_str(scene.light_level.value))
-    table = vars(scene).get("_own_table")
-    columns = (_node_columns(scene.nodes, floats) if table is None
-               else _table_columns(table, floats))
-    chunks = [_records(*chunk) for chunk in columns]
+    chunks = [_records(table, start, start + _CHUNK, floats)
+              for start in range(0, len(table), _CHUNK)]
     if not chunks:
         return head + "]" + _SCENE_TAIL
     chunks[-1] = chunks[-1][:-2]  # no comma and newline after the last node

@@ -186,7 +186,7 @@ class SceneIndex:
         their ids and their columns, as _BoxTable.columns gives them; the
         index keeps these as they are."""
         if opaque is None:
-            table = scene._table_of(OPAQUE_KINDS)
+            table = scene._table.take(scene._table.kind_mask(OPAQUE_KINDS))
             opaque = table.ids, table.columns()
             del table  # its box values, copied into the columns, go before the grid work
         self.ids: list[str] = opaque[0]

@@ -54,3 +54,20 @@ def all_lane_3x3() -> GarageSpec:
         row_widths=(6.0, 6.0, 6.0),
         col_widths=(6.0, 6.0, 6.0),
     )
+
+
+@pytest.fixture
+def nodes_built(monkeypatch) -> list[str]:
+    """The ids of the SceneNodes made while the test runs, in order (one per
+    SceneNode.__init__ call); clear it to count from a later point."""
+    from garagesim.scene import SceneNode
+
+    built = []
+    init = SceneNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["id"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SceneNode, "__init__", counting_init)
+    return built

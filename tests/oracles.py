@@ -680,7 +680,7 @@ def merge_scene(base: SceneGraph, extra: SceneGraph) -> SceneGraph:
     extra ones.  A colliding id, or bounds past BOX_MAX, is a SchemaError."""
     from garagesim.scene import _table_bounds, _table_scene
 
-    tables = base._table_of(), extra._table_of()
+    tables = base._table, extra._table
     ids = set(tables[0].ids)
     if not ids.isdisjoint(tables[1].ids):
         first = next(node_id for node_id in tables[1].ids if node_id in ids)

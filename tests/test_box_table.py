@@ -2,7 +2,8 @@
 synthesized, populated, imported, merged or re-lit one) gives must be what
 the same scene made from its nodes gives, synthesis and vehicle placement
 must give what their node-building references give, and the scenario and
-generate commands must not build the garage's nodes."""
+generate commands must not build the garage's nodes.  "Builds no node" is
+a count of SceneNode.__init__ calls (the nodes_built fixture)."""
 
 import json
 import math
@@ -40,8 +41,8 @@ from garagesim.scene import (
     remove_node,
     synthesize,
     _BoxTable,
+    _check_box,
 )
-from garagesim.scene import _table_scene as _scene_of_table
 from garagesim.visibility import CameraConfig, EgoPose, visible_fraction
 from conftest import random_spec
 from oracles import (
@@ -85,12 +86,6 @@ SCENES = {
 }
 
 
-def _table_scene(name: str) -> SceneGraph:
-    scene = SCENES[name]()
-    assert "nodes" not in vars(scene), "a table scene builds no nodes until asked"
-    return scene
-
-
 def _copy(scene: SceneGraph) -> SceneGraph:
     """The same scene made from its nodes."""
     return SceneGraph(tuple(scene.nodes), scene.bounds, scene.light_level)
@@ -117,29 +112,33 @@ def _assert_index_of(index, nodes):
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
-def test_index_arrays_match_the_nodes(name):
-    scene = _table_scene(name)
+def test_index_arrays_match_the_nodes(name, nodes_built):
+    scene = SCENES[name]()
+    nodes_built.clear()
     index = scene.index
-    assert "nodes" not in vars(scene), "the index reads the table, not nodes"
-    _assert_index_of(index, scene.nodes)
-    _assert_index_of(_copy(scene).index, scene.nodes)
+    assert nodes_built == [], "the index reads the table, not nodes"
+    nodes = scene.nodes
+    _assert_index_of(index, nodes)
+    _assert_index_of(_copy(scene).index, nodes)
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_replaced_and_pruned_scenes_index_their_nodes(name):
-    scene = _table_scene(name)
-    for derived in (replace(scene, nodes=scene.nodes[2:]),
-                    remove_node(scene, scene.nodes[-1].id)):
+    scene = SCENES[name]()
+    nodes = scene.nodes
+    for derived in (replace(scene, nodes=nodes[2:]), remove_node(scene, nodes[-1].id)):
         _assert_index_of(derived.index, derived.nodes)
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
-def test_scene_reads_agree_with_a_scene_built_from_nodes(name):
-    scene = _table_scene(name)
-    ids = list(scene._table_of().ids)
+def test_scene_reads_agree_with_a_scene_built_from_nodes(name, nodes_built):
+    scene = SCENES[name]()
+    ids = list(scene._table.ids)
+    wanted = ids[::7] + ids[-3:]
+    nodes_built.clear()
     counts = {kind: scene.count(kind) for kind in NodeKind}
-    looked_up = [scene.node(node_id) for node_id in ids[::7] + ids[-3:]]
-    assert "nodes" not in vars(scene), "count and node() read the table"
+    looked_up = [scene.node(node_id) for node_id in wanted]
+    assert nodes_built == wanted, "count reads the table, and node() builds the one node"
     with pytest.raises(KeyError) as err:
         scene.node("no-such-node")
     assert err.value.args == ("no node 'no-such-node' in scene",)
@@ -147,18 +146,17 @@ def test_scene_reads_agree_with_a_scene_built_from_nodes(name):
         scene.node(["unhashable"])
 
     copy = _copy(scene)
-    assert "_own_table" not in vars(scene), "built nodes stand in place of the table"
-    assert [n.id for n in scene.nodes] == ids
-    assert scene.nodes == copy.nodes and scene == copy and repr(scene) == repr(copy)
+    nodes = scene.nodes
+    assert [n.id for n in nodes] == ids
+    assert nodes == scene.nodes == copy.nodes and scene == copy and repr(scene) == repr(copy)
     assert counts == {kind: copy.count(kind) for kind in NodeKind}
     assert looked_up == [copy.node(n.id) for n in looked_up]
-    assert scene.node(ids[0]) is scene.nodes[0]
+    assert scene.node(ids[0]) == nodes[0]
     assert scene.bounds == copy.bounds
     assert export_scene(scene) == export_scene(copy)
     assert export_scene(scene, "obj") == export_scene(copy, "obj")
-    # the table derived again from the nodes is the one the scene was made from
-    again = scene._table_of()
-    assert again.ids == ids and again.values == SCENES[name]()._table_of().values
+    # the table made again from the nodes is the one the scene was made from
+    assert copy._table.ids == ids and copy._table.values == scene._table.values
 
 
 def test_merged_scene_is_the_scenario_then_the_garage():
@@ -180,7 +178,7 @@ def test_relit_table_scene_keeps_its_rows_and_lamps_as_synthesis_places_them(lev
 
 
 @pytest.mark.parametrize("level", list(LightLevel))
-def test_merge_with_a_level_relights_in_the_one_copy(level, monkeypatch):
+def test_merge_with_a_level_relights_in_the_one_copy(level, monkeypatch, nodes_built):
     # the scene apply_light_level makes of the merged one, from one pass
     # over the two tables: no joined table is copied again to re-light it
     base, extra = build_case1().scene, import_scene(_garage_text())
@@ -194,10 +192,11 @@ def test_merge_with_a_level_relights_in_the_one_copy(level, monkeypatch):
     tables = []
     columns = _BoxTable.columns
     monkeypatch.setattr(_BoxTable, "columns", lambda table: tables.append(table) or columns(table))
+    nodes_built.clear()
     got = cli._merge_scene(base, extra, level)
     assert passes == [1]
-    assert len(tables) == 2 and tables[0].ids == base._table_of().ids
-    assert "nodes" not in vars(got)
+    assert len(tables) == 2 and tables[0].ids == base._table.ids
+    assert nodes_built == []
     assert got.bounds == want.bounds and got.light_level is want.light_level is level
     index = got.index
     assert len(tables) == 2, "the merge built the index"
@@ -231,7 +230,7 @@ def test_scenario_with_scene_builds_no_imported_node(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SceneNode, "__init__", counting_init)
-    garage_ids = set(import_scene(text)._table_of().ids)
+    garage_ids = set(import_scene(text)._table.ids)
     assert len(garage_ids) == imported > 200
     for case in ("1", "2", "3"):
         built.clear()
@@ -244,9 +243,9 @@ def test_scenario_with_scene_builds_no_imported_node(tmp_path, monkeypatch):
         assert len(set(built)) < 10
 
 
-def test_threads_building_nodes_at_once_get_one_tuple():
+def test_threads_reading_nodes_at_once_get_equal_tuples():
     """A table scene shared by threads: each reads nodes while another may
-    be building them, and all get the one tuple the scene then keeps."""
+    be building them, and each gets the scene's nodes, with no error."""
     text = _garage_text(side=9)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -270,45 +269,38 @@ def test_threads_building_nodes_at_once_get_one_tuple():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
-            assert len(got) == 4 and all(nodes is scene.nodes for nodes in got)
+            want = scene.nodes
+            assert len(got) == 4 and all(nodes == want for nodes in got)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_nodes_another_thread_put_in_place_are_returned():
-    # what a reader meets when its lookup of nodes missed and another thread
-    # then built the nodes and dropped the table before the reader looked
-    scene = import_scene(_garage_text(side=9))
-    nodes = scene.nodes
-    assert "_own_table" not in vars(scene)
-    assert SceneGraph.__getattr__(scene, "nodes") is nodes
-    with pytest.raises(AttributeError):
-        SceneGraph.__getattr__(scene, "no_such_attribute")
-
-
-def test_table_node_lookup_takes_the_first_of_equal_ids():
+def test_table_node_lookup_takes_the_first_of_equal_ids(nodes_built):
     box = build_case1().scene.bounds
     nodes = [SceneNode(node_id, kind, box, {"n": str(k)}) for k, (node_id, kind) in enumerate(
         [("dup", NodeKind.COLUMN), ("other", NodeKind.LAMP), ("dup", NodeKind.VEHICLE)])]
-    scene = _scene_of_table(_BoxTable.of_nodes(nodes), box, LightLevel.BRIGHT)
+    scene = SceneGraph(nodes, box, LightLevel.BRIGHT)
+    nodes_built.clear()
     assert [scene.node(i).tags["n"] for i in ("dup", "other", "dup")] == ["0", "1", "0"]
-    assert "nodes" not in vars(scene)
+    assert nodes_built == ["dup", "other", "dup"], "node() builds only the node asked for"
 
 
 # --- synthesis and vehicle placement fill the table ----------------------------------
 
 
-def _assert_same_scene(scene: SceneGraph, reference: SceneGraph) -> None:
-    """A table scene gives what the node-built reference gives: scene/1
-    bytes (written from the table, building no node), nodes, bounds and
-    light level."""
-    assert "nodes" not in vars(scene), "synthesis builds no nodes"
+def _assert_same_scene(make, reference: SceneGraph, built: list[str]) -> SceneGraph:
+    """The scene make() gives, a table scene, gives what the node-built
+    reference gives: scene/1 bytes, nodes, bounds and light level.  make()
+    and the writer build no node (built: the nodes_built fixture)."""
+    built.clear()
+    scene = make()
     text = export_scene(scene)
-    assert "nodes" not in vars(scene), "the writer reads the table"
+    assert built == [], "synthesis, placement and the writer build no node"
     assert text == export_scene(reference) == scene_json(reference)
     assert scene.nodes == reference.nodes
     assert scene.bounds == reference.bounds
     assert scene.light_level is reference.light_level
+    return scene
 
 
 def _random_grid(rng: random.Random):
@@ -316,17 +308,18 @@ def _random_grid(rng: random.Random):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_synthesis_matches_the_node_building_reference(seed):
+def test_synthesis_matches_the_node_building_reference(seed, nodes_built):
     rng = random.Random(seed)
     grid = _random_grid(rng)
     corners = [(ci, cj) for ci in range(1, grid.spec.m) for cj in range(1, grid.spec.n)]
     prune = frozenset(rng.sample(corners, len(corners) // 3))
     for level in LightLevel:
         options = SynthOptions(light=level, prune_columns=prune)
-        _assert_same_scene(synthesize(grid, options), synthesize_nodes(grid, options))
+        _assert_same_scene(lambda: synthesize(grid, options), synthesize_nodes(grid, options),
+                           nodes_built)
 
 
-def test_vehicles_match_the_node_building_reference():
+def test_vehicles_match_the_node_building_reference(nodes_built):
     forced = overhanging = 0
     for seed in range(25):
         rng = random.Random(seed)
@@ -343,12 +336,13 @@ def test_vehicles_match_the_node_building_reference():
         plan = OccupancyPlan(tuple(entries))
         options = SynthOptions(light=rng.choice(list(LightLevel)))
         reference = populate_vehicles_nodes(synthesize_nodes(grid, options), grid, plan)
-        scene = populate_vehicles(synthesize(grid, options), grid, plan)
-        _assert_same_scene(scene, reference)
+        scene = _assert_same_scene(lambda: populate_vehicles(synthesize(grid, options), grid, plan),
+                                   reference, nodes_built)
         overhanging += sum(n.tags.get("overhang") == "true" for n in scene.nodes)
-        # a scene made from nodes gets its vehicles appended to a table too
-        from_nodes = populate_vehicles(synthesize_nodes(grid, options), grid, plan)
-        _assert_same_scene(from_nodes, reference)
+        # a scene made from nodes gets its vehicles appended to its table too
+        from_nodes = synthesize_nodes(grid, options)
+        _assert_same_scene(lambda: populate_vehicles(from_nodes, grid, plan), reference,
+                           nodes_built)
     assert forced > 50 and overhanging > 50
 
 
@@ -404,29 +398,59 @@ def test_vehicle_rows_get_the_box_check(widths):
 
 def test_node_boxes_get_the_box_check_in_the_table():
     # a node box that is no Box3 but has its fields (a named tuple, say)
-    # meets the check where its scene's box table is derived, so the index
+    # meets the check where its scene's box table is filled, so the index
     # never holds its infinite half extent
     box = namedtuple("Box", "center half_extents yaw")((6.0, 0.0, 1.5), (0.3, math.inf, 1.5), 0.0)
-    scene = SceneGraph((SceneNode("col", NodeKind.COLUMN, box),),
-                       Box3((6.0, 0.0, 1.5), (1.0, 1.0, 1.5)), LightLevel.BRIGHT)
     with pytest.raises(ValueError, match="finite real numbers"):
-        scene.index
+        SceneGraph((SceneNode("col", NodeKind.COLUMN, box),),
+                   Box3((6.0, 0.0, 1.5), (1.0, 1.0, 1.5)), LightLevel.BRIGHT).index
+
+
+_BOX = namedtuple("Box", "center half_extents yaw")
+
+
+@pytest.mark.parametrize("box", [
+    _BOX((6.0, 0.0, 1.5), (0.3, math.inf, 1.5), 0.0),
+    _BOX((6.0, 0.0, 1.5), (0.3, 1.0, 1.5), math.nan),
+    _BOX((6.0, -math.inf, 1.5), (0.3, 1.0, 1.5), 0.0),
+    _BOX((2.0**129, 0.0, 1.5), (0.3, 1.0, 1.5), 0.0),
+    _BOX((6.0, 0.0, 1.5), (0.3, 1.0, 2**129), 0.0),
+    _BOX((6.0, 0.0, 1.5), (0.3, 0.0, 1.5), 0.0),
+    _BOX((6.0, 0.0, 1.5, 9.0), (0.3, 1.0, 1.5), 0.0),
+    _BOX((6.0, 0.0, 1.5), (0.3, 1.0), 0.0),
+], ids=["inf-half", "nan-yaw", "inf-center", "past-max-center", "past-max-int-half", "zero-half",
+        "four-value-center", "two-value-half"])
+def test_scene_construction_gets_the_box_check(box):
+    # every box value of a scene made from nodes is checked as the scene is
+    # made, with the error the one check gives of the floats it stores
+    good = SceneNode("veh", NodeKind.VEHICLE, Box3((12.0, 0.0, 1.0), (1.0, 1.0, 1.0)))
+    with pytest.raises(ValueError) as want:
+        _check_box(tuple(map(float, box.center)), tuple(map(float, box.half_extents)),
+                   float(box.yaw))
+    for nodes in ([SceneNode("col", NodeKind.COLUMN, box)],
+                  [good, SceneNode("col", NodeKind.COLUMN, box), good]):
+        with pytest.raises(ValueError) as got:
+            SceneGraph(nodes, good.box, LightLevel.BRIGHT)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("half", [(0.3, math.inf, 1.5), (0.3, 1, math.nan), (-1.0, 1.0, 1.0),
                                   (0.3, 2.0**129, 1.5)])
 def test_node_scene_export_gets_the_box_check(half):
-    # the scene/1 writer checks a node scene's box values as the table of
-    # its nodes would, so it raises the error the ray test raises rather
-    # than write "inf" or "nan", which no JSON reader takes
+    # a node scene's box values are checked as the ray test checks them, so
+    # the scene/1 writer never writes "inf" or "nan", which no JSON reader
+    # takes
     box = namedtuple("Box", "center half_extents yaw")((6.0, 0, 1.5), half, 0.0)
     target = SceneNode("veh", NodeKind.VEHICLE, Box3((12.0, 0.0, 1.0), (1.0, 1.0, 1.0)))
-    scene = SceneGraph((SceneNode("col", NodeKind.COLUMN, box), target), target.box,
-                       LightLevel.BRIGHT)
+
+    def scene():
+        return SceneGraph((SceneNode("col", NodeKind.COLUMN, box), target), target.box,
+                          LightLevel.BRIGHT)
+
     with pytest.raises(ValueError) as want:
-        visible_fraction(scene, EgoPose((0.0, 0.0), 0.0), CameraConfig(), "veh")
+        visible_fraction(scene(), EgoPose((0.0, 0.0), 0.0), CameraConfig(), "veh")
     with pytest.raises(ValueError) as got:
-        export_scene(scene)
+        export_scene(scene())
     assert str(got.value) == str(want.value)
 
 

@@ -581,6 +581,51 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, make_argv):
     assert not out.exists()
 
 
+NOT_UTF8 = b"\xff\xfe{"  # a UTF-16 byte-order mark, then a brace
+
+
+def _not_utf8(path: Path) -> str:
+    path.write_bytes(NOT_UTF8)
+    return str(path)
+
+
+def _plan(tmp_path: Path) -> str:
+    plan = tmp_path / "plan.json"
+    plan.write_text(emit_garage_spec(ALL_LANE_3X3), encoding="utf-8")
+    return str(plan)
+
+
+def _csv_plan(tmp_path: Path) -> str:
+    for name, text in (("structure.csv", "1,1\n1,1\n"), ("rows.csv", "6,6\n"),
+                       ("cols.csv", "6,6\n")):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    _not_utf8(tmp_path / "rows.csv")
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp_path, out: ["--config", _not_utf8(tmp_path / "config.json"), "validate",
+                           _plan(tmp_path)],
+    lambda tmp_path, out: ["score", _not_utf8(tmp_path / "report.json")],
+    lambda tmp_path, out: ["validate", _not_utf8(tmp_path / "plan.json")],
+    lambda tmp_path, out: ["validate", _csv_plan(tmp_path)],
+    lambda tmp_path, out: ["generate", _not_utf8(tmp_path / "plan.json"), "--out", str(out)],
+    lambda tmp_path, out: ["generate", _plan(tmp_path), "--occupancy",
+                           _not_utf8(tmp_path / "occupancy.json"), "--out", str(out)],
+    lambda tmp_path, out: ["scenario", "--case", "1", "--scene",
+                           _not_utf8(tmp_path / "scene.json"), "--out", str(out)],
+], ids=["config", "score", "validate", "validate-csv", "generate", "generate-occupancy",
+        "scenario-scene"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, make_argv):
+    out = tmp_path / "out.json"
+    argv = make_argv(tmp_path, out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not UTF-8" in err[0], err
+    assert not out.exists()
+
+
 # --- the per-command parser against the full one ------------------------------------
 
 

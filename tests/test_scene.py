@@ -6,6 +6,7 @@ import random
 import struct
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -489,15 +490,27 @@ class TestSceneDocuments:
 
     @given(nodes=st.lists(st.builds(SceneNode, _TEXTS, st.sampled_from(NodeKind),
                                     _boxes(_FLOATS, _POSITIVE_FLOATS), _TAGS), max_size=8),
-           bounds=_BOXES, level=st.sampled_from(LightLevel))
+           bounds=_boxes(_FLOATS, _POSITIVE_FLOATS), level=st.sampled_from(LightLevel))
     def test_table_writer_matches_json_oracle(self, nodes, bounds, level):
-        scene = SceneGraph(tuple(nodes), bounds, level)
-        table_scene = _table_scene(_BoxTable.of_nodes(nodes), bounds, level)
-        assert export_scene(table_scene) == scene_json(scene)
-        assert "nodes" not in vars(table_scene)
+        # the oracle reads the nodes and bounds as given, not from the table
+        given = SimpleNamespace(nodes=nodes, bounds=bounds, light_level=level)
+        assert export_scene(SceneGraph(tuple(nodes), bounds, level)) == scene_json(given)
+
+    def test_box_values_are_written_as_the_floats_stored(self):
+        # an int or bool box value is stored, and so written, as its float
+        raw = Box3((1, True, 10**20), (1, 2, 10**20), 0)
+        box = Box3((1.0, 1.0, 1e20), (1.0, 2.0, 1e20), 0.0)
+        scene = SceneGraph([SceneNode("a", NodeKind.COLUMN, raw)], raw, LightLevel.BRIGHT)
+        given = SimpleNamespace(nodes=[SceneNode("a", NodeKind.COLUMN, box)], bounds=box,
+                                light_level=LightLevel.BRIGHT)
+        text = export_scene(scene)
+        assert text == scene_json(given) and text.count("1e+20") == 4
+        assert {type(v) for b in (scene.bounds, scene.nodes[0].box)
+                for v in (*b.center, *b.half_extents, b.yaw)} == {float}
+        assert export_scene(import_scene(text)) == text
 
     @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025])
-    def test_table_writer_matches_json_oracle_at_chunk_edges(self, rows):
+    def test_table_writer_matches_json_oracle_at_chunk_edges(self, rows, nodes_built):
         rng = random.Random(rows)
         numbers = [0.0, 0.0, 1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, -2.5, BOX_MAX, -BOX_MAX, 1e38]
         positive = [1.0, 0.5, 5e-324, 1e16, 1e-7, 0.1, BOX_MAX, 1e38]
@@ -517,7 +530,7 @@ class TestSceneDocuments:
             table.add(f"n{k}", rng.randrange(len(NodeKind)), tags, values)
         scene = _table_scene(table, Box3((0.0, -0.0, 1.0), (1.0, 2.0, 3.0)), LightLevel.DIM)
         text = export_scene(scene)
-        assert "nodes" not in vars(scene) and len(scene.nodes) == rows
+        assert nodes_built == [] and len(scene.nodes) == rows
         assert text == scene_json(scene)
 
     @pytest.mark.parametrize("kind", [["column"], {"column": 1}, None, 3, "Column"])
@@ -818,8 +831,8 @@ class TestSceneGraph:
         second = SceneNode("dup", NodeKind.VEHICLE, Box3((5.0, 0.0, 1.0), (1.0, 1.0, 1.0)))
         other = SceneNode("other", NodeKind.LAMP, Box3((9.0, 0.0, 1.0), (1.0, 1.0, 1.0)))
         scene = SceneGraph((first, other, second), first.box, LightLevel.BRIGHT)
-        assert scene.node("dup") is first
-        assert scene.node("other") is other
+        assert scene.node("dup") == first
+        assert scene.node("other") == other
         for missing in ("nope", "", ["dup"]):
             with pytest.raises(KeyError) as err:
                 scene.node(missing)
@@ -828,13 +841,14 @@ class TestSceneGraph:
     def test_derived_data_is_per_scene(self, all_lane_3x3):
         scene = synthesize(classify_all(all_lane_3x3))
         assert scene.index is scene.index
-        for other in (replace(scene, nodes=scene.nodes[1:]),
+        nodes = scene.nodes
+        for other in (replace(scene, nodes=nodes[1:]),
                       apply_light_level(scene, LightLevel.DIM), remove_node(scene, "col-1-1")):
             assert other.index is not scene.index
             assert other.index.ids == [n.id for n in other.nodes if n.kind in OPAQUE_KINDS]
-        assert replace(scene, nodes=scene.nodes[1:]).node("floor-0-1") is scene.nodes[2]
+        assert replace(scene, nodes=nodes[1:]).node("floor-0-1") == nodes[2]
         with pytest.raises(KeyError):
-            replace(scene, nodes=scene.nodes[1:]).node(scene.nodes[0].id)
+            replace(scene, nodes=nodes[1:]).node(nodes[0].id)
         # derived data is no field: it takes no part in equality or the repr
         assert replace(scene) == scene and repr(replace(scene)) == repr(scene)
 
@@ -857,6 +871,8 @@ def _outcome(fold, boxes) -> str:
 _FOLD_INTS = st.integers(-2**52, 2**52)
 _FOLD_BOXES = _boxes(_FLOATS, _POSITIVE_FLOATS) | _boxes(
     st.one_of(_FLOATS, _FOLD_INTS), st.one_of(_POSITIVE_FLOATS, st.integers(1, 2**52)))
+# the bounds of a scene made only for its table
+_UNIT = Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
 
 class TestFoldBounds:
@@ -891,7 +907,7 @@ class TestFoldBounds:
         that hold an extreme, and gets the per-box fold's floats."""
         def fold(boxes):
             nodes = [SceneNode(f"n{k}", NodeKind.COLUMN, b) for k, b in enumerate(boxes)]
-            return _table_bounds(_BoxTable.of_nodes(nodes).columns()[4])
+            return _table_bounds(SceneGraph(nodes, _UNIT, LightLevel.BRIGHT)._table.columns()[4])
 
         assert _outcome(fold, boxes) == _outcome(fold_bounds, boxes)
 
@@ -907,7 +923,7 @@ class TestFoldBounds:
         assert any(b.yaw for b in boxes)
         assert _box_repr(_fold_bounds(b.aabb for b in boxes)) == _box_repr(fold_bounds(boxes))
         # a box table's rows fold to the same bounds as its nodes' boxes
-        rows = scene._table_of().columns()[4].tolist()
+        rows = scene._table.columns()[4].tolist()
         assert _box_repr(_fold_bounds(rows)) == _box_repr(fold_bounds(boxes))
 
 
@@ -976,12 +992,10 @@ class TestBoxBound:
             return
         box = Box3(center, half, yaw)
         scene = SceneGraph((SceneNode("a", NodeKind.COLUMN, box),), box, LightLevel.BRIGHT)
-        assert export_scene(scene) == scene_json(scene)
         # its table (checked as it is made) holds the floats of its values,
         # which round-trip
-        table = _BoxTable.of_nodes(scene.nodes)
-        floats = table.values.tolist()
-        text = export_scene(_table_scene(table, scene_module._box(floats), LightLevel.BRIGHT))
+        text = export_scene(scene)
+        assert text == scene_json(scene)
         assert export_scene(import_scene(text)) == text
 
     @settings(max_examples=200, deadline=None)
