@@ -305,6 +305,7 @@ RULE_COL_COUNT = "col-count"
 RULE_CODE_RANGE = "code-range"
 RULE_WIDTH_POSITIVE = "width-positive"
 RULE_ENVELOPE_FINITE = "envelope-finite"
+RULE_CELL_EXTENT = "cell-extent"
 RULE_NO_LANES = "no-lanes"
 
 
@@ -323,8 +324,12 @@ def validate(spec: GarageSpec) -> ValidationReport:
     Rules: row/col width vectors must match the matrix dimensions, every
     code must lie in [-1, 3], every width must be positive and finite, the
     running total of finite widths (the envelope's cell edges) must stay
-    within BOX_MAX, and a garage without a single drivable square is
-    unusable.
+    within BOX_MAX, every cell's extent between two such edges must stay
+    positive when synthesis quarters it (a ramp marker's half extent, the
+    smallest part it makes of a cell), and a garage without a single
+    drivable square is unusable.  A width below half an ulp of the total
+    before it vanishes from the edges, and a subnormal one can round to 0
+    when quartered; either cell would be a box of no extent.
     """
     violations: list[Violation] = []
     m, n = spec.m, spec.n
@@ -365,15 +370,28 @@ def validate(spec: GarageSpec) -> ValidationReport:
                         f"width {w!r} is not a positive finite number",
                     )
                 )
-        edge = _prefix(widths)[-1]
-        if all(map(math.isfinite, widths)) and not edge <= BOX_MAX:
+        edges = _prefix(widths)
+        if all(map(math.isfinite, widths)) and not edges[-1] <= BOX_MAX:
             violations.append(
                 Violation(
                     RULE_ENVELOPE_FINITE,
                     name,
-                    f"widths add up to {edge!r}, past 2**129",
+                    f"widths add up to {edges[-1]!r}, past 2**129",
                 )
             )
+        elif all(0.0 < w < math.inf for w in widths):
+            extents = [b - a for a, b in zip(edges, edges[1:])]
+            thin = [k for k, extent in enumerate(extents) if not extent / 4.0 > 0.0]
+            if thin:
+                violations.append(
+                    Violation(
+                        RULE_CELL_EXTENT,
+                        name,
+                        f"{'rows' if name == 'row_widths' else 'columns'} {thin} span"
+                        f" {[extents[k] for k in thin]!r} m between the running totals of"
+                        f" the widths; a quarter of each must stay above 0",
+                    )
+                )
     if not any(is_drivable(code) for row in spec.structure for code in row):
         violations.append(
             Violation(RULE_NO_LANES, "structure", "plan contains no drivable squares")

@@ -325,13 +325,12 @@ def target_sweep(
     its own box at its own height, advances along its own path (half-meter
     spacing as usual)."""
 
-    def pairs(target: SceneNode):
+    def pairs(target: Box3):
         for s in sample_arclengths(path_length(target_path), step):
             pose = pose_at(target_path, s)
             # driving orientation: box yaw puts the length along the heading
-            box = replace(target.box, center=(*pose.position, target.box.center[2]),
-                          yaw=pose.heading + math.pi / 2.0)
-            yield ego, SceneNode(target.id, target.kind, box, target.tags)
+            yield ego, Box3((*pose.position, target.center[2]), target.half_extents,
+                            pose.heading + math.pi / 2.0)
 
     samples = _sample_pairs(scene, target_id, pairs, cfg, samples_per_edge, ignore_ids)
     return OcclusionSweep(samples=samples, step=step, path=target_path, swept="target")

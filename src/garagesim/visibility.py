@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import OptionError
 from .scene import (
-    FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, Box3, SceneGraph, SceneNode, _bounded,
+    FLOOR_THICKNESS, NodeKind, OPAQUE_KINDS, Box3, SceneGraph, _bounded,
 )
 
 SWEEP_SCHEMA = "sweep/1"
@@ -33,8 +33,10 @@ DEFAULT_SAMPLES_PER_EDGE = 24
 #: list that grows until memory runs out
 MAX_SWEEP_SAMPLES = 1_000_000
 _EPS_REL = 1e-9
-#: consecutive samples that share one grid query of the broadphase
+#: consecutive samples whose cameras, verdicts, facing faces, broadphase,
+#: wedge cull and box frames the sample loop takes as one step
 _STRETCH = 32
+_UP = (0.0, 0.0, 1.0)
 
 
 def _hull_2d(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -84,6 +86,9 @@ class EgoPose:
 
 @dataclass(frozen=True)
 class Frustum:
+    """A level camera's frustum: up is +z for every camera make_camera
+    builds, and view reads a point's height off its z."""
+
     apex: tuple[float, float, float]
     forward: tuple[float, float, float]
     right: tuple[float, float, float]
@@ -93,19 +98,52 @@ class Frustum:
 
     def view(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The points (N, 3) seen from the apex, points - apex, and the
-        boolean mask of those inside the frustum."""
+        boolean mask of those inside the frustum (_in_view)."""
         d = points - np.asarray(self.apex)
-        fwd = d @ np.asarray(self.forward)
-        lat = d @ np.asarray(self.right)
-        ver = d @ np.asarray(self.up)
-        ok = (fwd > 0.0) & (np.abs(lat) <= fwd * self.tan_half_h) & (
-            np.abs(ver) <= fwd * self.tan_half_v
-        )
-        return d, ok
+        return d, _in_view(d, np.asarray(self.forward), np.asarray(self.right),
+                           self.tan_half_h, self.tan_half_v)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of points (N, 3) inside the frustum (see view)."""
         return self.view(points)[1]
+
+
+def _in_view(d: np.ndarray, forward: np.ndarray, right: np.ndarray,
+             tan_h: float, tan_v: float) -> np.ndarray:
+    """Mask of the points seen from a level camera's apex as d (N, 3) that
+    lie inside its frustum.  The forward and lateral offsets are one matmul
+    each, whose bits follow d's layout, so the sample loop gives d C-ordered
+    as view's subtraction does; the vertical offset d @ up of a level camera
+    has the magnitude of d's z exactly."""
+    fwd = d @ forward
+    return (fwd > 0.0) & (np.abs(d @ right) <= fwd * tan_h) & (np.abs(d[:, 2]) <= fwd * tan_v)
+
+
+def _cameras(egos, cfg: CameraConfig) -> tuple[np.ndarray, ...]:
+    """The camera of each ego pose, as make_camera builds it: the apexes,
+    forward and right vectors as rows (S, 3), and tan(fov/2) and the
+    vertical slope tan(fov/2)/aspect.  Headings turn into vectors through
+    math.cos and math.sin, one pose at a time; a pose that is the same
+    object as the one before it (a target sweep's ego) is not read again.
+    An apex, heading or vertical slope that is not finite or lies past
+    BOX_MAX is an OptionError."""
+    tan_h = math.tan(math.radians(cfg.horizontal_fov_deg) / 2.0)
+    tan_v, height = tan_h / cfg.aspect, FLOOR_THICKNESS + cfg.mount_height
+    rows, seen = [], None
+    for ego in egos:
+        if ego is not seen:
+            seen, apex = ego, (*ego.position, height)
+            if not _bounded((*apex, ego.heading, tan_v)):
+                raise OptionError(f"ego pose must be finite and below 2**129 in magnitude, as"
+                                  f" must the camera; got position {ego.position}, heading"
+                                  f" {ego.heading}, mount height {cfg.mount_height} and aspect"
+                                  f" {cfg.aspect}")
+            ax, ay = math.cos(ego.heading), math.sin(ego.heading)
+            row = (*apex, ax, ay, 0.0, -ay, ax, 0.0)
+        rows.append(row)
+    table = np.array(rows, dtype=float).reshape(-1, 9)
+    apex, forward, right = (np.ascontiguousarray(table[:, k:k + 3]) for k in (0, 3, 6))
+    return apex, forward, right, tan_h, tan_v
 
 
 def make_camera(ego: EgoPose, cfg: CameraConfig = CameraConfig()) -> Frustum:
@@ -113,18 +151,12 @@ def make_camera(ego: EgoPose, cfg: CameraConfig = CameraConfig()) -> Frustum:
     slab, horizontal half-angle fov/2, vertical half-angle atan(tan(fov/2)/aspect).
     An apex, heading or vertical slope tan(fov/2)/aspect that is not finite
     or lies past BOX_MAX is an OptionError."""
-    tan_h = math.tan(math.radians(cfg.horizontal_fov_deg) / 2.0)
-    apex, tan_v = (*ego.position, FLOOR_THICKNESS + cfg.mount_height), tan_h / cfg.aspect
-    if not _bounded((*apex, ego.heading, tan_v)):
-        raise OptionError(f"ego pose must be finite and below 2**129 in magnitude, as must the"
-                          f" camera; got position {ego.position}, heading {ego.heading}, mount"
-                          f" height {cfg.mount_height} and aspect {cfg.aspect}")
-    ax, ay = math.cos(ego.heading), math.sin(ego.heading)
+    apex, forward, right, tan_h, tan_v = _cameras([ego], cfg)
     return Frustum(
-        apex=apex,
-        forward=(ax, ay, 0.0),
-        right=(-ay, ax, 0.0),
-        up=(0.0, 0.0, 1.0),
+        apex=tuple(apex[0].tolist()),
+        forward=tuple(forward[0].tolist()),
+        right=tuple(right[0].tolist()),
+        up=_UP,
         tan_half_h=tan_h,
         tan_half_v=tan_v,
     )
@@ -271,20 +303,35 @@ class SceneIndex:
         """
         if not len(subset):
             return subset
-        hull = _hull_2d([apex_xy] + corners_xy)
-        if len(hull) < 3:
-            return subset
-        # one row per hull edge a -> b, one column per box
-        a, b = np.array(hull), np.array(hull[1:] + hull[:1])
-        ax, ay = a[:, :1], a[:, 1:]
-        # inward normal of a CCW edge; a box is outside when its corner
-        # most along the normal still falls behind the edge
-        nx, ny = -(b[:, 1:] - ay), b[:, :1] - ax
-        box = self.aabbs[subset]
-        best = (np.where(nx > 0, box[:, 3], box[:, 0]) - ax) * nx + (
-            np.where(ny > 0, box[:, 4], box[:, 1]) - ay
+        return self._cull_wedges([subset], [_hull_2d([apex_xy] + corners_xy)])[0]
+
+    def _cull_wedges(
+        self, subsets: list[np.ndarray], hulls: list[list[tuple[float, float]]]
+    ) -> list[np.ndarray]:
+        """cull_outside_wedge of each candidate array against the hull
+        beside it, as one separating-axis test over every candidate: row
+        per candidate, column per edge of its hull.  Hulls are padded to one
+        width with their first edge, which tests nothing new; a hull of
+        fewer than three vertices keeps every candidate it has."""
+        width = max(len(hull) for hull in hulls)
+        edges, loose = [], []
+        for hull in hulls:
+            loose.append(len(hull) < 3)
+            ring = [(*a, *b) for a, b in zip(hull, hull[1:] + hull[:1])] if len(hull) >= 3 \
+                else [(0.0, 0.0, 0.0, 0.0)]
+            edges.append(ring + ring[:1] * (width - len(ring)))
+        owner = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
+        ax, ay, bx, by = np.array(edges, dtype=float)[owner].transpose(2, 0, 1)
+        # inward normal of a CCW edge a -> b; a box is outside when its
+        # corner most along the normal still falls behind the edge
+        nx, ny = -(by - ay), bx - ax
+        box = self.aabbs[np.concatenate(subsets)]
+        best = (np.where(nx > 0, box[:, 3:4], box[:, :1]) - ax) * nx + (
+            np.where(ny > 0, box[:, 4:5], box[:, 1:2]) - ay
         ) * ny
-        return subset[(best > 0.0).all(axis=0)]
+        keep = (best > 0.0).all(axis=1) | np.array(loose)[owner]
+        ends = np.cumsum([len(subset) for subset in subsets])
+        return [subset[kept] for subset, kept in zip(subsets, np.split(keep, ends[:-1]))]
 
     def entry_distances(
         self, origin: np.ndarray, dirs: np.ndarray, subset
@@ -292,40 +339,55 @@ class SceneIndex:
         """Entry distance of each unit ray into each subset box, inf on miss.
 
         Returns an array (len(subset), nrays); rays starting inside a box
-        get distance 0 for it.  The rays are read as three contiguous
-        coordinate columns (a copy, unless dirs is column-major as the
-        sample loop passes it), and the slab test runs once per distinct
-        (cos, sin) of yaw among the subset boxes, on the ray columns turned
-        into that yaw's frame; each group's rows go back in subset order.
-        Unrotated boxes (cos 1, sin 0) take the columns as they are, where
-        turning them by x * 1 + y * 0 can change only the sign of a zero
-        component, which takes the parallel-ray branch either way; so every
-        distance keeps the per-box loop's bits.
+        get distance 0 for it.  The origin goes into each box's frame
+        (_frames), and the rays are read as three contiguous coordinate
+        columns (a copy, unless dirs is column-major) for _slabs.
         """
         k = np.asarray(subset, dtype=np.intp)
-        c, s = self.cos_yaw[k], self.sin_yaw[k]
+        return self._slabs(self._frames(origin, k), k, np.ascontiguousarray(dirs.T))
+
+    def _frames(self, origins: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, list]:
+        """Ray origins, one (3,) for every box or one row per box, in the
+        local frames of the boxes, u = (c, s), v = (-s, c), w = z for a box
+        of yaw (cos c, sin s), as rows (len(boxes), 3); and each box's
+        (c, s) as Python floats.  Row by row, so the sample loop takes the
+        frames of a whole stretch's (sample, kept box) pairs at once."""
+        c, s = self.cos_yaw[boxes], self.sin_yaw[boxes]
+        rel = origins - self.centers[boxes]
+        rx, ry, cc, ss = rel[:, :1], rel[:, 1:2], c[:, None], s[:, None]
+        local = np.concatenate((rx * cc + ry * ss, -rx * ss + ry * cc, rel[:, 2:]), axis=1)
+        return local, list(zip(c.tolist(), s.tolist()))
+
+    def _slabs(self, frames: tuple[np.ndarray, list], boxes: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+        """Entry distances (len(boxes), nrays) of unit rays, three
+        contiguous direction columns cols, from the origin in the boxes'
+        frames (_frames).  The slab test runs once per distinct (cos, sin)
+        of yaw among the boxes, on the ray columns turned into that yaw's
+        frame; each group's rows go back in box order.  Unrotated boxes (cos
+        1, sin 0) take the columns as they are, where turning them by x * 1
+        + y * 0 can change only the sign of a zero component, which takes
+        the parallel-ray branch either way; so every distance keeps the
+        per-box loop's bits."""
+        local, yaws = frames
         groups: dict[tuple[float, float], list[int]] = {}
-        for row, yaw in enumerate(zip(c.tolist(), s.tolist())):
+        for row, yaw in enumerate(yaws):
             groups.setdefault(yaw, []).append(row)
-        cols, halves = np.ascontiguousarray(dirs.T), self.halves[k]
-        rays = (cols, _parallel(cols))
-        rel = origin - self.centers[k]
-        rx, ry, c, s = rel[:, :1], rel[:, 1:2], c[:, None], s[:, None]
-        # the origin in each box's local frame: u = (c, s), v = (-s, c), w = z
-        o = np.concatenate((rx * c + ry * s, -rx * s + ry * c, rel[:, 2:]), axis=1)
+        halves, rays = self.halves[boxes], (cols, _parallel(cols))
         if len(groups) == 1:  # every row in one pass, no gather or scatter
             (yaw, _), = groups.items()
-            return _slab(o, halves, *_turned(rays, *yaw))
-        entry = np.empty((len(k), len(cols[0])))
+            return _slab(local, halves, *_turned(rays, *yaw))
+        entry = np.empty((len(boxes), cols.shape[1]))
         for yaw, rows in groups.items():
-            entry[rows] = _slab(o[rows], halves[rows], *_turned(rays, *yaw))
+            entry[rows] = _slab(local[rows], halves[rows], *_turned(rays, *yaw))
         return entry
 
 
 def _parallel(cols) -> list:
     """Per direction column, the mask of the components too near 0 to
     divide by, or None where there is none."""
-    return [zero if zero.any() else None for zero in np.abs(cols) < 1e-15]
+    zero = np.abs(cols) < 1e-15
+    return [mask if found else None for mask, found in zip(zero, zero.any(axis=1).tolist())]
 
 
 def _turned(rays, c: float, s: float):
@@ -345,15 +407,17 @@ def _slab(o: np.ndarray, halves: np.ndarray, dirs, parallel) -> np.ndarray:
     that frame as three coordinate columns and their _parallel masks;
     entry distances (n, nrays), inf on a miss.  Box values and the ray
     origin are at most BOX_MAX, so only a division by a direction component
-    under the _parallel mask can overflow, divide by zero or give 0/0; its
-    lanes are replaced, and it raises no floating-point warning."""
+    under the _parallel mask could overflow, divide by zero or give 0/0;
+    those lanes divide by 1 instead and are replaced after, so no
+    floating-point warning can arise."""
     # the offsets of each box's two slab planes along its three axes
     near, far = -halves - o, halves - o
     for axis in range(3):
         d, zero = dirs[axis], parallel[axis]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t1 = near[:, axis:axis + 1] / d
-            t2 = far[:, axis:axis + 1] / d
+        if zero is not None:
+            d = np.where(zero, 1.0, d)
+        t1 = near[:, axis:axis + 1] / d
+        t2 = far[:, axis:axis + 1] / d
         lo_a = np.minimum(t1, t2)
         hi_a = np.maximum(t1, t2, out=t1)
         if zero is not None:  # a ray parallel to a slab is inside it everywhere or nowhere
@@ -400,49 +464,57 @@ def _face_shape(yaw: float, half_extents, s: int) -> tuple[np.ndarray, ...]:
     return normals, offsets, g1, g2
 
 
-def _face_columns(center, shape: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Outward normals (6, 3), centres (6, 3) and sample points of the six
-    faces of a box with the given centre and _face_shape, the points as
-    three coordinate columns (3, 6, s * s).  The faces come in the order
-    +u, -u, +v, -v, +w, -w (u and v the yawed x and y axes, w up), each
-    with an s x s grid at cell centers, so boundary samples never sit
-    exactly on edges."""
-    normals, offsets, g1, g2 = shape
-    centers = np.asarray(center) + offsets
-    cols = centers.T[:, :, None, None] + g1 + g2
-    return normals, centers, cols.reshape(3, 6, -1)
+def _face_centers(center, shape: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Centres (6, 3) of the faces of a box with the given centre and
+    _face_shape, in the order +u, -u, +v, -v, +w, -w (u and v the yawed x
+    and y axes, w up)."""
+    return np.asarray(center) + shape[1]
+
+
+def _face_points(centers: np.ndarray, shape: tuple[np.ndarray, ...], faces) -> np.ndarray:
+    """Sample points of the given faces (indices in _face_centers' order)
+    of a box with those face centres and _face_shape, as three coordinate
+    columns (3, len(faces), s * s): an s x s grid at cell centers per face,
+    so boundary samples never sit exactly on edges.  Point (i, j) is
+    (centre + ticks[i] * h1 * a1) + ticks[j] * h2 * a2, so a face's points
+    have the same bits whichever faces are taken with it."""
+    _, _, g1, g2 = shape
+    cols = centers[faces].T[:, :, None, None] + g1[:, faces] + g2[:, faces]
+    return cols.reshape(3, cols.shape[1], -1)
 
 
 def _point_rows(cols: np.ndarray) -> np.ndarray:
-    """Face sample points (3, 6, n) as rows (6, n, 3), C-contiguous."""
+    """Face sample points (3, F, n) as rows (F, n, 3), C-contiguous."""
     return np.ascontiguousarray(cols.transpose(1, 2, 0))
 
 
-def _facing(
-    normals: np.ndarray, centers: np.ndarray, apex: np.ndarray, margin: float = math.inf
-) -> list[int]:
-    """The faces, in _face_columns' order, that face the apex: those whose
-    outward normal has a dot product > 0 with the apex seen from the face
-    centre.  The dot product is taken from Python floats, and again with
-    np.dot where it falls within margin of 0; a margin that bounds the two
-    sums' rounding, as _frustum_verdict's does, gives every face the side
-    np.dot gives it."""
-    ax, ay, az = apex.tolist()
-    facing = []
-    for f, ((nx, ny, nz), (cx, cy, cz)) in enumerate(zip(normals.tolist(), centers.tolist())):
-        dot = nx * (ax - cx) + ny * (ay - cy) + nz * (az - cz)
-        if abs(dot) <= margin:
-            dot = float(np.dot(normals[f], apex - centers[f]))
-        if dot > 0.0:
-            facing.append(f)
-    return facing
+def _facings(
+    normals: np.ndarray, centers: np.ndarray, apexes: np.ndarray, margins: np.ndarray
+) -> np.ndarray:
+    """Which faces face each apex: face normals and centres (S, 6, 3),
+    apexes (S, 3) and margins (S,) give a mask (S, 6).  A face faces the
+    apex when its outward normal has a dot product > 0 with the apex seen
+    from the face centre.  The dot product is taken elementwise, summed in
+    the order Python floats take it, and again with np.dot where it falls
+    within the margin of 0; a margin that bounds the two sums' rounding, as
+    _frustum_verdicts' does, gives every face the side np.dot gives it."""
+    d = apexes[:, None, :] - centers
+    dots = normals[..., 0] * d[..., 0] + normals[..., 1] * d[..., 1] + normals[..., 2] * d[..., 2]
+    for k, f in zip(*np.nonzero(np.abs(dots) <= margins[:, None])):
+        dots[k, f] = np.dot(normals[k, f], apexes[k] - centers[k, f])
+    return dots > 0.0
 
 
-def _frustum_verdict(frustum: Frustum, aabb) -> tuple[bool | None, float]:
-    """Whether the frustum holds every point of a box's AABB (x0, y0, z0,
-    x1, y1, z1) by a margin (True), or one of its five planes has every
-    point outside by the margin (False); None where neither holds.  Also
-    the margin, which _facing can use.
+def _frustum_verdicts(
+    apexes: np.ndarray, forwards: np.ndarray, rights: np.ndarray,
+    tan_h: float, tan_v: float, aabbs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per level camera (apex, forward and right vectors as rows (S, 3), and
+    the two slopes) and box AABB (rows (S, 6) of x0, y0, z0, x1, y1, z1):
+    whether one of the frustum's five planes has every point of the box
+    outside by a margin (out), and whether the frustum holds every point by
+    the margin (full); a box that is neither is undecided.  Also the
+    margins, which _facings can use.  Three arrays (S,).
 
     Each plane is a linear function of the point, fwd or fwd * tan -+ lat
     or fwd * tan -+ ver, that is positive inside, so its least and
@@ -456,30 +528,18 @@ def _frustum_verdict(frustum: Frustum, aabb) -> tuple[bool | None, float]:
     slopes are at most BOX_MAX (about 2**129; Box3's and make_camera's
     checks), so an AABB value is at most 3 BOX_MAX and the sum is at most
     (1 + 21 BOX_MAX) (1 + 2 BOX_MAX), below 2**264."""
-    ax, ay, az = frustum.apex
-    th, tv = frustum.tan_half_h, frustum.tan_half_v
-    reach = (1.0 + sum(map(abs, aabb)) + abs(ax) + abs(ay) + abs(az)) * (1.0 + th + tv)
-    margin = _EPS_REL * reach
-    x0, y0, z0, x1, y1, z1 = aabb
-    x0, y0, z0, x1, y1, z1 = x0 - ax, y0 - ay, z0 - az, x1 - ax, y1 - ay, z1 - az
-    (fx, fy, fz), (rx, ry, rz), (ux, uy, uz) = frustum.forward, frustum.right, frustum.up
-    inside = True
-    for nx, ny, nz in ((fx, fy, fz),
-                       (fx * th - rx, fy * th - ry, fz * th - rz),
-                       (fx * th + rx, fy * th + ry, fz * th + rz),
-                       (fx * tv - ux, fy * tv - uy, fz * tv - uz),
-                       (fx * tv + ux, fy * tv + uy, fz * tv + uz)):
-        a, b, c, d, e, f = nx * x0, nx * x1, ny * y0, ny * y1, nz * z0, nz * z1
-        if a > b:
-            a, b = b, a
-        if c > d:
-            c, d = d, c
-        if e > f:
-            e, f = f, e
-        if b + d + f < -margin:
-            return False, margin
-        inside = inside and a + c + e > margin
-    return (True if inside else None), margin
+    reach = 1.0 + np.abs(aabbs).sum(axis=1) + np.abs(apexes).sum(axis=1)
+    margins = _EPS_REL * (reach * (1.0 + tan_h + tan_v))
+    f, r, u = forwards[:, None], rights[:, None], np.array(_UP)
+    normals = np.concatenate((f, f * tan_h - r, f * tan_h + r,
+                              f * tan_v - u, f * tan_v + u), axis=1)
+    low = normals * (aabbs[:, None, :3] - apexes[:, None])
+    high = normals * (aabbs[:, None, 3:] - apexes[:, None])
+    least, most = np.minimum(low, high), np.maximum(low, high)
+    margin = margins[:, None]
+    out = (((most[..., 0] + most[..., 1]) + most[..., 2]) < -margin).any(axis=1)
+    full = ~out & (((least[..., 0] + least[..., 1]) + least[..., 2]) > margin).all(axis=1)
+    return out, full, margins
 
 
 def visible_fraction(
@@ -502,29 +562,83 @@ def visible_fraction(
     )[0]
 
 
+class _TargetFaces:
+    """What the sample loop keeps of the target boxes it meets: the last
+    box's AABB and face centres; the last _face_shape, since a moved
+    target that keeps its yaw (and the sign of a zero yaw) and half extents
+    keeps its face offsets and grid terms; and the sample points of the
+    last box's last facing faces, as columns and, once asked for, as rows.
+    A sweep's target is one box, so it has its points built once per set
+    of facing faces; a moved target has only its facing faces' built."""
+
+    def __init__(self, s: int):
+        self.s = s
+        self.box = self.key = self.shape = self.settled = None
+        self.taken = (None, None)
+        self.cols = self.point_rows = None
+
+    def settle(self, box: Box3) -> tuple:
+        """The box's AABB, face centres and _face_shape."""
+        if box is not self.box:
+            key = (box.yaw, math.copysign(1.0, box.yaw), box.half_extents)
+            if key != self.key:
+                self.key, self.shape = key, _face_shape(box.yaw, box.half_extents, self.s)
+            self.box = box
+            self.settled = (box.aabb, _face_centers(box.center, self.shape), self.shape)
+        return self.settled
+
+    def columns(self, box: Box3, settled: tuple, facing: list[int]) -> np.ndarray:
+        """The points of the facing faces of the box, whose AABB, face
+        centres and shape settle gave, as three coordinate columns (3, n)."""
+        self._take(box, settled, facing)
+        return self.cols.reshape(3, -1)
+
+    def rows(self, box: Box3, settled: tuple, facing: list[int]) -> np.ndarray:
+        """The same points as rows (n, 3), laid out as (n / s, 3 s)."""
+        self._take(box, settled, facing)
+        if self.point_rows is None:
+            self.point_rows = _point_rows(self.cols).reshape(-1, 3 * self.s)
+        return self.point_rows
+
+    def _take(self, box: Box3, settled: tuple, facing: list[int]) -> None:
+        if self.taken[0] is not box or self.taken[1] != facing:
+            self.taken = (box, facing)
+            self.cols, self.point_rows = _face_points(settled[1], settled[2], facing), None
+
+
 def _sample_pairs(
     scene: SceneGraph,
     target_id: str,
-    pairs: Callable[[SceneNode], Iterable[tuple[EgoPose, SceneNode]]],
+    pairs: Callable[[Box3], Iterable[tuple[EgoPose, Box3]]],
     cfg: CameraConfig,
     samples_per_edge: int,
     ignore_ids: frozenset[str],
 ) -> tuple[VisibilitySample, ...]:
     """The one sample loop: visibility of a target vehicle over the
-    (ego pose, target node) pairs that pairs(target) yields.
+    (ego pose, target box) pairs that pairs(target box) yields.
 
     The scene's index is built once per scene and kept with it.  A moved
     target keeps its id, so the index skips it as an occluder wherever the
-    pair puts it.  Per sample, _frustum_verdict settles from the target's
-    AABB whether all of its face points are in view, none is, or
-    Frustum.view must sort them point by point; a sample out of view takes
-    no face points at all.  A node's face grids are built when a sample
-    first needs them, so a target that stays put (a sweep) has them built
-    once, and a moved target that keeps its yaw and half extents only adds
-    its new centre to the face offsets and grid terms it had; an ego that
-    stays the same object (a target sweep's) keeps its frustum.  The pairs
-    are taken in stretches of _STRETCH, and the samples of a stretch share
-    one grid query of the broadphase.
+    pair puts it.  The pairs are taken in stretches of _STRETCH samples.
+    Once per stretch, on stacked arrays of its samples, run the cameras,
+    the frustum verdicts (_frustum_verdicts: every face point of the
+    target in view, none, or Frustum.view must sort them point by point),
+    the facing faces of the samples not out of view, one grid query of the
+    broadphase for the samples with a facing face, one separating-axis
+    test of the wedge cull for every candidate it found, and the frames of
+    the kept boxes (SceneIndex._frames: the apex turned into each box's
+    frame).  Per sample run Frustum.view's projections of the undecided
+    samples' facing points, one matmul per vector on C-ordered rays as
+    view's subtraction gives them, and, for the samples whose wedge kept a
+    box, the rays, their lengths and directions, the slab test, the
+    first-hit scan, the occluder tally and its sort.
+
+    Work whose result nobody reads is skipped.  A sample out of view takes
+    no face points.  A sample whose wedge keeps no box takes no rays: every
+    face point in view is seen, and its count, for a sample wholly in view
+    len(facing) * s * s, is all the sample needs.  Face points are built
+    for the facing faces only, once per box and set of facing faces
+    (_TargetFaces).
     """
     if not (isinstance(samples_per_edge, numbers.Integral) and samples_per_edge >= 1):
         raise OptionError(f"samples per edge must be a positive integer, got {samples_per_edge!r}")
@@ -533,58 +647,79 @@ def _sample_pairs(
         raise ValueError(f"target {target_id!r} is {target.kind.value}, not a vehicle")
     index = scene.index
     skip = {index.index_of[i] for i in (set(ignore_ids) | {target_id}) if i in index.index_of}
+    faces = _TargetFaces(samples_per_edge)
     samples = []
-    node_seen = ego_seen = shape = shape_key = None
-    stream = iter(pairs(target))
+    stream = iter(pairs(target.box))
     while stretch := list(islice(stream, _STRETCH)):
-        # per sample: ego, target node, its AABB, camera apex and the
-        # rays (apex to point) to the target's sample points in the frustum
-        views = []
-        for ego, node in stretch:
-            if node is not node_seen:
-                node_seen, bounds, faces, rows, taken = node, node.box.aabb, None, None, None
-            if ego is not ego_seen:  # a target sweep yields one ego for every sample
-                ego_seen, frustum = ego, make_camera(ego, cfg)
-                apex = np.asarray(frustum.apex)
-            verdict, margin = _frustum_verdict(frustum, bounds)
-            rays = ()
-            if verdict is not False:
-                if faces is None:
-                    box = node.box
-                    # a moved target that keeps its yaw (and the sign of a
-                    # zero yaw) and half extents keeps its face offsets and
-                    # grid terms
-                    key = (box.yaw, math.copysign(1.0, box.yaw), box.half_extents)
-                    if key != shape_key:
-                        shape_key = key
-                        shape = _face_shape(box.yaw, box.half_extents, samples_per_edge)
-                    faces = _face_columns(box.center, shape)
-                normals, centers, cols = faces
-                facing = _facing(normals, centers, apex, margin)
-                if verdict:
-                    # every point in view: the rays, (R, 3) over three
-                    # contiguous coordinate columns, with no mask to take;
-                    # the facing points' columns are kept while the faces are
-                    if facing != taken:
-                        taken, points = facing, cols.take(facing, axis=1).reshape(3, -1)
-                    rays = np.subtract(points, apex[:, None]).T
-                else:
-                    if rows is None:
-                        rows = _point_rows(cols)
-                    rays, inside = frustum.view(rows[facing].reshape(-1, 3))
-                    rays = rays.T.take(np.flatnonzero(inside), axis=1).T
-            views.append((ego, node, bounds, apex, rays))
-        # the broadphase of the samples in view: each gets the candidates
-        # of the box spanned by its camera and its target
-        shown = [v for v in views if len(v[4])]
-        near = iter(())
-        if shown:
-            box, apexes = np.array([v[2] for v in shown]), np.array([v[3] for v in shown])
-            near = iter(index.candidates_each(
-                np.minimum(box[:, :3], apexes), np.maximum(box[:, 3:], apexes), skip))
-        samples += [_sample_from_points(index, *v, next(near) if len(v[4]) else None)
-                    for v in views]
+        samples += _stretch_samples(index, target_id, stretch, cfg, faces, skip)
     return tuple(samples)
+
+
+def _stretch_samples(
+    index: SceneIndex, target_id: str, stretch: list[tuple[EgoPose, Box3]],
+    cfg: CameraConfig, faces: _TargetFaces, skip: set[int],
+) -> list[VisibilitySample]:
+    """The samples of one stretch of _sample_pairs."""
+    s = faces.s
+    apex, forward, right, tan_h, tan_v = _cameras([ego for ego, _ in stretch], cfg)
+    settled = [faces.settle(box) for _, box in stretch]
+    aabbs = np.array([aabb for aabb, _, _ in settled])
+    out, full, margins = _frustum_verdicts(apex, forward, right, tan_h, tan_v, aabbs)
+    facing: list[list[int]] = [[] for _ in stretch]
+    look = np.flatnonzero(~out)
+    if len(look):
+        mask = _facings(np.stack([settled[k][2][0] for k in look]),
+                        np.stack([settled[k][1] for k in look]), apex[look], margins[look])
+        for k, row in zip(look.tolist(), mask.tolist()):
+            facing[k] = [f for f, faces_apex in enumerate(row) if faces_apex]
+
+    # the broadphase of the samples with a facing face, each with the
+    # candidates of the box spanned by its camera and its target, then
+    # their wedge cull and the frames of the boxes it keeps
+    kept: dict[int, np.ndarray] = {}
+    shown = [k for k in look.tolist() if facing[k]]
+    if shown:
+        near = index.candidates_each(np.minimum(aabbs[shown, :3], apex[shown]),
+                                     np.maximum(aabbs[shown, 3:], apex[shown]), skip)
+        culled = [(k, subset) for k, subset in zip(shown, near) if len(subset)]
+        if culled:
+            hulls = []
+            for k, _ in culled:
+                x0, y0, _, x1, y1, _ = settled[k][0]
+                hulls.append(_hull_2d([tuple(apex[k, :2].tolist()),
+                                       (x0, y0), (x1, y0), (x1, y1), (x0, y1)]))
+            wedged = index._cull_wedges([subset for _, subset in culled], hulls)
+            kept = {k: subset for (k, _), subset in zip(culled, wedged) if len(subset)}
+    frames = {}
+    if kept:
+        owners = list(kept)
+        sizes = [len(kept[k]) for k in owners]
+        local, yaws = index._frames(np.repeat(apex[owners], sizes, axis=0),
+                                    np.concatenate([kept[k] for k in owners]))
+        start = 0
+        for k, size in zip(owners, sizes):
+            frames[k] = (local[start:start + size], yaws[start:start + size])
+            start += size
+
+    # each row of the apex repeated s times, so that the subtraction from
+    # face point rows (n / s, 3 s) runs along rows, not in threes
+    tiles = np.tile(apex, (1, s)) if (~out & ~full).any() else None
+    samples = []
+    for k, (ego, box) in enumerate(stretch):
+        total, rel = 0, None
+        if facing[k] and full[k]:
+            total = len(facing[k]) * s * s
+            if k in kept:
+                rel = faces.columns(box, settled[k], facing[k]) - apex[k][:, None]
+        elif facing[k]:
+            d = (faces.rows(box, settled[k], facing[k]) - tiles[k]).reshape(-1, 3)
+            inside = _in_view(d, forward[k], right[k], tan_h, tan_v)
+            total = int(np.count_nonzero(inside))
+            if k in kept and total:
+                rel = d.T.take(np.flatnonzero(inside), axis=1)
+        samples.append(_sample_from_points(index, ego, target_id, total, rel,
+                                           kept.get(k), frames.get(k)))
+    return samples
 
 
 def _lengths(rel: np.ndarray) -> np.ndarray:
@@ -611,43 +746,31 @@ def _first_hits(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sample_from_points(
     index: SceneIndex,
     ego: EgoPose,
-    target: SceneNode,
-    t_aabb: tuple[float, ...],
-    apex: np.ndarray,
-    rel: np.ndarray,
-    subset: np.ndarray | None,
+    target_id: str,
+    total: int,
+    rel: np.ndarray | None,
+    kept: np.ndarray | None,
+    frames: tuple[np.ndarray, list] | None,
 ) -> VisibilitySample:
-    """One sample from the rays to the target's sample points in the
-    frustum, rel (points - apex), and the broadphase candidates of the
-    camera and target range, subset."""
-    total = len(rel)
+    """One sample from the count of its target's face points in the
+    frustum, total, and, where its wedge kept boxes, the rays to those
+    points, rel (points - apex, three coordinate columns), the kept boxes
+    and their frames (SceneIndex._frames).  A sample in view without rays
+    sees every point."""
     if total == 0:
-        return VisibilitySample(ego, target.id, 0.0, False, ())
-
-    dist = _lengths(rel)
-    dirs = rel / dist[:, None]
-
-    subset = index.cull_outside_wedge(
-        subset,
-        (float(apex[0]), float(apex[1])),
-        [(t_aabb[0], t_aabb[1]), (t_aabb[3], t_aabb[1]),
-         (t_aabb[3], t_aabb[4]), (t_aabb[0], t_aabb[4])],
-    )
-
-    if len(subset):
-        first, nearest = _first_hits(index.entry_distances(apex, dirs, subset))
-        blocked = nearest < dist * (1.0 - _EPS_REL)
-        counts = np.bincount(first[blocked], minlength=len(subset))
-        hits = np.flatnonzero(counts)
-        visible = total - int(counts.sum())
-        contrib = sorted(((index.ids[k], cnt) for k, cnt in
-                          zip(subset[hits].tolist(), counts[hits].tolist())),
-                         key=lambda kv: (-kv[1], kv[0]))
-        occluders = tuple((nid, cnt / total) for nid, cnt in contrib)
-    else:
-        visible = total
-        occluders = ()
-    return VisibilitySample(ego, target.id, visible / total, True, occluders)
+        return VisibilitySample(ego, target_id, 0.0, False, ())
+    if rel is None:
+        return VisibilitySample(ego, target_id, 1.0, True, ())
+    dist = _lengths(rel.T)
+    first, nearest = _first_hits(index._slabs(frames, kept, rel / dist))
+    blocked = nearest < dist * (1.0 - _EPS_REL)
+    counts = np.bincount(first[blocked], minlength=len(kept))
+    hits = np.flatnonzero(counts)
+    contrib = sorted(((index.ids[k], cnt) for k, cnt in
+                      zip(kept[hits].tolist(), counts[hits].tolist())),
+                     key=lambda kv: (-kv[1], kv[0]))
+    occluders = tuple((nid, cnt / total) for nid, cnt in contrib)
+    return VisibilitySample(ego, target_id, (total - int(counts.sum())) / total, True, occluders)
 
 
 # --- sweeps ---------------------------------------------------------------------

@@ -386,7 +386,8 @@ def per_sample_loop(scene, target_id, pairs, cfg, samples_per_edge, ignore_ids):
     target = scene.node(target_id)
     skip = {index.index_of[i] for i in (set(ignore_ids) | {target_id}) if i in index.index_of}
     samples = []
-    for ego, node in pairs(target):
+    for ego, box in pairs(target.box):
+        node = SceneNode(target.id, target.kind, box)
         frustum = make_camera(ego, cfg)
         apex = np.asarray(frustum.apex)
         points = face_points(node, apex, samples_per_edge)

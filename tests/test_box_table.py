@@ -217,30 +217,23 @@ def test_merge_collision_names_the_first_colliding_id():
             assert str(err.value) == "--scene node id 'col-corner' collides with the scenario"
 
 
-def test_scenario_with_scene_builds_no_imported_node(tmp_path, monkeypatch):
+def test_scenario_with_scene_builds_no_imported_node(tmp_path, nodes_built):
     text = _garage_text(side=9)
     path = tmp_path / "garage.json"
     path.write_text(text, encoding="utf-8")
     imported = len(import_scene(text).nodes)
-    built = []
-    init = SceneNode.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args[0] if args else kwargs["id"])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SceneNode, "__init__", counting_init)
     garage_ids = set(import_scene(text)._table.ids)
     assert len(garage_ids) == imported > 200
     for case in ("1", "2", "3"):
-        built.clear()
+        nodes_built.clear()
         out = tmp_path / f"r{case}.json"
         assert cli.main(["scenario", "--case", case, "--scene", str(path), "--light", "dim",
                          "--out", str(out)]) == 0
-        # the case builder's own nodes and the targets looked up (case 2 moves its
-        # target, one node per sample), none of the garage's
-        assert built and not garage_ids & set(built), sorted(garage_ids & set(built))[:5]
-        assert len(set(built)) < 10
+        # the case builder's own nodes and the targets looked up, none of
+        # the garage's
+        built = set(nodes_built)
+        assert built and not garage_ids & built, sorted(garage_ids & built)[:5]
+        assert len(built) < 10
 
 
 def test_threads_reading_nodes_at_once_get_equal_tuples():
@@ -362,10 +355,11 @@ def _outcome(make):
 
 
 @pytest.mark.parametrize("grid", [
-    # valid widths, but the second column's edges round to one float
-    pytest.param(classify_all(GarageSpec(((1, 1, 0), (0, 1, 0)), (5.0, 5.0), (1e17, 1.0, 6.0))),
+    # positive widths, but the second column's edges round to one float,
+    # which validate's cell-extent rule refuses
+    pytest.param(_grid_with_widths(((1, 1, 0), (0, 1, 0)), (5.0, 5.0), (1e17, 1.0, 6.0)),
                  id="absorbed-width-floor"),
-    pytest.param(classify_all(GarageSpec(((1, -1, 0), (1, -1, 0)), (5.0, 5.0), (1e17, 1.0, 6.0))),
+    pytest.param(_grid_with_widths(((1, -1, 0), (1, -1, 0)), (5.0, 5.0), (1e17, 1.0, 6.0)),
                  id="absorbed-width-wall"),
     pytest.param(_grid_with_widths(((1, 1), (0, 1)), (5.0, -2.0), (3.0, 3.0)), id="negative-row"),
     pytest.param(_grid_with_widths(((1, 1), (0, 1)), (5.0, 5.0), (0.0, 3.0)), id="zero-column"),
@@ -473,7 +467,7 @@ def test_plan_errors_are_the_node_building_references(entries):
 
 @pytest.mark.parametrize("occupancy", [False, True])
 @pytest.mark.parametrize("out", [False, True])
-def test_generate_builds_no_node(tmp_path, monkeypatch, capsys, occupancy, out):
+def test_generate_builds_no_node(tmp_path, capsys, nodes_built, occupancy, out):
     """generate writes its scene and counts its nodes from the box table."""
     structure = [[1 if i % 3 == 0 or j % 3 == 0 else 0 for j in range(9)] for i in range(9)]
     spec = GarageSpec(tuple(map(tuple, structure)), (5.0,) * 9, (3.0,) * 9)
@@ -488,17 +482,8 @@ def test_generate_builds_no_node(tmp_path, monkeypatch, capsys, occupancy, out):
         argv += ["--occupancy", str(vehicles)]
     if out:
         argv = ["--format", "json", *argv, "--out", str(tmp_path / "scene.json")]
-    built = []
-    init = SceneNode.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args[0] if args else kwargs["id"])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SceneNode, "__init__", counting_init)
     assert cli.main(argv) == 0
-    assert built == []
-    monkeypatch.undo()
+    assert nodes_built == []
     captured = capsys.readouterr()
     text = (tmp_path / "scene.json").read_text(encoding="utf-8") if out else captured.out
     nodes = len(import_scene(text).nodes)

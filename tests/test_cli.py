@@ -1,22 +1,36 @@
 import io
 import json
 import re
+import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from garagesim import cli
+from garagesim.classify import classify_all
 from garagesim.cli import main
-from garagesim.grid import GarageSpec, emit_garage_spec
-from garagesim.scene import LightLevel, import_scene
+from garagesim.grid import BOX_MAX, CellRef, GarageSpec, emit_garage_spec, validate
+from garagesim.scene import (
+    LightLevel, OccupancyPlan, PlanEntry, import_scene, populate_vehicles, synthesize,
+)
+from conftest import CODES
 from oracles import parse_command_line
 
 
 ALL_LANE_3X3 = GarageSpec(
     ((1, 1, 1), (1, 1, 1), (1, 1, 1)), (6.0, 6.0, 6.0), (6.0, 6.0, 6.0)
 )
+
+
+# the plans validate once passed and generate then crashed on
+THIN_PLANS = [
+    {"structure": [[1], [0]], "row_widths_m": [2.5, 1e-300], "col_widths_m": [2.5]},
+    {"structure": [[1, 1, 0]], "row_widths_m": [6], "col_widths_m": [9223372036854775808, 6.0, 5]},
+    {"structure": [[2, 1], [1, 1]], "row_widths_m": [1e-323, 5], "col_widths_m": [6, 6]},
+]
 
 
 @pytest.fixture
@@ -68,6 +82,71 @@ class TestValidate:
         (tmp_path / "rows.csv").write_text("5\n5\n")
         (tmp_path / "cols.csv").write_text("6\n6\n")
         assert main(["validate", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("plan", THIN_PLANS, ids=["absorbed-row", "absorbed-cols", "ramp-row"])
+    def test_cells_too_thin_to_build_fail_validate_and_generate(self, tmp_path, capsys, plan):
+        # a width absorbed into the running total before it, or a subnormal
+        # one that a ramp marker's quarter rounds to 0: the cell would be a
+        # box of no extent, which synthesis refuses with a ValueError
+        p = tmp_path / "thin.json"
+        p.write_text(json.dumps({"schema": "garage-spec/1", **plan}), encoding="utf-8")
+        assert main(["validate", str(p)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("violation cell-extent at "), out
+        scene = tmp_path / "scene.json"
+        assert main(["generate", str(p), "--out", str(scene)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == out and not scene.exists()
+
+
+_PLAN_WIDTHS = st.one_of(
+    st.floats(2.0, 8.0),
+    st.floats(min_value=5e-324, max_value=BOX_MAX),
+    st.sampled_from([5e-324, 1e-323, 1.5e-323, 2e-323, sys.float_info.min, 1e-300, 1e-17,
+                     2.0**63, 1e38, BOX_MAX / 2.0, BOX_MAX]),
+)
+
+
+@st.composite
+def _plans(draw):
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    structure = draw(st.lists(st.lists(st.sampled_from(CODES), min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    rows = draw(st.lists(_PLAN_WIDTHS, min_size=m, max_size=m))
+    cols = draw(st.lists(_PLAN_WIDTHS, min_size=n, max_size=n))
+    return {"structure": structure, "row_widths_m": rows, "col_widths_m": cols}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plans())
+@example(THIN_PLANS[0])
+@example(THIN_PLANS[1])
+@example(THIN_PLANS[2])
+@example({"structure": [[2, 1], [1, 1]], "row_widths_m": [1.5e-323, 5], "col_widths_m": [6, 6]})
+@example({"structure": [[1, 3]], "row_widths_m": [BOX_MAX / 2.0], "col_widths_m": [2e-323, 6]})
+def test_a_plan_validate_accepts_compiles(plan):
+    # validate passing means synthesis and vehicle placement succeed, with a
+    # forced vehicle in every cell, and generate exits 0
+    spec = GarageSpec(tuple(map(tuple, plan["structure"])), tuple(plan["row_widths_m"]),
+                      tuple(plan["col_widths_m"]))
+    if not validate(spec).ok:
+        return
+    grid = classify_all(spec)
+    occupancy = OccupancyPlan(tuple(PlanEntry(CellRef(i, j), "small", force=True)
+                                    for i in range(spec.m) for j in range(spec.n)))
+    populate_vehicles(synthesize(grid), grid, occupancy)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp)
+        (path / "plan.json").write_text(emit_garage_spec(spec), encoding="utf-8")
+        entries = [{"cell": [e.cell.i, e.cell.j], "size": e.size, "force": True}
+                   for e in occupancy.entries]
+        (path / "occupancy.json").write_text(
+            json.dumps({"schema": "occupancy-plan/1", "entries": entries}), encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["generate", str(path / "plan.json"), "--occupancy",
+                         str(path / "occupancy.json"), "--out", str(path / "scene.json")])
+        assert code == 0, err.getvalue()
 
 
 class TestGenerate:

@@ -9,6 +9,7 @@ from garagesim.grid import (
     CellRef,
     Direction,
     GarageSpec,
+    RULE_CELL_EXTENT,
     RULE_CODE_RANGE,
     RULE_COL_COUNT,
     RULE_ENVELOPE_FINITE,
@@ -161,6 +162,17 @@ class TestValidate:
         assert [(v.rule, v.location) for v in validate(spec).violations] == [
             (RULE_ENVELOPE_FINITE, "col_widths")]
         assert validate(GarageSpec(((1, 1),), (5.0,), (3e38, 3e38))).ok
+
+    def test_cells_too_thin_to_build(self):
+        # a width absorbed into the running total before it, and a subnormal
+        # one that a quarter rounds to 0, each leave a cell of no extent
+        for rows, cols, location in (((5.0,), (1e17, 1.0, 6.0), "col_widths"),
+                                     ((1e-323, 5.0), (6.0,), "row_widths")):
+            spec = GarageSpec(((1,) * len(cols),) * len(rows), rows, cols)
+            assert [(v.rule, v.location) for v in validate(spec).violations] == [
+                (RULE_CELL_EXTENT, location)]
+        # the thinnest extent whose quarter is still above 0
+        assert validate(GarageSpec(((2, 1), (1, 1)), (1.5e-323, 5.0), (6.0, 6.0))).ok
 
     def test_zero_lane_garage_flagged(self):
         spec = GarageSpec(((-1, 0), (0, -1)), (5.0, 5.0), (6.0, 6.0))

@@ -1,15 +1,18 @@
-"""The sample loop against its one-query-per-sample reference.
+"""The sample loop against its one-sample-at-a-time reference.
 
-_sample_pairs runs the grid broadphase once per stretch of samples and
-then each sample's exact AABB test on that stretch's candidates; the
-reference, ``oracles.per_sample_loop``, queries once per sample, culls the
-wedge one hull edge at a time and reduces with min, np.unique and
-np.linalg.norm.  Both must give equal VisibilitySample tuples, repr
-included, so fractions and named occluders are the same bits.  Scenes come
-from test_scene_index's generator (rotated boxes, wall runs, ceiling
-panels, far and huge boxes, lamps) plus vehicle targets, some of them far
-or huge; paths run past one stretch, and both ``sweep`` and
-``target_sweep``'s moving target are checked.
+_sample_pairs takes the cameras, frustum verdicts, facing faces, grid
+broadphase, wedge cull and box frames once per stretch of samples, and
+skips the rays of a sample whose wedge keeps no box; the reference,
+``oracles.per_sample_loop``, takes each sample alone: it tests every face
+point against the frustum, queries once, culls the wedge one hull edge at
+a time and reduces with min, np.unique and np.linalg.norm.  Both must give
+equal VisibilitySample tuples, repr included, so fractions and named
+occluders are the same bits.  Scenes come from test_scene_index's
+generator (rotated boxes, wall runs, ceiling panels, far and huge boxes,
+lamps) plus vehicle targets, some of them far or huge; paths run past one
+stretch, and both ``sweep`` and ``target_sweep``'s moving target are
+checked, at the CLI's 24 samples per edge too, over sweeps of stretch-edge
+lengths and stretches that mix every kind of sample.
 """
 
 import math
@@ -137,16 +140,19 @@ def _across(rng: random.Random, toward: Box3) -> list[tuple[float, float]]:
 
 
 def _counting_verdicts(patch) -> dict:
-    """Counts of each _frustum_verdict outcome the engine reaches."""
+    """Counts of each verdict the engine reaches: every face point in view
+    (True), none (False) or undecided (None)."""
     seen = {True: 0, False: 0, None: 0}
-    verdict = visibility._frustum_verdict
+    verdicts = visibility._frustum_verdicts
 
-    def counted(frustum, aabb):
-        got = verdict(frustum, aabb)
-        seen[got[0]] += 1
-        return got
+    def counted(*args):
+        out, full, margins = verdicts(*args)
+        seen[True] += int(full.sum())
+        seen[False] += int(out.sum())
+        seen[None] += int((~out & ~full).sum())
+        return out, full, margins
 
-    patch.setattr(visibility, "_frustum_verdict", counted)
+    patch.setattr(visibility, "_frustum_verdicts", counted)
     return seen
 
 
@@ -190,3 +196,127 @@ def test_coincident_occluders_name_the_first():
     samples = _assert_same_as_reference(visibility, lambda: sweep(
         scene, [(0.0, 0.0), (2.0, 0.0)], CFG, "target", 0.5, samples_per_edge=6))
     assert all(s.occluders and {nid for nid, _ in s.occluders} == {"z-first"} for s in samples)
+
+
+# --- stretches: their sizes, what they mix, and the CLI's grid --------------------
+
+
+def _column(node_id: str, x: float, y: float) -> SceneNode:
+    return SceneNode(node_id, NodeKind.COLUMN, Box3((x, y, 1.5), (0.3, 0.3, 1.5)))
+
+
+def _lane_scene(*extra: SceneNode) -> SceneGraph:
+    """A target parked by a lane, a column that comes between them for part
+    of a drive along the lane, and a rotated box further off."""
+    nodes = (
+        SceneNode("target", NodeKind.VEHICLE, Box3((12.0, 0.0, 0.75), (2.2, 0.9, 0.75))),
+        _column("col-near", 8.0, 3.0),
+        SceneNode("box-turned", NodeKind.COLUMN, Box3((16.0, 4.0, 1.0), (0.4, 1.5, 1.0), 0.7)),
+        *extra,
+    )
+    return SceneGraph(nodes, Box3((5.0, 0.0, 1.5), (25.0, 12.0, 1.5)), LightLevel.BRIGHT)
+
+
+def _recording_stretches(patch) -> list[dict]:
+    """Per stretch the engine takes: its verdicts and how many samples the
+    wedge left with boxes and without."""
+    stretches = []
+    verdicts, wedges = visibility._frustum_verdicts, visibility.SceneIndex._cull_wedges
+
+    def counted_verdicts(*args):
+        out, full, margins = verdicts(*args)
+        stretches.append({"out": int(out.sum()), "full": int(full.sum()),
+                          "undecided": int((~out & ~full).sum()), "kept": 0, "culled": 0})
+        return out, full, margins
+
+    def counted_wedges(index, subsets, hulls):
+        kept = wedges(index, subsets, hulls)
+        stretches[-1]["kept"] += sum(bool(len(k)) for k in kept)
+        stretches[-1]["culled"] += sum(not len(k) for k in kept)
+        return kept
+
+    patch.setattr(visibility, "_frustum_verdicts", counted_verdicts)
+    patch.setattr(visibility.SceneIndex, "_cull_wedges", counted_wedges)
+    return stretches
+
+
+@pytest.mark.parametrize("count", [
+    visibility._STRETCH - 1, visibility._STRETCH, visibility._STRETCH + 1, 2 * visibility._STRETCH,
+])
+def test_sweeps_of_stretch_edge_lengths_match_per_sample_loop(count):
+    # a drive of exactly count samples: one stretch short of full, one
+    # full, one sample into the next, two full
+    scene = _lane_scene()
+    path = [(-4.0, 5.0), (-4.0 + 0.5 * (count - 1), 5.0)]
+    with pytest.MonkeyPatch.context() as patch:
+        stretches = _recording_stretches(patch)
+        samples = _assert_same_as_reference(visibility, lambda: sweep(
+            scene, path, CFG, "target", 0.5, samples_per_edge=4))
+    assert len(samples) == count
+    sizes = [sum(s[k] for k in ("out", "full", "undecided")) for s in stretches]
+    assert sizes == [min(visibility._STRETCH, count - k)
+                     for k in range(0, count, visibility._STRETCH)]
+
+
+def test_stretches_mix_every_kind_of_sample():
+    # a drive past the target: wholly in view, then across the frustum's
+    # edge and out of it, with the column in the wedge for part of the way;
+    # stretches hold samples of every verdict, and samples whose wedge keeps
+    # a box beside samples whose wedge keeps none
+    scene = _lane_scene(_column("col-far", 30.0, -8.0))
+    with pytest.MonkeyPatch.context() as patch:
+        stretches = _recording_stretches(patch)
+        samples = _assert_same_as_reference(visibility, lambda: sweep(
+            scene, [(-4.0, 5.0), (18.0, 5.0)], CFG, "target", 0.5, samples_per_edge=6))
+    assert any(s["out"] and s["full"] and s["undecided"] for s in stretches), stretches
+    assert any(s["kept"] and s["culled"] for s in stretches), stretches
+    occluded = [bool(s.occluders) for s in samples if s.in_frustum]
+    assert any(occluded) and not all(occluded)
+
+
+def test_cli_face_grid_matches_per_sample_loop():
+    # the CLI's default of 24 samples per edge, for a driving ego and a
+    # moving target, in random scenes
+    rng = random.Random(37)
+    assert visibility.DEFAULT_SAMPLES_PER_EDGE == 24
+    for trial in range(4):
+        scene = _scene(rng, rng.choice([5, 40]))
+        target = f"t-{rng.randrange(3)}"
+        box = scene.node(target).box
+        if trial % 2:
+            path = visibility._as_poses(_across(rng, box))
+            start = path[0]
+            ego = EgoPose((start.position[0] - 6.0 * math.cos(start.heading),
+                           start.position[1] - 6.0 * math.sin(start.heading)),
+                          start.heading + rng.uniform(0.3, 1.0))
+            _assert_same_as_reference(scenario, lambda: target_sweep(
+                scene, ego, path, CFG, target, 1.0))
+        else:
+            path = _across(rng, box)
+            _assert_same_as_reference(visibility, lambda: sweep(scene, path, CFG, target, 1.0))
+
+
+def test_moving_target_turning_in_mid_stretch_matches_per_sample_loop(monkeypatch):
+    # the target's path bends after 9 samples, so its yaw changes inside
+    # the first stretch, and again after 39, inside the second
+    made = []
+    face_shape = visibility._face_shape
+    monkeypatch.setattr(visibility, "_face_shape",
+                        lambda *args: made.append(args) or face_shape(*args))
+    scene = _lane_scene()
+    path = visibility._as_poses([(12.0, -6.0), (12.0, -1.5), (27.0, -1.5), (27.0, 12.0)])
+    ego = EgoPose((-2.0, 1.0), 0.2)
+    samples = _assert_same_as_reference(scenario, lambda: target_sweep(
+        scene, ego, path, CFG, "target", 0.5, samples_per_edge=5))
+    assert len(samples) > 2 * visibility._STRETCH
+    assert len(made) == 3  # one shape per straight piece of the path
+    assert len({s.in_frustum for s in samples}) == 2 and any(s.occluders for s in samples)
+
+
+def test_moving_target_builds_no_node_per_sample(nodes_built):
+    # target_sweep yields target boxes; the loop looks the target up once
+    scene = _lane_scene()
+    path = visibility._as_poses([(12.0, -6.0), (12.0, 6.0)])
+    nodes_built.clear()
+    got = target_sweep(scene, EgoPose((-2.0, 1.0), 0.0), path, CFG, "target", 0.5)
+    assert len(got.samples) == 25 and nodes_built == ["target"]

@@ -30,9 +30,11 @@ from garagesim.visibility import (
     sweep_csv,
     sweep_document,
     visible_fraction,
-    _face_columns,
+    _face_centers,
+    _face_points,
     _face_shape,
-    _facing,
+    _facings,
+    _frustum_verdicts,
     _point_rows,
 )
 from fixtures_visibility import CFG, EGO, _slab, build_fixtures
@@ -44,9 +46,31 @@ from oracles import (
 FIXTURES = build_fixtures()
 
 
+def _face_columns(center, shape) -> tuple[np.ndarray, ...]:
+    """Normals, centres and point columns (3, 6, s * s) of the six face
+    grids of a box with the given centre and _face_shape."""
+    centers = _face_centers(center, shape)
+    return shape[0], centers, _face_points(centers, shape, slice(None))
+
+
 def _faces(box: Box3, s: int) -> tuple[np.ndarray, ...]:
     """Normals, centres and point columns of the box's face grids."""
     return _face_columns(box.center, _face_shape(box.yaw, box.half_extents, s))
+
+
+def _facing(normals, centers, apex, margin=math.inf) -> list[int]:
+    """The faces that face one apex, by _facings."""
+    mask = _facings(normals[None], centers[None], np.asarray(apex)[None], np.array([margin]))
+    return np.flatnonzero(mask[0]).tolist()
+
+
+def _verdict(fr: Frustum, aabb) -> tuple[bool | None, float]:
+    """_frustum_verdicts of one frustum and box: True (in view), False
+    (out of view) or None, and the margin."""
+    rows = (np.array([v], dtype=float) for v in (fr.apex, fr.forward, fr.right))
+    out, full, margin = _frustum_verdicts(*rows, fr.tan_half_h, fr.tan_half_v,
+                                          np.array([aabb], dtype=float))
+    return (False if out[0] else True if full[0] else None), float(margin[0])
 
 
 def simple_scene(extra=()):
@@ -285,7 +309,7 @@ class TestSettledPerBox:
 
     @staticmethod
     def _check(fr: Frustum, box: Box3):
-        verdict, margin = visibility._frustum_verdict(fr, box.aabb)
+        verdict, margin = _verdict(fr, box.aabb)
         inside = fr.contains(_all_face_points(box))
         if verdict is not None:
             assert inside.all() if verdict else not inside.any(), (fr, box, verdict)
@@ -372,7 +396,7 @@ class TestSettledPerBox:
             for fov, aspect in ((60.0, 16.0 / 9.0), (179.999, 1e-7)):
                 cfg = CameraConfig(horizontal_fov_deg=fov, aspect=aspect, mount_height=1e38)
                 fr = make_camera(EgoPose((-BOX_MAX, BOX_MAX), 1.0), cfg)
-                verdict, margin = visibility._frustum_verdict(fr, box.aabb)
+                verdict, margin = _verdict(fr, box.aabb)
                 assert 0.0 < margin < math.inf and verdict in (True, False, None)
 
     def test_facing_agrees_with_np_dot_near_each_face_plane(self):
@@ -396,7 +420,7 @@ class TestSettledPerBox:
                     if not float(np.dot(normals[f], apex - centers[f])) <= 0.0]
             fr = Frustum(tuple(apex.tolist()), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
                          math.tan(math.radians(30.0)), 0.3)
-            margin = visibility._frustum_verdict(fr, box.aabb)[1]
+            margin = _verdict(fr, box.aabb)[1]
             dots = np.abs(np.einsum("fk,fk->f", normals, apex - centers))
             near += bool(dots[face] <= margin)
             decided += int((dots > margin).sum())
