@@ -18,7 +18,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .errors import JSON_TOO_DEEP, GarageError, OptionError, SchemaError, SpecParseError
+from .errors import (
+    JSON_TOO_DEEP, GarageError, OptionError, SchemaError, SpecParseError, SpecValidationError,
+)
 from .grid import _read_text, load_garage_spec, validate
 # loaded with the package already: the flag table's light levels and default
 from .scene import LightLevel
@@ -53,10 +55,7 @@ def _parse_weights(text: str | None) -> tuple[float, float, float]:
 
 def _parse_corners(text: str) -> frozenset[tuple[int, int]]:
     corners = set()
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         parts = chunk.split(",")
         if len(parts) != 2:
             raise SchemaError(f"bad corner {chunk!r}; expected 'i,j'")
@@ -270,32 +269,33 @@ def _cmd_validate(args) -> int:
     report = validate(spec)
     if args.format == "json":
         print(json.dumps(report.to_document(), indent=2, sort_keys=True))
+    elif report.ok:
+        print("ok")
     else:
-        if report.ok:
-            print("ok")
-        else:
-            for v in report.violations:
-                print(f"violation {v.rule} at {v.location}: {v.message}")
+        _print_violations(report, sys.stdout)
     return EXIT_OK if report.ok else EXIT_DATA
 
 
+def _print_violations(report, file) -> None:
+    """One line per violation of a failed validation report."""
+    for v in report.violations:
+        print(f"violation {v.rule} at {v.location}: {v.message}", file=file)
+
+
 def _cmd_generate(args) -> int:
-    spec = load_garage_spec(args.spec)
-    report = validate(spec)
-    if not report.ok:
-        for v in report.violations:
-            print(f"violation {v.rule} at {v.location}: {v.message}", file=sys.stderr)
-        return EXIT_DATA
     from .classify import classify_all
     from .scene import (
-        LightLevel, NodeKind, SynthOptions, export_scene, parse_occupancy_plan,
-        populate_vehicles, synthesize,
+        NodeKind, SynthOptions, export_scene, parse_occupancy_plan, populate_vehicles, synthesize,
     )
 
-    grid = classify_all(spec)
-    options = SynthOptions(
-        light=LightLevel(args.light), prune_columns=_parse_corners(args.prune_columns)
-    )
+    spec = load_garage_spec(args.spec)
+    grid = classify_all(spec)  # the one validation of the plan
+    corners = _parse_corners(args.prune_columns)
+    for i, j in sorted(corners):  # columns stand on the interior corners only
+        if not (0 < i < spec.m and 0 < j < spec.n):
+            raise SchemaError(f"prune corner {i},{j} is not an interior corner"
+                              f" of the {spec.m}x{spec.n} plan")
+    options = SynthOptions(light=LightLevel(args.light), prune_columns=corners)
     scene = synthesize(grid, options)
     if args.occupancy:
         plan = parse_occupancy_plan(_read_text(args.occupancy))
@@ -319,18 +319,18 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _merge_scene(base: SceneGraph, extra: SceneGraph, level: LightLevel) -> SceneGraph:
-    """Scenario scene plus extra environment, bounded by both and re-lit to
-    level, made from their box tables in one copy (the same scene as
-    apply_light_level of the two merged), with its index built.  Boxes
-    whose bounds, or lamps over them, would lie past BOX_MAX are a
-    SchemaError."""
+def _merge_scene(base: SceneGraph, extra: SceneGraph | None, level: LightLevel) -> SceneGraph:
+    """The scenario's scene, plus extra environment where given, bounded by
+    both and re-lit to level, made from their box tables in one copy (the
+    same scene as apply_light_level of the two merged), with its index
+    built.  Boxes whose bounds, or lamps over them, would lie past BOX_MAX
+    are a SchemaError."""
     from .scene import _merged
 
-    tables = base._table, extra._table
-    ids = set(tables[0].ids)
-    if not ids.isdisjoint(tables[1].ids):
-        first = next(node_id for node_id in tables[1].ids if node_id in ids)
+    tables = (base._table,) if extra is None else (base._table, extra._table)
+    ids = set(base._table.ids)
+    first = next((i for table in tables[1:] for i in table.ids if i in ids), None)
+    if first is not None:
         raise SchemaError(f"--scene node id {first!r} collides with the scenario")
     try:
         return _merged(tables, level)
@@ -340,10 +340,7 @@ def _merge_scene(base: SceneGraph, extra: SceneGraph, level: LightLevel) -> Scen
 
 def _parse_layout(text: str) -> list[tuple[str, str]]:
     layout = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(","))):
         if ":" not in chunk:
             raise SchemaError(f"bad layout entry {chunk!r}; expected slot:size")
         slot, size = chunk.split(":", 1)
@@ -367,8 +364,8 @@ def _cmd_scenario(args) -> int:
         return EXIT_USAGE
     from dataclasses import replace
 
-    from .scenario import build_case1, build_case2, build_case3, emit_report, relight, run_scenario
-    from .scene import LightLevel, import_scene
+    from .scenario import build_case1, build_case2, build_case3, emit_report, run_scenario
+    from .scene import import_scene
     from .visibility import CameraConfig, sweep_csv
 
     cfg = CameraConfig(**_given(args, "mount_height", "aspect", horizontal_fov_deg="fov"))
@@ -379,14 +376,11 @@ def _cmd_scenario(args) -> int:
         scn = build_case2(**_given(args, "column_offset", "lane_distance"))
     else:
         scn = build_case3(_parse_layout(args.layout))
-    if args.scene:
-        # merged and re-lit in one copy; held by no name, so the imported
-        # table goes once merged
-        scn = replace(scn, scene=_merge_scene(
-            scn.scene, import_scene(_read_text(args.scene)),
-            LightLevel(args.light)))
-    else:
-        scn = relight(scn, LightLevel(args.light))
+    # merged with any --scene and re-lit in one copy; the imported scene is
+    # held by no name, so its table goes once merged
+    scn = replace(scn, scene=_merge_scene(
+        scn.scene, import_scene(_read_text(args.scene)) if args.scene else None,
+        LightLevel(args.light)))
     report = run_scenario(
         scn,
         cfg,
@@ -464,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecParseError, SchemaError, OptionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SpecValidationError as exc:  # generate's plan, as validate prints it
+        _print_violations(exc.report, sys.stderr)
+        return EXIT_DATA
     except GarageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
@@ -35,7 +35,6 @@ from .scene import (
     _fold_bounds,
     _footprint,
     _number_texts,
-    apply_light_level,
     column_box,
     slab_box,
     vehicle_box,
@@ -240,8 +239,6 @@ def build_case2(column_offset: float = 2.5, lane_distance: float = 8.0) -> Scena
         vehicle_box((lane_distance, -half_span), "small", 0),
         {"vehicle_size": "small", "parked": "false", "color": "white"},
     )
-    if _boxes_overlap(column.box, target.box):
-        raise ConstructionError("column placement overlaps the target's lane")
 
     nodes = [
         *_shell(-4.0, -half_span - 4.0, lane_distance + 6.0, half_span + 4.0),
@@ -419,11 +416,6 @@ def run_scenario(
         score=sc,
         stats=stats,
     )
-
-
-def relight(scn: Scenario, level: LightLevel) -> Scenario:
-    """Scenario with its scene's light level replaced."""
-    return replace(scn, scene=apply_light_level(scn.scene, level))
 
 
 # --- documents ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ everything is deterministic: no randomness anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Callable, Iterable
@@ -225,9 +226,9 @@ class SceneIndex:
         self.centers, self.halves, self.cos_yaw, self.sin_yaw, self.aabbs = opaque[1]
         del opaque
         self._build_grid()
-        # built last, so the peak memory of the grid work stays below what
-        # the index keeps
-        self.index_of: dict[str, int] = {node_id: k for k, node_id in enumerate(self.ids)}
+        # built last, so the peak memory of the grid work stays below what the
+        # index keeps; back to front, so the first of equal ids wins (as in node())
+        self.index_of = dict(zip(reversed(self.ids), range(len(self.ids) - 1, -1, -1)))
 
     def _build_grid(self) -> None:
         x0, y0, _, x1, y1, _ = self.aabbs.T
@@ -464,6 +465,17 @@ def _face_shape(yaw: float, half_extents, s: int) -> tuple[np.ndarray, ...]:
     return normals, offsets, g1, g2
 
 
+@functools.lru_cache(maxsize=64)
+def _kept_face_shape(yaw: float, yaw_sign: float, half_extents: tuple, s: int) -> tuple:
+    """_face_shape(yaw, half_extents, s), read-only, made once per process
+    and key.  yaw_sign keeps 0.0 and -0.0 apart: equal as keys, they give
+    zero offsets of different signs."""
+    shape = _face_shape(yaw, half_extents, s)
+    for part in shape:
+        part.flags.writeable = False
+    return shape
+
+
 def _face_centers(center, shape: tuple[np.ndarray, ...]) -> np.ndarray:
     """Centres (6, 3) of the faces of a box with the given centre and
     _face_shape, in the order +u, -u, +v, -v, +w, -w (u and v the yawed x
@@ -564,27 +576,25 @@ def visible_fraction(
 
 class _TargetFaces:
     """What the sample loop keeps of the target boxes it meets: the last
-    box's AABB and face centres; the last _face_shape, since a moved
-    target that keeps its yaw (and the sign of a zero yaw) and half extents
-    keeps its face offsets and grid terms; and the sample points of the
-    last box's last facing faces, as columns and, once asked for, as rows.
-    A sweep's target is one box, so it has its points built once per set
-    of facing faces; a moved target has only its facing faces' built."""
+    box's AABB, face centres and shape (_kept_face_shape, so a moved target
+    that keeps its yaw and half extents keeps its face offsets and grid
+    terms); and the sample points of the last box's last facing faces, as
+    columns and, once asked for, as rows.  A sweep's target is one box, so
+    it has its points built once per set of facing faces; a moved target
+    has only its facing faces' built."""
 
     def __init__(self, s: int):
         self.s = s
-        self.box = self.key = self.shape = self.settled = None
+        self.box = self.settled = self.cols = self.point_rows = None
         self.taken = (None, None)
-        self.cols = self.point_rows = None
 
     def settle(self, box: Box3) -> tuple:
         """The box's AABB, face centres and _face_shape."""
         if box is not self.box:
-            key = (box.yaw, math.copysign(1.0, box.yaw), box.half_extents)
-            if key != self.key:
-                self.key, self.shape = key, _face_shape(box.yaw, box.half_extents, self.s)
+            shape = _kept_face_shape(box.yaw, math.copysign(1.0, box.yaw),
+                                     tuple(box.half_extents), self.s)
             self.box = box
-            self.settled = (box.aabb, _face_centers(box.center, self.shape), self.shape)
+            self.settled = (box.aabb, _face_centers(box.center, shape), shape)
         return self.settled
 
     def columns(self, box: Box3, settled: tuple, facing: list[int]) -> np.ndarray:

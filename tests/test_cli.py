@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import re
@@ -851,3 +852,289 @@ def test_each_call_builds_the_flags_of_its_command_only(monkeypatch):
         built.clear()
         main(["--help"])
     assert built == ["garagesim", *(f"garagesim {command}" for command in cli.COMMANDS)]
+
+
+# --- one path per command -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("with_scene", [False, True], ids=["alone", "with-scene"])
+@pytest.mark.parametrize("case", ["1", "2", "3"])
+def test_scenario_prepares_its_scene_in_one_step(spec_file, tmp_path, monkeypatch, case,
+                                                 with_scene):
+    # re-lit in one copy and indexed once, from the columns the merge took
+    # for the bounds, whether or not --scene adds a garage
+    from garagesim import scene as scene_module, visibility
+
+    argv = ["scenario", "--case", case, "--light", "dim", "--out", str(tmp_path / "r.json")]
+    if with_scene:
+        garage = tmp_path / "garage.json"
+        assert main(["generate", str(spec_file), "--out", str(garage)]) == 0
+        argv += ["--scene", str(garage)]
+    relit, indexed = [], []
+    _relit = scene_module._relit
+    monkeypatch.setattr(scene_module, "_relit", lambda *a: relit.append(a) or _relit(*a))
+    index_init = visibility.SceneIndex.__init__
+    monkeypatch.setattr(visibility.SceneIndex, "__init__",
+                        lambda self, *a: indexed.append(a) or index_init(self, *a))
+    assert main(argv) == 0
+    assert len(relit) == 1 and len(relit[0][0]) == 1 + with_scene
+    assert len(indexed) == 1 and indexed[0][1] is not None, "the index takes the merge's columns"
+
+
+def _validate_calls(monkeypatch) -> list:
+    """The plans grid.validate is called on, wherever a module took it."""
+    import garagesim
+    from garagesim import classify, grid
+
+    calls = []
+    validate_plan = grid.validate
+
+    def counting(spec):
+        calls.append(spec)
+        return validate_plan(spec)
+
+    for module in (garagesim, grid, classify, cli):
+        monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
+def test_generate_validates_a_valid_plan_once(spec_file, tmp_path, monkeypatch):
+    calls = _validate_calls(monkeypatch)
+    assert main(["generate", str(spec_file), "--out", str(tmp_path / "s.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_generate_validates_an_invalid_plan_once(tmp_path, capsys, monkeypatch):
+    plan = tmp_path / "bad.json"
+    plan.write_text(emit_garage_spec(GarageSpec(((-1, 5), (-1, -1)), (5.0, float("nan")),
+                                                (6.0, 6.0))), encoding="utf-8")
+    calls = _validate_calls(monkeypatch)
+    capsys.readouterr()
+    assert main(["generate", str(plan), "--out", str(tmp_path / "s.json")]) == 1
+    assert len(calls) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "violation code-range at cell(0,1): code 5 outside [-1, 3]\n"
+        "violation width-positive at row_widths[1]: width nan is not a positive finite number\n"
+        "violation no-lanes at structure: plan contains no drivable squares\n")
+    # validate prints the same lines, to stdout
+    assert main(["validate", str(plan)]) == 1
+    assert capsys.readouterr() == (captured.err, "")
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("corners", ["99,99", "0,1", "1,2", "2,1", "-1,1", "1,1;3,1"])
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_prune_corner_off_the_interior_exit_2(tmp_path, capsys, corners, by_config):
+    # a 2x2 plan has one interior corner, 1,1
+    plan = tmp_path / "plan.json"
+    plan.write_text(emit_garage_spec(GarageSpec(((1, 1), (1, 1)), (6.0, 6.0), (6.0, 6.0))),
+                    encoding="utf-8")
+    out = tmp_path / "s.json"
+    argv = ["generate", str(plan), "--out", str(out)]
+    if by_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"prune_columns": corners}), encoding="utf-8")
+        argv = ["--config", str(config), *argv]
+    else:
+        argv.append(f"--prune-columns={corners}")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    bad = corners.split(";")[-1]
+    assert err == [f"error: prune corner {bad} is not an interior corner of the 2x2 plan"]
+    assert not out.exists()
+    assert main(["generate", str(plan), "--prune-columns", "1,1", "--out", str(out)]) == 0
+
+
+# --- error paths of the readers and the flags ------------------------------------------
+
+
+def _report(tmp_path: Path) -> str:
+    report = tmp_path / "report.json"
+    assert main(["scenario", "--case", "1", "--step", "4", "--out", str(report)]) == 0
+    return str(report)
+
+
+def _written(path: Path, text: str) -> str:
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _no_samples(tmp_path: Path) -> str:
+    doc = json.loads(Path(_report(tmp_path)).read_text(encoding="utf-8"))
+    for sw in doc["sweeps"].values():
+        sw["samples"] = []
+    return _written(tmp_path / "empty.json", json.dumps(doc))
+
+
+@pytest.mark.parametrize("make_argv, words", [
+    (lambda tmp, out: ["score", _report(tmp), "--weights", "1,2"], "three comma-separated"),
+    (lambda tmp, out: ["score", _report(tmp), "--weights", "a,b,c"], "non-numeric weight"),
+    (lambda tmp, out: ["scenario", "--case", "1", "--weights", "1,2", "--out", str(out)],
+     "three comma-separated"),
+    (lambda tmp, out: ["generate", _plan(tmp), "--prune-columns", "1", "--out", str(out)],
+     "bad corner '1'"),
+    (lambda tmp, out: ["generate", _plan(tmp), "--prune-columns", "a,b", "--out", str(out)],
+     "bad corner 'a,b'"),
+    (lambda tmp, out: ["scenario", "--case", "3", "--layout", "close", "--out", str(out)],
+     "bad layout entry 'close'"),
+    (lambda tmp, out: ["score", _written(tmp / "r.json", '{"schema": "report/1",')],
+     "invalid report JSON"),
+    (lambda tmp, out: ["score", _no_samples(tmp)], "report has no sweep samples"),
+    (lambda tmp, out: ["generate", _plan(tmp), "--occupancy", _written(tmp / "o.json", "{"),
+                       "--out", str(out)], "invalid plan JSON"),
+    (lambda tmp, out: ["generate", _plan(tmp), "--occupancy",
+                       _written(tmp / "o.json", '{"schema": "scene/1", "entries": []}'),
+                       "--out", str(out)], "occupancy-plan/1"),
+    (lambda tmp, out: ["scenario", "--case", "1", "--scene", _written(tmp / "s.json", "[1,"),
+                       "--out", str(out)], "scene"),
+], ids=["score-weights-two", "score-weights-text", "scenario-weights-two", "prune-one-number",
+        "prune-text", "layout-no-size", "score-bad-json", "score-no-samples",
+        "occupancy-bad-json", "occupancy-wrong-schema", "scene-bad-json"])
+def test_reader_and_flag_errors_exit_2(tmp_path, capsys, make_argv, words):
+    out = tmp_path / "out.json"
+    argv = make_argv(tmp_path, out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: ") and words in err[0], err
+    assert not out.exists()
+
+
+def test_scenario_json_format_prints_the_report_summary(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["--format", "json", "scenario", "--case", "3", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert captured.err == ""
+    assert payload == {"label": "case3-parked-rows", "targets": ["veh-close", "veh-far"],
+                       "score": report["score"], "stats": report["stats"]}
+
+
+# --- fuzzed documents into the readers -------------------------------------------------
+
+#: values a mutation puts in place of one in a valid document
+_ODD_VALUES = (None, True, False, 0, -1, 3, 0.5, -0.0, 1e308, float("inf"), float("nan"),
+               10**400, "", "x", "small", "report/1", [], [0, 0], [1.0, 2.0, 3.0], {}, {"a": 1})
+
+
+def _places(doc, found=None) -> list:
+    """(container, key) of every value in a JSON document, in order."""
+    found = [] if found is None else found
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(
+        doc, list) else ()
+    for key, value in items:
+        found.append((doc, key))
+        _places(value, found)
+    return found
+
+
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """A JSON document's text with one to three values replaced or
+    dropped, the whole document replaced, or the text cut short."""
+    doc = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        places = _places(doc)
+        spot = draw(st.integers(-1, len(places) - 1))
+        new = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        if spot < 0:
+            doc = new
+        elif draw(st.booleans()):
+            places[spot][0][places[spot][1]] = new
+        else:
+            container, key = places[spot]
+            del container[key]
+    text = json.dumps(doc, indent=1)
+    if draw(st.integers(0, 5)) == 5:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _run_twice(argv: list[str], out: Path | None) -> tuple:
+    """The exit code, stdout and stderr of main(argv), and the bytes of the
+    files whose names start with out's stem, run twice: both runs must
+    give the same, end in exit 0, 1 or 2 and print no traceback."""
+    runs = []
+    for _ in range(2):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        files = {}
+        if out is not None:
+            for path in sorted(out.parent.glob(f"{out.stem}*")):
+                files[path.name] = path.read_bytes()
+                path.unlink()
+        runs.append((code, stdout.getvalue(), stderr.getvalue(), files))
+    assert runs[0] == runs[1]
+    code, _, err, _ = runs[0]
+    assert code in (0, 1, 2) and "Traceback" not in err, (code, err)
+    if code:
+        assert len(err.splitlines()) >= 1 and not runs[0][3], err
+    return runs[0]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir():
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        report = root / "seed-report.json"
+        assert main(["scenario", "--case", "2", "--step", "3", "--out", str(report)]) == 0
+        plan = root / "plan.json"
+        plan.write_text(emit_garage_spec(GarageSpec(((1, 1, 0), (0, 1, 3)), (6.0, 5.0),
+                                                    (3.0, 6.0, 3.0))), encoding="utf-8")
+        scene = root / "seed-scene.json"
+        with redirect_stdout(io.StringIO()):
+            assert main(["generate", str(plan), "--light", "dim", "--out", str(scene)]) == 0
+        yield root
+
+
+_FUZZ = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(data=st.data())
+def test_mutated_report_into_score(fuzz_dir, data):
+    text = data.draw(_mutated((fuzz_dir / "seed-report.json").read_text(encoding="utf-8")))
+    report = fuzz_dir / "fuzz-report.json"
+    report.write_text(text, encoding="utf-8")
+    fmt = data.draw(st.sampled_from(["human", "json", "csv"]))
+    _run_twice(["--format", fmt, "score", str(report)], None)
+
+
+@settings(_FUZZ, max_examples=60)
+@given(data=st.data())
+def test_mutated_scene_into_scenario(fuzz_dir, data):
+    text = data.draw(_mutated((fuzz_dir / "seed-scene.json").read_text(encoding="utf-8")))
+    scene = fuzz_dir / "fuzz-scene.json"
+    scene.write_text(text, encoding="utf-8")
+    out = fuzz_dir / "out" / "r.json"
+    out.parent.mkdir(exist_ok=True)
+    case = data.draw(st.sampled_from(["1", "2", "3"]))
+    _run_twice(["scenario", "--case", case, "--step", "4", "--scene", str(scene),
+                "--out", str(out)], out)
+
+
+_OCCUPANCY = json.dumps({"schema": "occupancy-plan/1", "entries": [
+    {"cell": [1, 0], "size": "small"},
+    {"cell": [0, 0], "size": "large", "force": True, "parked": False},
+    {"cell": [0, 2], "size": "medium", "color": "red"},
+]})
+
+
+@_FUZZ
+@given(data=st.data())
+def test_mutated_occupancy_into_generate(fuzz_dir, data):
+    occupancy = fuzz_dir / "fuzz-occupancy.json"
+    occupancy.write_text(data.draw(_mutated(_OCCUPANCY)), encoding="utf-8")
+    out = fuzz_dir / "out" / "s.json"
+    out.parent.mkdir(exist_ok=True)
+    _run_twice(["generate", str(fuzz_dir / "plan.json"), "--occupancy", str(occupancy),
+                "--out", str(out)], out)

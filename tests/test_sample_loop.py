@@ -303,13 +303,16 @@ def test_moving_target_turning_in_mid_stretch_matches_per_sample_loop(monkeypatc
     face_shape = visibility._face_shape
     monkeypatch.setattr(visibility, "_face_shape",
                         lambda *args: made.append(args) or face_shape(*args))
+    visibility._kept_face_shape.cache_clear()  # shapes kept by earlier tests
     scene = _lane_scene()
     path = visibility._as_poses([(12.0, -6.0), (12.0, -1.5), (27.0, -1.5), (27.0, 12.0)])
     ego = EgoPose((-2.0, 1.0), 0.2)
     samples = _assert_same_as_reference(scenario, lambda: target_sweep(
         scene, ego, path, CFG, "target", 0.5, samples_per_edge=5))
     assert len(samples) > 2 * visibility._STRETCH
-    assert len(made) == 3  # one shape per straight piece of the path
+    # one shape per yaw of the path's straight pieces: the last piece's yaw
+    # is the first's, so it takes the shape kept for the process
+    assert [args[0] for args in made] == [math.pi, math.pi / 2.0]
     assert len({s.in_frustum for s in samples}) == 2 and any(s.occluders for s in samples)
 
 

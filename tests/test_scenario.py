@@ -17,6 +17,7 @@ from garagesim.scene import (
     LightLevel,
     NodeKind,
     SceneNode,
+    apply_light_level,
     remove_node,
     vehicle_box,
 )
@@ -31,7 +32,6 @@ from garagesim.scenario import (
     build_case2,
     build_case3,
     emit_report,
-    relight,
     report_document,
     rescore_report_document,
     run_scenario,
@@ -178,7 +178,7 @@ class TestCase2:
         assert built == [case1.scene] and again == first
         trimmed = replace(case1.scene, nodes=case1.scene.nodes[1:])
         sweep(trimmed, case1.ego_path, CFG, "veh-target")
-        dim = relight(case1, LightLevel.DIM).scene
+        dim = apply_light_level(case1.scene, LightLevel.DIM)
         sweep(dim, case1.ego_path, CFG, "veh-target")
         assert [id(s) for s in built] == [id(case1.scene), id(trimmed), id(dim)]
 
@@ -433,7 +433,7 @@ class TestRunAndReport:
     def test_relight_changes_score_only(self):
         scn = build_case1()
         bright = run_scenario(scn)
-        dim = run_scenario(relight(scn, LightLevel.DIM))
+        dim = run_scenario(replace(scn, scene=apply_light_level(scn.scene, LightLevel.DIM)))
         assert fractions(bright) == fractions(dim)
         assert dim.score.total > bright.score.total
         assert dim.light_level is LightLevel.DIM

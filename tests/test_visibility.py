@@ -12,9 +12,11 @@ from garagesim.scene import (
     Box3,
     CEILING_HEIGHT,
     FLOOR_THICKNESS,
+    LightLevel,
     NodeKind,
     SceneGraph,
     SceneNode,
+    _merged,
     vehicle_box,
 )
 from garagesim.scenario import _scene_from_nodes, target_sweep
@@ -468,11 +470,40 @@ class TestSettledPerBox:
         face_shape = visibility._face_shape
         monkeypatch.setattr(visibility, "_face_shape",
                             lambda *args: made.append(args) or face_shape(*args))
+        visibility._kept_face_shape.cache_clear()  # shapes kept by earlier tests
         scene = simple_scene()
         path = visibility._as_poses([(12.0, -4.0), (12.0, 0.0), (14.0, 3.0)])
         got = target_sweep(scene, EgoPose((0.0, 0.0), 0.0), path, CFG, "veh-t", 0.5)
         assert all(s.in_frustum for s in got.samples) and len(got.samples) > 10
         assert len(made) == 2
+        # kept for the process: the same sweep again builds no shape
+        again = target_sweep(scene, EgoPose((0.0, 0.0), 0.0), path, CFG, "veh-t", 0.5)
+        assert again == got and len(made) == 2
+
+    def test_kept_face_shapes_are_read_only_and_tell_zero_yaws_apart(self):
+        half = (0.9, 2.2, 0.75)
+        plus = visibility._kept_face_shape(0.0, 1.0, half, 2)
+        minus = visibility._kept_face_shape(-0.0, -1.0, half, 2)
+        assert plus is visibility._kept_face_shape(0.0, 1.0, half, 2)
+        assert [a.tobytes() for a in plus] == [a.tobytes() for a in _face_shape(0.0, half, 2)]
+        assert [a.tobytes() for a in minus] == [a.tobytes() for a in _face_shape(-0.0, half, 2)]
+        assert plus[1].tobytes() != minus[1].tobytes()
+        for part in plus:
+            with pytest.raises(ValueError):
+                part[...] = 0.0
+
+
+def test_a_box_sharing_the_target_id_still_occludes():
+    # the index, built from the table or from the merge's columns, takes the
+    # first of two equal ids as scene.node does: the target is skipped as an
+    # occluder, and the wall after it blocks the view as under its own id
+    scene = simple_scene([_slab("veh-t", NodeKind.COLUMN, 6, -8, 7, 8, 0.0, 3.0)])
+    for built in (scene, _merged((scene._table,), LightLevel.BRIGHT)):
+        assert built.index.ids == ["floor", "veh-t", "veh-t"]
+        assert built.index.index_of == {"floor": 0, "veh-t": 1}
+        assert visible_fraction(built, EGO, CFG, "veh-t").visible_fraction == 0.0
+    other = simple_scene([_slab("wall", NodeKind.COLUMN, 6, -8, 7, 8, 0.0, 3.0)])
+    assert visible_fraction(other, EGO, CFG, "veh-t").visible_fraction == 0.0
 
 
 class TestVisibleFractionFixtures:
