@@ -21,7 +21,7 @@ from . import __version__
 from .errors import (
     JSON_TOO_DEEP, GarageError, OptionError, SchemaError, SpecParseError, SpecValidationError,
 )
-from .grid import _read_text, load_garage_spec, validate
+from .grid import _load_json, _read_text, load_garage_spec, validate
 # loaded with the package already: the flag table's light levels and default
 from .scene import LightLevel
 from .scoring import BLACKOUT_THRESHOLD
@@ -161,7 +161,7 @@ def _config_defaults(argv: list[str]) -> dict:
         return {}
     try:
         raw = json.loads(_read_text(path))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"cannot read config {path}: {JSON_TOO_DEEP}") from exc
@@ -290,12 +290,7 @@ def _cmd_generate(args) -> int:
 
     spec = load_garage_spec(args.spec)
     grid = classify_all(spec)  # the one validation of the plan
-    corners = _parse_corners(args.prune_columns)
-    for i, j in sorted(corners):  # columns stand on the interior corners only
-        if not (0 < i < spec.m and 0 < j < spec.n):
-            raise SchemaError(f"prune corner {i},{j} is not an interior corner"
-                              f" of the {spec.m}x{spec.n} plan")
-    options = SynthOptions(light=LightLevel(args.light), prune_columns=corners)
+    options = SynthOptions(LightLevel(args.light), _parse_corners(args.prune_columns))
     scene = synthesize(grid, options)
     if args.occupancy:
         plan = parse_occupancy_plan(_read_text(args.occupancy))
@@ -413,12 +408,7 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    try:
-        doc = json.loads(_read_text(args.report))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid report JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise SchemaError(f"invalid report JSON: {JSON_TOO_DEEP}") from exc
+    doc = _load_json(_read_text(args.report), "report")
     from .scoring import rescore_report_document
 
     weights = _parse_weights(args.weights)
@@ -440,7 +430,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         # only the parser of the command argv names, if it surely names one
-        args = build_parser(_named_command(argv), _config_defaults(argv)).parse_args(argv)
+        parser = build_parser(_named_command(argv), _config_defaults(argv))
+        args = parser.parse_args(argv)
+        # argparse (Python 3.11) reads "--flag=--" as an empty list of values
+        for dest in (dest for dest, value in vars(args).items() if type(value) is list):
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,7 +26,7 @@ class SchemaError(GarageError):
 
 class OptionError(GarageError, ValueError):
     """A run option (camera, step, samples per edge, score weights or
-    threshold, case dimension) is out of range; a ValueError too."""
+    threshold, case dimension, prune corner) is out of range; a ValueError too."""
 
 
 class SpecValidationError(GarageError):

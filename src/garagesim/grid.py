@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
-from .errors import JSON_TOO_DEEP, SchemaError, SpecParseError
+from .errors import JSON_TOO_DEEP, GarageError, SchemaError, SpecParseError
 
 SPEC_SCHEMA = "garage-spec/1"
 
@@ -199,17 +199,15 @@ def parse_garage_spec(text: str) -> GarageSpec:
     Only shape is enforced here (rectangular matrix, numeric fields);
     semantic checks such as code ranges belong to :func:`validate`.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise SpecParseError(f"invalid JSON: {JSON_TOO_DEEP}") from exc
+    return _spec_from_document(_load_json(text, "plan", SpecParseError))
+
+
+def _spec_from_document(doc) -> GarageSpec:
+    """The plan of a decoded garage-spec/1 document, whichever form it was
+    read from."""
     if not isinstance(doc, dict):
         raise SpecParseError("top-level document must be a JSON object")
-    schema = doc.get("schema")
-    if schema != SPEC_SCHEMA:
-        raise SchemaError(f"expected schema {SPEC_SCHEMA!r}, got {schema!r}")
+    _check_schema(doc, SPEC_SCHEMA)
     for field in ("structure", "row_widths_m", "col_widths_m"):
         if field not in doc:
             raise SpecParseError(f"missing field '{field}'")
@@ -242,6 +240,26 @@ def _read_text(path: str | Path) -> str:
                       str(path)) from exc
 
 
+def _load_json(text: str, kind: str, error: type[GarageError] = SchemaError):
+    """The value of a JSON text, decoded as every input document but --config
+    is; a text that is no JSON raises error, naming the document's kind."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid {kind} JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise error(f"invalid {kind} JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"invalid {kind} JSON: {JSON_TOO_DEEP}") from exc
+
+
+def _check_schema(doc, schema: str) -> None:
+    """A SchemaError unless doc is a JSON object tagged with schema."""
+    got = doc.get("schema") if type(doc) is dict else None
+    if got != schema:
+        raise SchemaError(f"expected schema {schema!r}, got {got!r}")
+
+
 def load_garage_spec(path: str | Path) -> GarageSpec:
     """Load a plan from a garage-spec/1 JSON file, or from a directory
     holding the CSV fallback trio (structure.csv, rows.csv, cols.csv)."""
@@ -251,51 +269,27 @@ def load_garage_spec(path: str | Path) -> GarageSpec:
     return parse_garage_spec(_read_text(p))
 
 
-def _csv_tokens(path: Path) -> list[list[str]]:
-    try:
-        text = _read_text(path)
-    except OSError as exc:
-        raise SpecParseError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append([tok.strip() for tok in line.split(",") if tok.strip()])
-    if not rows:
-        raise SpecParseError(f"{path} is empty")
-    return rows
+def _csv_rows(path: str | Path) -> list[list]:
+    """The non-blank lines of a CSV file, each field decoded as the JSON
+    value it spells.  A field is decoded after as many newlines as there are
+    lines before its own, so that a JSON error names the file's line."""
+    return [[_load_json("\n" * k + field, f"{path} field", SpecParseError)
+             for field in line.split(",")]
+            for k, line in enumerate(_read_text(path).splitlines()) if line.strip()]
 
 
 def load_garage_spec_csv(
     structure_path: str | Path, rows_path: str | Path, cols_path: str | Path
 ) -> GarageSpec:
-    """CSV fallback loader: one file per matrix, same shapes as the JSON form."""
-    structure_rows = _csv_tokens(Path(structure_path))
-    matrix: list[list[int]] = []
-    width = None
-    for i, row in enumerate(structure_rows):
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SpecParseError(f"ragged row {i} in {structure_path}")
-        try:
-            matrix.append([int(tok) for tok in row])
-        except ValueError as exc:
-            raise SpecParseError(f"non-integer cell in {structure_path} row {i}") from exc
-
-    def flat_floats(path: Path) -> list[float]:
-        toks = [tok for row in _csv_tokens(path) for tok in row]
-        try:
-            return [float(tok) for tok in toks]
-        except ValueError as exc:
-            raise SpecParseError(f"non-numeric width in {path}") from exc
-
-    return GarageSpec(
-        structure=tuple(tuple(r) for r in matrix),
-        row_widths=tuple(flat_floats(Path(rows_path))),
-        col_widths=tuple(flat_floats(Path(cols_path))),
-    )
+    """CSV fallback loader: one file per matrix, read as the garage-spec/1
+    document they spell.  The structure file's lines are the matrix rows; the
+    fields of each widths file, line after line, are its width vector."""
+    return _spec_from_document({
+        "schema": SPEC_SCHEMA,
+        "structure": _csv_rows(structure_path),
+        "row_widths_m": [w for row in _csv_rows(rows_path) for w in row],
+        "col_widths_m": [w for row in _csv_rows(cols_path) for w in row],
+    })
 
 
 # --- validation ---------------------------------------------------------------

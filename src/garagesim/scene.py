@@ -20,9 +20,9 @@ from enum import Enum
 from itertools import chain, compress
 from typing import TYPE_CHECKING
 
-from .errors import JSON_TOO_DEEP, PlanError, SchemaError
+from .errors import OptionError, PlanError, SchemaError
 from .classify import ClassifiedGrid
-from .grid import BOX_MAX, CellKind, CellRef, _prefix
+from .grid import BOX_MAX, CellKind, CellRef, _check_schema, _load_json, _prefix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -487,8 +487,9 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
     Floor tiles carry their cell's classification in tags; obstacle cells
     become full-height wall slabs (merged per row run); columns stand on
     every interior grid corner that touches a non-obstacle cell unless
-    pruned; ceiling panels cover the envelope per row; lamps populate
-    drivable-cell centers per the light preset, row-major.
+    pruned (a prune corner off the interior corners is an OptionError);
+    ceiling panels cover the envelope per row; lamps populate drivable-cell
+    centers per the light preset, row-major.
 
     The scene is made from its box table, filled row by row; its rows are
     checked as Box3 checks a box, in bulk once they are all in
@@ -496,6 +497,10 @@ def synthesize(grid: ClassifiedGrid, options: SynthOptions = SynthOptions()) -> 
     finite or past BOX_MAX raises the first such box's ValueError.
     """
     spec = grid.spec
+    for ci, cj in sorted(options.prune_columns):  # columns stand on the interior corners only
+        if not (0 < ci < spec.m and 0 < cj < spec.n):
+            raise OptionError(f"prune corner {ci},{cj} is not an interior corner"
+                              f" of the {spec.m}x{spec.n} plan")
     h = CEILING_HEIGHT
     xs = _prefix(spec.col_widths)
     ys = _prefix(spec.row_widths)
@@ -768,14 +773,8 @@ def populate_vehicles(
 
 
 def parse_occupancy_plan(text: str) -> OccupancyPlan:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid plan JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise SchemaError(f"invalid plan JSON: {JSON_TOO_DEEP}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
-        raise SchemaError(f"expected schema {PLAN_SCHEMA!r}")
+    doc = _load_json(text, "occupancy plan")
+    _check_schema(doc, PLAN_SCHEMA)
     raw_entries = doc.get("entries", [])
     if type(raw_entries) is not list:
         raise SchemaError("plan entries must be a JSON array")
@@ -1113,22 +1112,14 @@ def import_scene(text: str) -> SceneGraph:
         if (type(nodes) is list and len(nodes) == len(table) == nodes.count(_ROW)
                 and _columns_pass(table)):
             return _scene_from_document(doc, table)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid scene JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise SchemaError(f"invalid scene JSON: {JSON_TOO_DEEP}") from exc
-    return _scene_from_document(doc)
+    return _scene_from_document(_load_json(text, "scene"))
 
 
 def _scene_from_document(doc, table: _BoxTable | None = None) -> SceneGraph:
     """The scene of a parsed scene/1 document, checked in document order.
     Without a table, each node is checked and tabled here; with one, the
     import hook has collected every node already, and they passed."""
-    schema = doc.get("schema") if type(doc) is dict else None
-    if schema != SCENE_SCHEMA:
-        raise SchemaError(f"expected schema {SCENE_SCHEMA!r}, got {schema!r}")
+    _check_schema(doc, SCENE_SCHEMA)
     try:
         level = LightLevel(doc["light_level"])
     except (KeyError, ValueError) as exc:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import OptionError, SchemaError
+from .grid import _check_schema
 from .scene import LightLevel
 
 REPORT_SCHEMA = "report/1"
@@ -103,8 +104,7 @@ def rescore_report_document(
 
     Fractions pool in the report's key order, which may differ from the
     run's target order in the last bit of the occlusion term."""
-    if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
-        raise SchemaError(f"expected schema {REPORT_SCHEMA!r}")
+    _check_schema(doc, REPORT_SCHEMA)
     try:
         level = LightLevel(doc["light_level"])
         sweeps = doc["sweeps"]

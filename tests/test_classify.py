@@ -170,6 +170,12 @@ class TestRotation:
         with pytest.raises(ValueError):
             assign_rotation(spec, CellRef(1, 1), LaneSubtype.STRAIGHT)
 
+    def test_parking_subtype_for_a_lane_square(self):
+        spec = probe_grid(CellKind.LANE, frozenset({N}), (N, E, S, W), (1, 1), (3, 3))
+        with pytest.raises(ValueError) as err:
+            assign_rotation(spec, CellRef(1, 1), ParkSubtype.TYPE1)
+        assert str(err.value) == "parking subtype given for non-parking cell (1,1)"
+
 
 class TestConnectivityOracle:
     """Open edges of the rotated model must face the drivable neighbors."""

@@ -13,7 +13,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from garagesim import cli
 from garagesim.classify import classify_all
 from garagesim.cli import main
-from garagesim.grid import BOX_MAX, CellRef, GarageSpec, emit_garage_spec, validate
+from garagesim.grid import (
+    BOX_MAX, CellRef, GarageSpec, emit_garage_spec, load_garage_spec, parse_garage_spec,
+    validate,
+)
 from garagesim.scene import (
     LightLevel, OccupancyPlan, PlanEntry, import_scene, populate_vehicles, synthesize,
 )
@@ -148,6 +151,65 @@ def test_a_plan_validate_accepts_compiles(plan):
             code = main(["generate", str(path / "plan.json"), "--occupancy",
                          str(path / "occupancy.json"), "--out", str(path / "scene.json")])
         assert code == 0, err.getvalue()
+
+
+@st.composite
+def _csv_trio(draw, plan: dict) -> dict[str, str]:
+    """The CSV files of a plan, each value written with json.dumps: one line
+    per structure row, each width vector split over lines at drawn places,
+    with drawn blank lines, spaces around the fields and line ends."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def text(rows) -> str:
+        lines = []
+        for row in rows:
+            lines.extend(draw(st.lists(st.sampled_from(["", " "]), max_size=1)))
+            lines.append(",".join(draw(st.sampled_from(["", " "])) + json.dumps(value)
+                                  + draw(st.sampled_from(["", "\t"])) for value in row))
+        return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+    def split(widths) -> list:
+        cuts = sorted(draw(st.sets(st.integers(1, len(widths) - 1)))) if len(widths) > 1 else []
+        return [widths[a:b] for a, b in zip([0, *cuts], [*cuts, len(widths)])]
+
+    return {"structure.csv": text(plan["structure"]),
+            "rows.csv": text(split(plan["row_widths_m"])),
+            "cols.csv": text(split(plan["col_widths_m"]))}
+
+
+def _write_files(root: Path, files: dict[str, str]) -> str:
+    for name, text in files.items():
+        (root / name).write_bytes(text.encode("utf-8"))
+    return str(root)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_csv_plan_loads_as_its_json_form(data):
+    plan = data.draw(_plans())
+    files = data.draw(_csv_trio(plan))
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = load_garage_spec(_write_files(Path(tmp), files))
+    assert spec == parse_garage_spec(json.dumps({"schema": "garage-spec/1", **plan}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_csv_plan_with_an_empty_field_exits_2(data):
+    files = data.draw(_csv_trio(data.draw(_plans())))
+    name = data.draw(st.sampled_from(sorted(files)))
+    lines = files[name].splitlines()
+    k = data.draw(st.sampled_from([k for k, line in enumerate(lines) if line.strip()]))
+    fields = lines[k].split(",")
+    fields.insert(data.draw(st.integers(0, len(fields))), data.draw(st.sampled_from(["", " "])))
+    lines[k] = ",".join(fields)
+    files[name] = "\n".join(lines) + "\n"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", _write_files(Path(tmp), files)])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().splitlines() == [
+        f"error: invalid {Path(tmp) / name} field JSON at line {k + 1}: Expecting value"]
 
 
 class TestGenerate:
@@ -568,6 +630,13 @@ def _lamps_past_the_bound(tmp_path, out):
     return ["scenario", "--case", "1", "--scene", str(scene), "--out", str(out)]
 
 
+def _long_config_integer(tmp_path, out):
+    # past int's 4,300-digit limit, where json raises a bare ValueError
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"step": %s}' % ("1" * 5000), encoding="utf-8")
+    return ["--config", str(cfg), "scenario", "--case", "1", "--out", str(out)]
+
+
 def _camera_past_the_bound(tmp_path, out):
     return ["scenario", "--case", "1", "--mount-height", "1e300", "--out", str(out)]
 
@@ -582,7 +651,7 @@ def _scene_with_node(box: str) -> str:
 @pytest.mark.parametrize("make_argv", [
     _wide_plan, _far_scene_box, _far_occupancy_cell, _huge_config_step,
     _huge_report_fraction, _huge_sweep, _scene_box_past_the_bound, _merged_bounds_past_the_bound,
-    _lamps_past_the_bound, _camera_past_the_bound,
+    _lamps_past_the_bound, _camera_past_the_bound, _long_config_integer,
 ], ids=lambda make_argv: make_argv.__name__.lstrip("_"))
 def test_out_of_range_number_exit_2(tmp_path, capsys, make_argv):
     out = tmp_path / "out.json"
@@ -969,6 +1038,13 @@ def _no_samples(tmp_path: Path) -> str:
     return _written(tmp_path / "empty.json", json.dumps(doc))
 
 
+def _csv_dir(tmp_path: Path, structure: str, cols: str, rows: str = "5\n5\n") -> str:
+    """A plan directory of the CSV trio with the given file texts."""
+    for name, text in (("structure.csv", structure), ("rows.csv", rows), ("cols.csv", cols)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return str(tmp_path)
+
+
 @pytest.mark.parametrize("make_argv, words", [
     (lambda tmp, out: ["score", _report(tmp), "--weights", "1,2"], "three comma-separated"),
     (lambda tmp, out: ["score", _report(tmp), "--weights", "a,b,c"], "non-numeric weight"),
@@ -984,15 +1060,23 @@ def _no_samples(tmp_path: Path) -> str:
      "invalid report JSON"),
     (lambda tmp, out: ["score", _no_samples(tmp)], "report has no sweep samples"),
     (lambda tmp, out: ["generate", _plan(tmp), "--occupancy", _written(tmp / "o.json", "{"),
-                       "--out", str(out)], "invalid plan JSON"),
+                       "--out", str(out)], "invalid occupancy plan JSON at line 1: "),
     (lambda tmp, out: ["generate", _plan(tmp), "--occupancy",
                        _written(tmp / "o.json", '{"schema": "scene/1", "entries": []}'),
                        "--out", str(out)], "occupancy-plan/1"),
     (lambda tmp, out: ["scenario", "--case", "1", "--scene", _written(tmp / "s.json", "[1,"),
                        "--out", str(out)], "scene"),
+    (lambda tmp, out: ["validate", _csv_dir(tmp, "1,,0\n1,,0\n", "3,3\n")],
+     "structure.csv field JSON at line 1: Expecting value"),
+    (lambda tmp, out: ["validate", _csv_dir(tmp, "0_1\n", "3\n")],
+     "structure.csv field JSON at line 1: Extra data"),
+    (lambda tmp, out: ["validate", _csv_dir(tmp, "1\n0\n", "3\n", "5\n\n.5\n")],
+     "rows.csv field JSON at line 3: Expecting value"),
+    (lambda tmp, out: ["validate", str(tmp / "nowhere")], "No such file or directory"),
 ], ids=["score-weights-two", "score-weights-text", "scenario-weights-two", "prune-one-number",
         "prune-text", "layout-no-size", "score-bad-json", "score-no-samples",
-        "occupancy-bad-json", "occupancy-wrong-schema", "scene-bad-json"])
+        "occupancy-bad-json", "occupancy-wrong-schema", "scene-bad-json", "csv-empty-field",
+        "csv-underscore", "csv-leading-point", "csv-missing-file"])
 def test_reader_and_flag_errors_exit_2(tmp_path, capsys, make_argv, words):
     out = tmp_path / "out.json"
     argv = make_argv(tmp_path, out)
@@ -1003,6 +1087,76 @@ def test_reader_and_flag_errors_exit_2(tmp_path, capsys, make_argv, words):
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error: ") and words in err[0], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["scenario", "--case", "1", "--weights=--"], "--weights"),
+    (["scenario", "--case", "1", "--step=--"], "--step"),
+    (["scenario", "--case", "3", "--layout=--"], "--layout"),
+    (["scenario", "--case", "1", "--light=--"], "--light"),
+    (["--format=--", "scenario", "--case", "1"], "--format"),
+    (["generate", "PLAN", "--prune-columns=--"], "--prune-columns"),
+])
+def test_a_flag_value_of_two_dashes_exit_2(tmp_path, capsys, argv, flag):
+    # argparse would hand the command an empty list for the value
+    out = tmp_path / "out.json"
+    argv = [_plan(tmp_path) if tok == "PLAN" else tok for tok in argv] + ["--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"garagesim: error: argument {flag}: expected one argument", err
+    assert not out.exists()
+
+
+#: each JSON reader, the kind its errors name and the schema it takes
+_READERS = {
+    "plan": ("garage-spec/1", lambda tmp, doc: ["validate", doc]),
+    "occupancy plan": ("occupancy-plan/1", lambda tmp, doc: [
+        "generate", _plan(tmp), "--occupancy", doc, "--out", str(tmp / "out.json")]),
+    "scene": ("scene/1", lambda tmp, doc: [
+        "scenario", "--case", "1", "--scene", doc, "--out", str(tmp / "out.json")]),
+    "report": ("report/1", lambda tmp, doc: ["score", doc]),
+}
+
+
+@pytest.mark.parametrize("kind", _READERS)
+@pytest.mark.parametrize("text, line", [
+    ("{\n", "error: invalid {kind} JSON at line 2:"
+             " Expecting property name enclosed in double quotes"),
+    ('{"schema": "x/1"}', "error: expected schema '{schema}', got 'x/1'"),
+    ('{"entries": []}', "error: expected schema '{schema}', got None"),
+    ("1" * 5000, "error: invalid {kind} JSON: Exceeds the limit (4300 digits)"),
+], ids=["bad-json", "wrong-schema", "no-schema", "long-integer"])
+def test_json_readers_word_their_errors_alike(tmp_path, capsys, kind, text, line):
+    schema, make_argv = _READERS[kind]
+    argv = make_argv(tmp_path, _written(tmp_path / "doc.json", text))
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, err
+    assert err[0].startswith(line.format(kind=kind, schema=schema)), err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_column_blocking_the_ego_path_exits_1(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["scenario", "--case", "1", "--lane-width", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: column placement blocks the ego path\n")
+    assert not out.exists()
+
+
+def test_json_validate_of_a_plan_without_lanes_exits_1(tmp_path, capsys):
+    plan = _written(tmp_path / "plan.json", emit_garage_spec(
+        GarageSpec(((0, -1),), (6.0,), (3.0, 3.0))))
+    capsys.readouterr()
+    assert main(["--format", "json", "validate", plan]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"ok": False, "violations": [
+        {"rule": "no-lanes", "location": "structure",
+         "message": "plan contains no drivable squares"}]}
 
 
 def test_scenario_json_format_prints_the_report_summary(tmp_path, capsys):
@@ -1138,3 +1292,78 @@ def test_mutated_occupancy_into_generate(fuzz_dir, data):
     out.parent.mkdir(exist_ok=True)
     _run_twice(["generate", str(fuzz_dir / "plan.json"), "--occupancy", str(occupancy),
                 "--out", str(out)], out)
+
+
+# --- drawn command lines ---------------------------------------------------------------
+
+#: the numeric flags of each case, each with a range of ordinary values
+_CASE_FLAGS = {
+    "1": {"--column-setback": (1.0, 20.0), "--lane-width": (3.0, 10.0),
+          "--target-distance": (8.0, 40.0)},
+    "2": {"--column-offset": (0.5, 6.0), "--lane-distance": (4.0, 20.0)},
+    "3": {},
+}
+#: the numeric flags every case takes
+_RUN_FLAGS = {"--step": (0.5, 4.0), "--fov": (30.0, 120.0), "--mount-height": (0.5, 3.0),
+              "--aspect": (0.5, 3.0), "--blackout-threshold": (0.0, 1.0)}
+#: zero, negative, subnormal, huge, at and past 2**129, NaN and infinite values
+_EDGE_VALUES = ("0", "-0.0", "-1", "-1e300", "5e-324", "1e-310", "1e30", "1e300", repr(BOX_MAX),
+                repr(2.0**129), "1e39", "1e400", "nan", "inf", "-inf")
+
+
+@st.composite
+def _value(draw, low: float, high: float) -> str:
+    """A flag value: an edge value one time in three, else an ordinary one."""
+    if draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from(_EDGE_VALUES))
+    return repr(draw(st.floats(low, high)))
+
+
+@_FUZZ
+@given(data=st.data())
+def test_drawn_scenario_command_lines(fuzz_dir, data):
+    # a command that runs writes a report whose rescore, with the run's
+    # weights and threshold, is the score the run printed
+    case = data.draw(st.sampled_from(sorted(_CASE_FLAGS)))
+    flags = [f"{name}={data.draw(_value(*span))}"
+             for name, span in {**_CASE_FLAGS[case], **_RUN_FLAGS}.items()
+             if data.draw(st.booleans())]
+    if data.draw(st.booleans()):
+        weights = data.draw(st.one_of(
+            st.sampled_from(["0.4,0.4,0.2", "1,0,0", "0.2,0.3,0.5"]),
+            st.lists(_value(0.0, 1.0), min_size=3, max_size=3).map(",".join)))
+        flags.append(f"--weights={weights}")
+    out = fuzz_dir / "out" / "r.json"
+    out.parent.mkdir(exist_ok=True)
+    code, stdout, _, files = _run_twice(
+        ["--format", "json", "scenario", "--case", case, *flags, "--out", str(out)], out)
+    if code:
+        return
+    report = fuzz_dir / "rescored.json"
+    report.write_bytes(files[out.name])
+    score_flags = [f for f in flags if f.startswith(("--weights=", "--blackout-threshold="))]
+    rescored = _run_twice(["--format", "json", "score", str(report), *score_flags], None)
+    assert rescored[0] == 0, rescored
+    ran, again = json.loads(stdout)["score"], json.loads(rescored[1])
+    assert ran["weights"] == again["weights"]
+    for term in ("total", "occlusion_term", "blackout_term", "light_term"):
+        assert abs(ran[term] - again[term]) <= 1e-12, (term, ran, again)
+
+
+#: corner lists, whole and in pieces; the fuzz plan is 2x3, with interior
+#: corners 1,1 and 1,2
+_CORNER_TOKENS = ("1,1", "1,2", "0,1", "2,2", "1,3", "99,99", "-1,1", "1", "1,1,1", "a,b", "",
+                  " ", " 1 , 2 ", "+1,1", "1_1,1", "1.0,1", "1e0,1", "9" * 5000 + ",1", ";",
+                  "١,٢")
+
+
+@_FUZZ
+@given(corners=st.lists(st.one_of(st.sampled_from(_CORNER_TOKENS),
+                                  st.text(alphabet="0123456789,;- ", max_size=8)),
+                        max_size=4).map(";".join))
+def test_drawn_prune_corners_into_generate(fuzz_dir, corners):
+    out = fuzz_dir / "out" / "p.json"
+    out.parent.mkdir(exist_ok=True)
+    code, _, err, _ = _run_twice(["generate", str(fuzz_dir / "plan.json"),
+                                  f"--prune-columns={corners}", "--out", str(out)], out)
+    assert code in (0, 2), err

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -66,6 +67,18 @@ class TestParse:
         with pytest.raises(SpecParseError, match="non-numeric width"):
             parse_garage_spec(doc([[1]], ["wide"], [6]))
 
+    @pytest.mark.parametrize("text, message", [
+        (doc([], [5], [6]), "field 'structure' must be a non-empty list of rows"),
+        (doc([[1], []], [5, 5], [6]), "structure row 1 must be a non-empty list"),
+        (doc([[1]], [], [6]), "field 'row_widths_m' must be a non-empty list of numbers"),
+        ("[]", "top-level document must be a JSON object"),
+        ('"garage-spec/1"', "top-level document must be a JSON object"),
+    ])
+    def test_shape_errors_keep_their_texts(self, text, message):
+        with pytest.raises(SpecParseError) as err:
+            parse_garage_spec(text)
+        assert str(err.value) == message
+
     def test_bad_json_names_line(self):
         with pytest.raises(SpecParseError, match="line"):
             parse_garage_spec("{not json")
@@ -109,6 +122,42 @@ class TestEmitRoundTrip:
             tmp_path / "structure.csv", tmp_path / "rows.csv", tmp_path / "cols.csv"
         )
         assert same == spec
+
+    def test_csv_fields_are_json_values(self, tmp_path):
+        # integers past a float's, blank and space-only lines, spaces and CRLF
+        (tmp_path / "structure.csv").write_text("100000000000000000000, -1\r\n \r\n")
+        (tmp_path / "rows.csv").write_text("5\n")
+        (tmp_path / "cols.csv").write_text("9223372036854775808\n\n1e-3\n")
+        assert load_garage_spec(tmp_path) == GarageSpec(
+            ((10**20, -1),), (5.0,), (9223372036854775808.0, 0.001))
+
+    @pytest.mark.parametrize("field", ["", " ", "0_1", "+1", ".5", "5.", "wide", "1,"])
+    def test_csv_field_that_is_no_json_value_refused(self, tmp_path, field):
+        (tmp_path / "structure.csv").write_text("1,1\n")
+        (tmp_path / "rows.csv").write_text("5\n")
+        (tmp_path / "cols.csv").write_text(f"6\n{field},6\n")
+        where = re.escape(str(tmp_path / "cols.csv"))
+        with pytest.raises(SpecParseError, match=f"^invalid {where} field JSON at line 2: "):
+            load_garage_spec(tmp_path)
+
+    def test_csv_field_of_the_wrong_type_refused(self, tmp_path):
+        (tmp_path / "structure.csv").write_text("1,1.0\n")
+        (tmp_path / "rows.csv").write_text('"5"\n')
+        (tmp_path / "cols.csv").write_text("6,6\n")
+        with pytest.raises(SpecParseError, match=r"non-integer cell at \(0,1\): 1.0"):
+            load_garage_spec(tmp_path)
+        (tmp_path / "structure.csv").write_text("1,1\n")
+        with pytest.raises(SpecParseError, match="non-numeric width row_widths_m\\[0\\]: '5'"):
+            load_garage_spec(tmp_path)
+
+    def test_csv_missing_or_not_utf8_is_an_os_error(self, tmp_path):
+        (tmp_path / "structure.csv").write_text("1\n")
+        (tmp_path / "rows.csv").write_bytes(b"\xff5\n")
+        with pytest.raises(OSError, match="not UTF-8"):
+            load_garage_spec(tmp_path)
+        (tmp_path / "rows.csv").write_text("5\n")
+        with pytest.raises(FileNotFoundError):
+            load_garage_spec(tmp_path)
 
     def test_csv_ragged(self, tmp_path):
         (tmp_path / "structure.csv").write_text("1,1\n0\n")

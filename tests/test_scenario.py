@@ -101,6 +101,15 @@ class TestCase1:
         with pytest.raises(ConstructionError):
             build_case1(column_setback=-1.0)
 
+    @pytest.mark.parametrize("field, message", [
+        ("target_ids", "scenario needs at least one target"),
+        ("ego_path", "scenario needs an ego pose or path"),
+    ])
+    def test_scenario_needs_a_target_and_an_ego_pose(self, field, message):
+        with pytest.raises(ConstructionError) as err:
+            replace(build_case1(), **{field: ()})
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("dims", [
         {"column_setback": 1e300}, {"lane_width": 2.0**129}, {"target_distance": -1e39},
         {"column_setback": math.inf},

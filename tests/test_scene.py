@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from garagesim import scene as scene_module
 from garagesim.classify import classify_all
-from garagesim.errors import PlanError, SchemaError
+from garagesim.errors import OptionError, PlanError, SchemaError
 from garagesim.grid import BOX_MAX, CellKind, CellRef, GarageSpec
 from garagesim.scenario import _scene_from_nodes
 from garagesim.scene import (
@@ -130,6 +130,16 @@ class TestSynthesize:
         scene = synthesize(grid, SynthOptions(prune_columns=frozenset({(1, 1)})))
         assert scene.count(NodeKind.COLUMN) == 3
         assert all(n.tags.get("corner") != "1,1" for n in scene.nodes)
+
+    @pytest.mark.parametrize("corners, bad", [
+        ({(99, 99)}, "99,99"), ({(0, 1)}, "0,1"), ({(1, 3)}, "1,3"), ({(3, 1)}, "3,1"),
+        ({(-1, 1)}, "-1,1"), ({(1, 1), (99, 99), (0, 1)}, "0,1"),
+    ])
+    def test_prune_corner_off_the_interior_rejected(self, all_lane_3x3, corners, bad):
+        # a 3x3 plan's interior corners are rows 1..2 and columns 1..2
+        with pytest.raises(OptionError) as err:
+            synthesize(classify_all(all_lane_3x3), SynthOptions(prune_columns=frozenset(corners)))
+        assert str(err.value) == f"prune corner {bad} is not an interior corner of the 3x3 plan"
 
     def test_obstacle_row_has_ceiling_but_no_tiles(self):
         spec = GarageSpec(((-1, -1), (1, 1)), (5.0, 5.0), (6.0, 6.0))
@@ -328,6 +338,15 @@ class TestVehicles:
                                                           entry]}
         with pytest.raises(SchemaError, match=f"bad plan entry 1: {match}"):
             parse_occupancy_plan(json.dumps(doc))
+
+    @pytest.mark.parametrize("text, got", [
+        ('{"schema": "scene/1", "entries": []}', "'scene/1'"), ('{"entries": []}', "None"),
+        ("[]", "None"),
+    ])
+    def test_plan_document_of_another_schema(self, text, got):
+        with pytest.raises(SchemaError) as err:
+            parse_occupancy_plan(text)
+        assert str(err.value) == f"expected schema 'occupancy-plan/1', got {got}"
 
     @pytest.mark.parametrize("entries", [5, {"cell": [1, 2]}, "entries"])
     def test_plan_entries_must_be_an_array(self, entries):
@@ -553,7 +572,7 @@ class TestSceneDocuments:
         assert apply_light_level(parking, LightLevel.BRIGHT).count(NodeKind.LAMP) == 0
 
     def test_wrong_schema(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="^expected schema 'scene/1', got 'scene/2'$"):
             import_scene(json.dumps({"schema": "scene/2"}))
 
     @pytest.mark.parametrize("nodes, match", [
@@ -576,6 +595,10 @@ class TestSceneDocuments:
     def test_non_object_document_rejected(self, text):
         with pytest.raises(SchemaError, match="expected schema 'scene/1', got None"):
             import_scene(text)
+
+    def test_unknown_export_format(self, all_lane_3x3):
+        with pytest.raises(ValueError, match="^unknown export format 'x'$"):
+            export_scene(synthesize(classify_all(all_lane_3x3)), "x")
 
     def test_obj_triangle_count(self, all_lane_3x3):
         scene = synthesize(classify_all(all_lane_3x3))

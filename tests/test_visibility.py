@@ -771,6 +771,14 @@ class TestSweep:
         path = (EgoPose((0.0, 0.0), 0.0), EgoPose((2.0, 0.0), 0.0))
         assert pose_at(path, 99.0).position == (2.0, 0.0)
 
+    def test_pose_at_steps_over_a_zero_length_segment(self):
+        path = visibility._as_poses([(0.0, 0.0), (0.0, 0.0), (0.0, 4.0)])
+        assert pose_at(path, 1.0) == EgoPose((0.0, 1.0), math.pi / 2.0)
+
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValueError, match="^path needs at least one vertex$"):
+            visibility._as_poses([])
+
 
 class TestSweepExport:
     def test_csv_shape(self):
