@@ -15,12 +15,10 @@ import json
 import shutil
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
-from .errors import (
-    JSON_TOO_DEEP, GarageError, OptionError, SchemaError, SpecParseError, SpecValidationError,
-)
+from .errors import GarageError, OptionError, SchemaError, SpecParseError, SpecValidationError
 from .grid import _load_json, _read_text, load_garage_spec, validate
 # loaded with the package already: the flag table's light levels and default
 from .scene import LightLevel
@@ -37,6 +35,18 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 
 
+def _number(text, kind: type = float):
+    """The one number rule of the command line: text as float (or kind)
+    reads it, but in ASCII and with no '_', so '0_5' and '٥' raise the
+    ValueError that 'fast' does.  A value that is no string goes to kind."""
+    if isinstance(text, str) and not (text.isascii() and "_" not in text):
+        raise ValueError(text)
+    return kind(text)
+
+
+_number.__name__ = "float"  # argparse words a bad value by its type's name
+
+
 def _parse_weights(text: str | None) -> tuple[float, float, float]:
     """Weights from 'w_occ,w_blk,w_lit' (the defaults when text is empty);
     the library checks their values."""
@@ -48,7 +58,7 @@ def _parse_weights(text: str | None) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise OptionError(f"expected three comma-separated weights, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        return tuple(map(_number, parts))  # type: ignore[return-value]
     except ValueError as exc:
         raise OptionError(f"non-numeric weight in {text!r}") from exc
 
@@ -60,7 +70,7 @@ def _parse_corners(text: str) -> frozenset[tuple[int, int]]:
         if len(parts) != 2:
             raise SchemaError(f"bad corner {chunk!r}; expected 'i,j'")
         try:
-            corners.add((int(parts[0]), int(parts[1])))
+            corners.add((_number(parts[0], int), _number(parts[1], int)))
         except ValueError as exc:
             raise SchemaError(f"bad corner {chunk!r}") from exc
     return frozenset(corners)
@@ -85,7 +95,7 @@ class Flag(NamedTuple):
 
     name: str
     help: str | None = None
-    type: type | None = None
+    type: Callable | None = None
     choices: tuple[str, ...] | None = None
     default: object = None
     required: bool = False
@@ -122,49 +132,36 @@ FLAGS: dict[str | None, tuple[Flag, ...]] = {
     ),
     "scenario": (
         Flag("--case", "1, 2 or 3", required=True),
-        Flag("--column-setback", type=float),
-        Flag("--lane-width", type=float),
-        Flag("--target-distance", type=float),
-        Flag("--column-offset", type=float),
-        Flag("--lane-distance", type=float),
+        Flag("--column-setback", type=_number),
+        Flag("--lane-width", type=_number),
+        Flag("--target-distance", type=_number),
+        Flag("--column-offset", type=_number),
+        Flag("--lane-distance", type=_number),
         Flag("--layout", "case 3 slots, e.g. 'close:large,far:small'",
              default="close:large,far:small"),
         Flag("--light", choices=_LIGHTS, default="bright"),
         Flag("--scene", "scene/1 file to merge in as extra environment"),
-        Flag("--step", type=float),
-        Flag("--fov", type=float),
-        Flag("--mount-height", type=float),
-        Flag("--aspect", type=float),
+        Flag("--step", type=_number),
+        Flag("--fov", type=_number),
+        Flag("--mount-height", type=_number),
+        Flag("--aspect", type=_number),
         Flag("--weights", _WEIGHTS_HELP),
-        Flag("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD),
+        Flag("--blackout-threshold", type=_number, default=BLACKOUT_THRESHOLD),
         Flag("--out", "report/1 JSON output path", required=True),
     ),
     "score": (
         Flag("report", "report/1 JSON file"),
         Flag("--weights", _WEIGHTS_HELP),
-        Flag("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD),
+        Flag("--blackout-threshold", type=_number, default=BLACKOUT_THRESHOLD),
     ),
 }
 
 
-def _config_defaults(argv: list[str]) -> dict:
-    """Flag defaults from the JSON config file that --config names, if any;
-    flags given on the command line override them.  Every key must name a
-    flag of the table and every value be one that flag takes (SchemaError)."""
-    path = None
-    for k, tok in enumerate(argv):
-        if tok == "--config" and k + 1 < len(argv):
-            path = argv[k + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return {}
-    try:
-        raw = json.loads(_read_text(path))
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise SchemaError(f"cannot read config {path}: {exc}") from exc
-    except RecursionError as exc:
-        raise SchemaError(f"cannot read config {path}: {JSON_TOO_DEEP}") from exc
+def _config_defaults(path: str) -> dict:
+    """Flag defaults from the JSON config file at path; flags given on the
+    command line override them.  Every key must name a flag of the table
+    and every value be one that flag takes (SchemaError)."""
+    raw = _load_json(_read_text(path), f"config {path}")
     if not isinstance(raw, dict):
         raise SchemaError("config file must hold a JSON object")
     defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
@@ -428,27 +425,21 @@ def _cmd_score(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    handlers = {"validate": _cmd_validate, "generate": _cmd_generate,
+                "scenario": _cmd_scenario, "score": _cmd_score}
     try:
         # only the parser of the command argv names, if it surely names one
-        parser = build_parser(_named_command(argv), _config_defaults(argv))
+        parser = build_parser(_named_command(argv))
         args = parser.parse_args(argv)
+        if isinstance(args.config, str):  # a path: its values default a second parse
+            parser = build_parser(args.command, _config_defaults(args.config))
+            args = parser.parse_args(argv)
         # argparse (Python 3.11) reads "--flag=--" as an empty list of values
         for dest in (dest for dest, value in vars(args).items() if type(value) is list):
             parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return handlers[args.command](args)
     except SystemExit as exc:  # argparse usage errors and --help/--version
         return int(exc.code or 0)
-
-    handlers = {
-        "validate": _cmd_validate,
-        "generate": _cmd_generate,
-        "scenario": _cmd_scenario,
-        "score": _cmd_score,
-    }
-    try:
-        return handlers[args.command](args)
     except (SpecParseError, SchemaError, OptionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -240,13 +240,14 @@ def _read_text(path: str | Path) -> str:
                       str(path)) from exc
 
 
-def _load_json(text: str, kind: str, error: type[GarageError] = SchemaError):
-    """The value of a JSON text, decoded as every input document but --config
-    is; a text that is no JSON raises error, naming the document's kind."""
+def _load_json(text: str, kind: str, error: type[GarageError] = SchemaError, line: int = 1):
+    """The value of a JSON text, decoded as every input document is; a text
+    that is no JSON raises error, naming its kind and the line, the text's first
+    being line."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise error(f"invalid {kind} JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise error(f"invalid {kind} JSON at line {line - 1 + exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past int's digit limit
         raise error(f"invalid {kind} JSON: {exc}") from exc
     except RecursionError as exc:
@@ -270,12 +271,11 @@ def load_garage_spec(path: str | Path) -> GarageSpec:
 
 
 def _csv_rows(path: str | Path) -> list[list]:
-    """The non-blank lines of a CSV file, each field decoded as the JSON
-    value it spells.  A field is decoded after as many newlines as there are
-    lines before its own, so that a JSON error names the file's line."""
-    return [[_load_json("\n" * k + field, f"{path} field", SpecParseError)
+    """The non-blank lines of a CSV file, each field decoded once as the
+    JSON value it spells, so that a JSON error names the file's line."""
+    return [[_load_json(field, f"{path} field", SpecParseError, k)
              for field in line.split(",")]
-            for k, line in enumerate(_read_text(path).splitlines()) if line.strip()]
+            for k, line in enumerate(_read_text(path).splitlines(), 1) if line.strip()]
 
 
 def load_garage_spec_csv(

@@ -825,10 +825,10 @@ def emit_occupancy_plan(plan: OccupancyPlan) -> str:
 # --- scene documents -----------------------------------------------------------
 
 
-def _box_values(doc: dict) -> tuple[float, ...]:
-    """Centre, half extents and yaw of a node or bounds object as seven
-    floats, with every check Box3 makes; a value that is not finite has a
-    SchemaError of its own."""
+def _box_values(doc: dict, owner: str) -> tuple[float, ...]:
+    """Centre, half extents and yaw of the owner's object as seven floats,
+    with every check Box3 makes; a value that is not finite, or a field the
+    object lacks ("node 'a' has no yaw"), has a SchemaError of its own."""
     try:
         center = tuple(map(float, doc["center"]))
         half = tuple(map(float, doc["half_extents"]))
@@ -839,7 +839,9 @@ def _box_values(doc: dict) -> tuple[float, ...]:
                              f" or yaw {yaw}")
         Box3(center, half, yaw)  # its checks, with its messages
         return values
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
+        raise SchemaError(f"{owner} has no {exc.args[0]}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad box: {exc}") from exc
 
 
@@ -1021,7 +1023,7 @@ def _node_row(raw: dict) -> tuple[str, int, dict[str, str], tuple[float, ...]]:
     if code == _FLOOR_CODE and tags.get("cell_kind") in _DRIVABLE_NAMES and "cell" not in tags:
         # lamp sites are read from these tiles' cell tags
         raise SchemaError(f"floor tile {node_id!r} of a drivable cell has no cell tag")
-    return node_id, code, tags, _box_values(raw)
+    return node_id, code, tags, _box_values(raw, f"node {node_id!r}")
 
 
 #: what the import hook leaves in the document for a node it has collected
@@ -1141,7 +1143,7 @@ def _scene_from_document(doc, table: _BoxTable | None = None) -> SceneGraph:
     bounds = doc.get("bounds")
     if not isinstance(bounds, dict):
         raise SchemaError("scene document is missing its bounds box")
-    return _table_scene(table, _box(_box_values(bounds)), level)
+    return _table_scene(table, _box(_box_values(bounds, "bounds")), level)
 
 
 _BOX_FACES = (

@@ -24,9 +24,10 @@ as text, the form the golden digests pin.  ``merge_scene`` is the
 ``--scene`` merge without re-lighting, from the engine's box tables and
 table bounds, the plain merge that the one-copy merge must match.
 ``build_parser`` is the command line's parser with every command's flags
-built and ``parse_command_line`` its parse as the CLI ran it, with --config
-applied through argparse's own actions: the bytes and exit codes that the
-per-command parser must match.
+built and ``parse_command_line`` its parse as the CLI ran it, with a
+--config file read once argv parses and applied through argparse's own
+actions, and numbers read by its own copy of the command line's number
+rule: the bytes and exit codes that the per-command parser must match.
 """
 
 from __future__ import annotations
@@ -474,16 +475,21 @@ def scene_json(scene) -> str:
     return json.dumps(scene_document(scene), indent=2, sort_keys=True) + "\n"
 
 
-def _document_box(doc: dict) -> Box3:
+def _document_box(doc: dict, owner: str) -> Box3:
+    def field(name: str):
+        if name not in doc:
+            raise SchemaError(f"{owner} has no {name}")
+        return doc[name]
+
     try:
-        center = tuple(map(float, doc["center"]))
-        half = tuple(map(float, doc["half_extents"]))
-        yaw = float(doc["yaw"])
+        center = tuple(map(float, field("center")))
+        half = tuple(map(float, field("half_extents")))
+        yaw = float(field("yaw"))
         if not all(map(math.isfinite, (*center, *half, yaw))):
             raise ValueError(f"non-finite value in center {center}, half_extents {half}"
                              f" or yaw {yaw}")
         return Box3(center, half, yaw)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad box: {exc}") from exc
 
 
@@ -528,11 +534,12 @@ def import_scene_two_pass(text: str) -> SceneGraph:
         if (kind is NodeKind.FLOOR_TILE and tags.get("cell_kind") in _DRIVABLE_CELL_KINDS
                 and "cell" not in tags):
             raise SchemaError(f"floor tile {node_id!r} of a drivable cell has no cell tag")
-        nodes.append(SceneNode(node_id, kind, _document_box(raw), tags))
+        nodes.append(SceneNode(node_id, kind, _document_box(raw, f"node {node_id!r}"), tags))
     bounds_raw = doc.get("bounds")
     if not isinstance(bounds_raw, dict):
         raise SchemaError("scene document is missing its bounds box")
-    return SceneGraph(nodes=tuple(nodes), bounds=_document_box(bounds_raw), light_level=level)
+    return SceneGraph(nodes=tuple(nodes), bounds=_document_box(bounds_raw, "bounds"),
+                      light_level=level)
 
 
 # --- scene synthesis, one SceneNode per element ----------------------------------------
@@ -727,48 +734,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scn = sub.add_parser("scenario", help="build and run an occlusion case")
     p_scn.add_argument("--case", required=True, help="1, 2 or 3")
-    p_scn.add_argument("--column-setback", type=float)
-    p_scn.add_argument("--lane-width", type=float)
-    p_scn.add_argument("--target-distance", type=float)
-    p_scn.add_argument("--column-offset", type=float)
-    p_scn.add_argument("--lane-distance", type=float)
+    p_scn.add_argument("--column-setback", type=_number)
+    p_scn.add_argument("--lane-width", type=_number)
+    p_scn.add_argument("--target-distance", type=_number)
+    p_scn.add_argument("--column-offset", type=_number)
+    p_scn.add_argument("--lane-distance", type=_number)
     p_scn.add_argument("--layout", default="close:large,far:small",
                        help="case 3 slots, e.g. 'close:large,far:small'")
     p_scn.add_argument("--light", choices=[l.value for l in LightLevel], default="bright")
     p_scn.add_argument("--scene", default=None,
                        help="scene/1 file to merge in as extra environment")
-    p_scn.add_argument("--step", type=float)
-    p_scn.add_argument("--fov", type=float)
-    p_scn.add_argument("--mount-height", type=float)
-    p_scn.add_argument("--aspect", type=float)
+    p_scn.add_argument("--step", type=_number)
+    p_scn.add_argument("--fov", type=_number)
+    p_scn.add_argument("--mount-height", type=_number)
+    p_scn.add_argument("--aspect", type=_number)
     p_scn.add_argument("--weights", default=None, help="w_occ,w_blk,w_lit summing to 1")
-    p_scn.add_argument("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD)
+    p_scn.add_argument("--blackout-threshold", type=_number, default=BLACKOUT_THRESHOLD)
     p_scn.add_argument("--out", required=True, help="report/1 JSON output path")
 
     p_sco = sub.add_parser("score", help="re-score an emitted report")
     p_sco.add_argument("report", help="report/1 JSON file")
     p_sco.add_argument("--weights", default=None, help="w_occ,w_blk,w_lit summing to 1")
-    p_sco.add_argument("--blackout-threshold", type=float, default=BLACKOUT_THRESHOLD)
+    p_sco.add_argument("--blackout-threshold", type=_number, default=BLACKOUT_THRESHOLD)
 
     return parser
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Optional JSON config file provides flag defaults; flags override it."""
-    path = None
-    for k, tok in enumerate(argv):
-        if tok == "--config" and k + 1 < len(argv):
-            path = argv[k + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return
+def _number(text: str) -> float:
+    """The command line's number rule, written out: a float as Python
+    spells it, inf and nan too, in ASCII characters only and with no '_'."""
+    if any(ord(c) > 127 or c == "_" for c in str(text)):
+        raise ValueError(f"not a plain number: {text!r}")
+    return float(text)
+
+
+_number.__name__ = "float"  # the name argparse's usage error gives the type
+
+
+def _apply_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    """The JSON config file at path provides flag defaults; flags override it."""
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read config {path}: {exc}") from exc
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid config {path} JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"invalid config {path} JSON: {exc}") from exc
     except RecursionError as exc:
-        raise SchemaError(f"cannot read config {path}: {JSON_TOO_DEEP}") from exc
+        raise SchemaError(f"invalid config {path} JSON: {JSON_TOO_DEEP}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config file must hold a JSON object")
     defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
@@ -809,12 +822,17 @@ def _config_value(action: argparse.Action, value):
 
 def parse_command_line(argv: list[str]) -> tuple[int, argparse.Namespace | None]:
     """The exit code of the command line's parse (0 where it parses) and
-    its arguments, printing what the CLI printed on a parse that ends it."""
+    its arguments, printing what the CLI printed on a parse that ends it:
+    argv is parsed, and where it names a --config file, parsed again with
+    the file's values as defaults."""
     parser = build_parser()
     try:
-        _apply_config_defaults(parser, argv)
-        return 0, parser.parse_args(argv)
-    except SchemaError as exc:
+        args = parser.parse_args(argv)
+        if isinstance(args.config, str):
+            _apply_config_defaults(parser, args.config)
+            args = parser.parse_args(argv)
+        return 0, args
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
     except SystemExit as exc:

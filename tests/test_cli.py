@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -1073,10 +1074,16 @@ def _csv_dir(tmp_path: Path, structure: str, cols: str, rows: str = "5\n5\n") ->
     (lambda tmp, out: ["validate", _csv_dir(tmp, "1\n0\n", "3\n", "5\n\n.5\n")],
      "rows.csv field JSON at line 3: Expecting value"),
     (lambda tmp, out: ["validate", str(tmp / "nowhere")], "No such file or directory"),
+    (lambda tmp, out: ["--config", str(tmp / "missing.json"), "validate", _plan(tmp)],
+     "error: [Errno 2] No such file or directory: "),
+    (lambda tmp, out: ["scenario", "--case", "1", "--scene", _written(
+        tmp / "s.json", _scene_with_node('"half_extents": [1, 1, 1]')), "--out", str(out)],
+     "node 'x' has no center"),
 ], ids=["score-weights-two", "score-weights-text", "scenario-weights-two", "prune-one-number",
         "prune-text", "layout-no-size", "score-bad-json", "score-no-samples",
         "occupancy-bad-json", "occupancy-wrong-schema", "scene-bad-json", "csv-empty-field",
-        "csv-underscore", "csv-leading-point", "csv-missing-file"])
+        "csv-underscore", "csv-leading-point", "csv-missing-file", "config-missing-file",
+        "scene-node-without-center"])
 def test_reader_and_flag_errors_exit_2(tmp_path, capsys, make_argv, words):
     out = tmp_path / "out.json"
     argv = make_argv(tmp_path, out)
@@ -1367,3 +1374,199 @@ def test_drawn_prune_corners_into_generate(fuzz_dir, corners):
     code, _, err, _ = _run_twice(["generate", str(fuzz_dir / "plan.json"),
                                   f"--prune-columns={corners}", "--out", str(out)], out)
     assert code in (0, 2), err
+
+
+# --- --config read once argv parses, and the one number rule ---------------------------
+
+
+def test_an_abbreviated_config_flag_applies_its_file(tmp_path):
+    cfg = _written(tmp_path / "step.json", '{"step": 2.0}')
+    reports = []
+    for flag in (["--config", cfg], ["--conf", cfg], [f"--config={cfg}"]):
+        out = tmp_path / f"r{len(reports)}.json"
+        assert main([*flag, "scenario", "--case", "1", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["sweeps"]["veh-target"]["step_m"] == 2.0
+
+
+@pytest.mark.parametrize("make_argv, line", [
+    (lambda tmp, out: ["scenario", "--case", "1", "--step", "0_5", "--out", out],
+     "garagesim scenario: error: argument --step: invalid float value: '0_5'"),
+    (lambda tmp, out: ["scenario", "--case", "1", "--step", "５", "--out", out],
+     "garagesim scenario: error: argument --step: invalid float value: '５'"),
+    (lambda tmp, out: ["scenario", "--case", "1", "--lane-width", "1_0", "--out", out],
+     "garagesim scenario: error: argument --lane-width: invalid float value: '1_0'"),
+    (lambda tmp, out: ["--config", _written(tmp / "c.json", '{"step": "0_5"}'),
+                       "scenario", "--case", "1", "--out", out],
+     "error: config value '0_5' is not a valid --step"),
+    (lambda tmp, out: ["scenario", "--case", "1", "--weights", "0_4,0.4,0.2", "--out", out],
+     "error: non-numeric weight in '0_4,0.4,0.2'"),
+    (lambda tmp, out: ["generate", _plan(tmp), "--prune-columns", "١,١", "--out", out],
+     "error: bad corner '١,١'"),
+    (lambda tmp, out: ["generate", _plan(tmp), "--prune-columns", "0_1,1", "--out", out],
+     "error: bad corner '0_1,1'"),
+], ids=["step-underscore", "step-fullwidth", "lane-width-underscore", "config-underscore",
+        "weights-underscore", "prune-arabic-indic", "prune-underscore"])
+def test_a_number_past_ascii_or_with_an_underscore_exit_2(tmp_path, capsys, make_argv, line):
+    out = tmp_path / "out.json"
+    argv = make_argv(tmp_path, str(out))
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1] == line, captured.err
+    assert not out.exists()
+
+
+def test_numbers_in_python_spelling_still_read(tmp_path, capsys):
+    reports = []
+    for step in ("5", "0.5e1"):
+        out = tmp_path / f"r{len(reports)}.json"
+        assert main(["scenario", "--case", "1", "--step", step, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["sweeps"]["veh-target"]["step_m"] == 5.0
+    capsys.readouterr()
+    # inf is a number, which the library then refuses
+    assert main(["scenario", "--case", "1", "--step", "inf", "--out", str(tmp_path / "i.json")]) == 2
+    assert capsys.readouterr().err == "error: step must be positive and finite, got inf\n"
+    assert cli._number(" -1e3 ") == -1000.0 and cli._number("+7", int) == 7
+    assert math.isnan(cli._number("nan")) and cli._number("-Infinity") == -math.inf
+
+
+def test_a_config_after_the_command_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    read = []
+    monkeypatch.setattr(cli, "_config_defaults", lambda path: read.append(path) or {})
+    out = tmp_path / "r.json"
+    assert main(["scenario", "--case", "1", "--out", str(out), "--config", "missing.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "garagesim: error: unrecognized arguments: --config missing.json", err
+    # and a config spelled "--" names no file
+    assert main(["--config=--", "scenario", "--case", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "garagesim: error: argument --config: expected one argument", err
+    assert read == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["-h", "--config", "CFG"], "usage: garagesim "),
+    (["--config", "CFG", "scenario", "--help"], "usage: garagesim scenario "),
+    (["--version", "--config", "CFG"], f"garagesim {cli.__version__}"),
+])
+def test_help_and_version_come_before_the_config(tmp_path, capsys, argv, first):
+    cfg = _written(tmp_path / "broken.json", "{")
+    assert main([cfg if tok == "CFG" else tok for tok in argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(first) and captured.err == ""
+
+
+@pytest.mark.parametrize("text, line", [
+    ("{", 1), ('{"step": 2.0,\n\n}', 3), ('{"step": 2.0}\n{}', 2),
+])
+def test_a_broken_config_names_its_line(tmp_path, capsys, text, line):
+    cfg = _written(tmp_path / "config.json", text)
+    out = tmp_path / "r.json"
+    assert main(["--config", cfg, "scenario", "--case", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, err
+    assert err[0].startswith(f"error: invalid config {cfg} JSON at line {line}: "), err
+    assert not out.exists()
+
+
+#: every flag that takes a number, or numbers in a text: the command line it
+#: is given on and the value a numeral stands in
+_NUMERIC_FLAGS = [
+    *((["scenario", "--case", "1", "--out", "OUT"], flag.name, "{}")
+      for flag in cli.FLAGS["scenario"] if flag.type is not None),
+    (["scenario", "--case", "1", "--out", "OUT"], "--weights", "{},0.4,0.2"),
+    (["generate", "PLAN", "--out", "OUT"], "--prune-columns", "{},1"),
+    (["score", "REPORT"], "--blackout-threshold", "{}"),
+]
+
+
+@st.composite
+def _odd_numeral(draw) -> str:
+    """A numeral that Python's float and int read but JSON does not: ASCII
+    digits with a '_' between two of them, or with a non-ASCII digit."""
+    digits = draw(st.text("0123456789", min_size=2, max_size=5))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, len(digits) - 1))
+        numeral = f"{digits[:k]}_{digits[k:]}"
+    else:
+        k = draw(st.integers(0, len(digits) - 1))
+        digit = draw(st.characters(categories=["Nd"]).filter(lambda c: not c.isascii()))
+        numeral = digits[:k] + digit + digits[k + 1:]
+    return draw(st.sampled_from(["", "-", "0.", "1e"])) + numeral
+
+
+@_FUZZ
+@given(spot=st.sampled_from(_NUMERIC_FLAGS), numeral=_odd_numeral(), by_config=st.booleans())
+def test_drawn_odd_numerals_into_every_numeric_flag_exit_2(fuzz_dir, spot, numeral, by_config):
+    command, flag, value = spot
+    out = fuzz_dir / "out" / "n.json"
+    out.parent.mkdir(exist_ok=True)
+    paths = {"OUT": out, "PLAN": fuzz_dir / "plan.json", "REPORT": fuzz_dir / "seed-report.json"}
+    argv = [str(paths.get(tok, tok)) for tok in command]
+    if by_config:
+        config = fuzz_dir / "numeral-config.json"
+        config.write_text(json.dumps({flag[2:]: value.format(numeral)}), encoding="utf-8")
+        argv = ["--config", str(config), *argv]
+    else:
+        argv.append(f"{flag}={value.format(numeral)}")
+    code, _, err, _ = _run_twice(argv, out)
+    assert code == 2, (argv, err)
+
+
+#: every flag a config key may name, and keys that name none
+_CONFIG_FLAGS = {flag.dest: flag for own in cli.FLAGS.values() for flag in own
+                 if flag.name.startswith("--")}
+_ODD_KEYS = ("stpe", "spec", "report", "help", "", "Step")
+_CONFIG_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 12), st.just(10**400),
+    st.sampled_from([0.25, 0.5, 2.0, 5.0, -1.0, 1e300, math.inf, math.nan]),
+    st.sampled_from(["", "x", "0.5", "0_5", "١", "2", "1e1", "inf", "json", "csv", "dim",
+                     "bright", "0.4,0.4,0.2", "1,0,0", "1,1", "close:small", "."]))
+_CONFIG_VALUES = st.one_of(_CONFIG_SCALARS, st.lists(_CONFIG_SCALARS, max_size=2),
+                           st.dictionaries(st.sampled_from(["a", "step"]), _CONFIG_SCALARS,
+                                           max_size=2))
+
+
+def _fitting(flag) -> st.SearchStrategy:
+    """Values of the JSON type the flag takes, in range or not."""
+    if flag.switch:
+        return st.booleans()
+    if flag.choices:
+        return st.sampled_from(flag.choices)
+    if flag.type is not None:
+        return st.sampled_from([0.5, 1, 2.0, 5, 30.0, "2", "0.75", "1e1", "-1", "nan"])
+    return st.sampled_from(["", "x", ".", "1,1", "0.4,0.4,0.2", "0.5,0.5,0", "close:small"])
+
+
+@_FUZZ
+@given(data=st.data())
+def test_drawn_configs_into_scenario_and_validate(fuzz_dir, data):
+    # flag keys, dashed or not, with values that fit them or of any JSON
+    # type; now and then a key that names no flag, a document that is no
+    # object, or a text cut short
+    config = {}
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.integers(0, 7)) == 0:
+            config[data.draw(st.sampled_from(_ODD_KEYS))] = data.draw(_CONFIG_SCALARS)
+            continue
+        dest = data.draw(st.sampled_from(sorted(_CONFIG_FLAGS)))
+        key = dest.replace("_", "-") if data.draw(st.booleans()) else dest
+        config[key] = data.draw(_fitting(_CONFIG_FLAGS[dest]) if data.draw(st.integers(0, 3))
+                                else _CONFIG_VALUES)
+    text = json.dumps(config)
+    form = data.draw(st.integers(0, 9))
+    if form == 8:
+        text = json.dumps(data.draw(_CONFIG_VALUES))
+    elif form == 9:
+        text = text[:len(text) // 2]
+    cfg = fuzz_dir / "fuzz-config.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = fuzz_dir / "out" / "c.json"
+    out.parent.mkdir(exist_ok=True)
+    _run_twice(["--config", str(cfg), "scenario", "--case", "1", "--out", str(out)], out)
+    _run_twice(["--config", str(cfg), "validate", str(fuzz_dir / "plan.json")], None)

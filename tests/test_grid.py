@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from garagesim import grid
 from garagesim.errors import SchemaError, SpecParseError
 from garagesim.grid import (
     CellKind,
@@ -165,6 +166,31 @@ class TestEmitRoundTrip:
         (tmp_path / "cols.csv").write_text("6,6\n")
         with pytest.raises(SpecParseError, match="ragged"):
             load_garage_spec(tmp_path)
+
+    def test_csv_field_far_down_names_its_line(self, tmp_path):
+        lines = ["6"] * 6000
+        lines[4999] = "6 6"
+        (tmp_path / "structure.csv").write_text("1\n")
+        (tmp_path / "rows.csv").write_text("5\n")
+        (tmp_path / "cols.csv").write_text("\n".join(lines) + "\n")
+        where = re.escape(str(tmp_path / "cols.csv"))
+        with pytest.raises(SpecParseError, match=f"^invalid {where} field JSON at line 5000: "):
+            load_garage_spec(tmp_path)
+
+    def test_csv_fields_are_decoded_once(self, tmp_path, monkeypatch):
+        # each field goes to the decode step alone, with no padding before it
+        texts = {"structure.csv": "1,1\n\n1,0\n", "rows.csv": "5\n5\n",
+                 "cols.csv": "6\n" * 500 + "6.5\n"}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        handed = []
+        load_json = grid._load_json
+        monkeypatch.setattr(grid, "_load_json",
+                            lambda text, *rest: handed.append(text) or load_json(text, *rest))
+        spec = load_garage_spec(tmp_path)
+        assert spec.col_widths == (6.0,) * 500 + (6.5,)
+        assert len(handed) == 4 + 2 + 501
+        assert sum(map(len, handed)) <= sum(map(len, texts.values()))
 
 
 class TestValidate:

@@ -847,6 +847,16 @@ class TestOnePassImport:
         # a reader that holds the parsed document beside the scene peaks near 1.6x
         assert peak - before <= 1.25 * (after - before)
 
+    @pytest.mark.parametrize("field", ["center", "half_extents", "yaw"])
+    @pytest.mark.parametrize("owner", ["node", "bounds"])
+    def test_a_missing_box_field_names_its_owner(self, owner, field):
+        doc = json.loads(_column_document({"id": "col-1-1"}))
+        del (doc["nodes"][0] if owner == "node" else doc["bounds"])[field]
+        text = json.dumps(doc)
+        want = f"{'node ' + repr('col-1-1') if owner == 'node' else 'bounds'} has no {field}"
+        assert _read_outcome(import_scene, text) == ("error", want)
+        assert _read_outcome(import_scene_two_pass, text) == ("error", want)
+
 
 class TestSceneGraph:
     def test_node_is_a_lookup_with_first_match_and_scan_errors(self):
